@@ -221,6 +221,18 @@ def _abs_spectrum(f: BoolFn) -> np.ndarray:
     return np.abs(_fwht_inplace(signs))
 
 
+def autocorrelation(f: BoolFn) -> np.ndarray:
+    """Delta_f(b) = sum_x (-1)^(f(x) + f(x+b)), exact in int64.
+
+    Wiener-Khintchine: Delta_f = FWHT(W_f^2) / 2^n, computed without
+    floats.  Every intermediate is at most sum W_f^2 = 4^n in absolute
+    value (Parseval), so int64 is exact for n <= 16 and well beyond.
+    Delta_f(b) = 2^n exactly when b is a period of f.
+    """
+    w = _fwht_inplace(1 - 2 * f.table.astype(np.int64))
+    return _fwht_inplace(w * w) >> f.n
+
+
 def is_bent(f: BoolFn) -> bool:
     if f.n % 2:
         return False

@@ -43,6 +43,7 @@ from .construct import (
     psap,
 )
 from .decomp import (
+    _odd_quadruple_assignment,
     classify_decomposition,
     partition_bent,
     psffff,
@@ -58,7 +59,12 @@ from .verify import run_suite
 
 def _default_threads() -> int:
     env = os.environ.get("BENT_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ParameterError(f"BENT_THREADS must be an integer, got {env!r}") from None
 
 
 def _plain(val) -> str:
@@ -93,7 +99,11 @@ def _parse_perm(spec: str, ctx):
     if spec == "inverse":
         return PermTable.inverse_map(ctx)
     if spec.startswith("gold:"):
-        return PermTable.gold(ctx, int(spec[5:]))
+        try:
+            k = int(spec[5:])
+        except ValueError:
+            raise ParameterError(f"gold:<k> needs an integer k, got {spec!r}") from None
+        return PermTable.gold(ctx, k)
     return load_perm(spec)
 
 
@@ -104,14 +114,6 @@ def _parse_subfield_fn(spec: str, ctx, k: int) -> SubfieldFn:
     if spec == "identity":
         return SubfieldFn.identity_perm(ctx, k)
     return load_subfield_fn(ctx, spec)
-
-
-def _odd_quadruple_assignment(ctx, k: int) -> dict:
-    odd = [q for q in
-           ((a, b, c, d) for a in (0, 1) for b in (0, 1)
-            for c in (0, 1) for d in (0, 1)) if sum(q) % 2 == 1]
-    elems = ctx.subfield(k)
-    return {g: odd[i % 8] for i, g in enumerate(elems)}
 
 
 def _build_family(args) -> BoolFn:
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=_int_arg, default=0,
                         help="seed for the documented xorshift generator")
-        sp.add_argument("--threads", type=int, default=_default_threads(),
+        sp.add_argument("--threads", type=int, default=None,
                         help="worker count for searches "
                              "(default: BENT_THREADS or 1)")
         sp.add_argument("--json", action="store_true",
@@ -365,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads is None:
+            args.threads = _default_threads()
         return args.func(args)
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

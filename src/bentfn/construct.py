@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2vec
-from .boolfn import BoolFn, Space, dual, is_bent, plateaued_order, walsh_transform
+from .boolfn import (BoolFn, Space, autocorrelation, dual, is_bent, plateaued_order,
+                     walsh_transform)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field
 from .vectorial import OutPairing, VecFn
@@ -410,20 +411,13 @@ def check_property_P(ctx: FieldCtx, pi: PermTable) -> PropertyPResult:
         d = tbl ^ tbl[idx ^ t]
         # (i) periods of the vectorial derivative: intersect the period
         # groups of all m component functions
-        rows: list[int] = []
+        is_period = np.ones(size, dtype=bool)
         for j in range(m):
             comp = BoolFn(((d >> j) & 1).astype(np.uint8))
-            w = walsh_transform(comp).values
-            for v in map(int, np.flatnonzero(w)):
-                for r in rows:
-                    v = min(v, v ^ r)
-                if v:
-                    rows.append(v)
-            if len(rows) == m:
-                break
-        periods = gf2vec.span(gf2vec.nullspace(rows, m))
-        if len(periods) > 2:
-            b2 = min(p for p in periods if p not in (0, t))
+            is_period &= autocorrelation(comp) == size
+        periods = np.flatnonzero(is_period)
+        if periods.size > 2:
+            b2 = min(int(p) for p in periods if p not in (0, t))
             return PropertyPResult(False, (0, t, 0, b2))
         # (ii) the image of D_t pi must span the whole field
         img_basis: list[int] = []

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2vec
-from .boolfn import BoolFn, Space, dual, is_bent, is_semibent
-from .derivative import second_derivative
+from .boolfn import BoolFn, Space, autocorrelation, dual, is_bent, is_semibent
+from .derivative import derivative, second_derivative
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams
 from .construct import PermTable, SubfieldFn, spread_sets
@@ -75,12 +75,7 @@ class DecompositionReport:
 def _dual_derivative_status(f: BoolFn, u: int, v: int) -> str:
     # the cosets are cut out by plain dot products, so the matching
     # closed form needs the dual in the same plain pairing
-    d2 = second_derivative(dual(f.with_space(None)), u, v).table
-    if d2.all():
-        return "ConstantOne"
-    if not d2.any():
-        return "ConstantZero"
-    return "NonConstant"
+    return _constancy(second_derivative(dual(f.with_space(None)), u, v).table)
 
 
 def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
@@ -243,6 +238,12 @@ _ODD_QUADS = tuple(q for q in
                    if sum(q) % 2 == 1)
 
 
+def _odd_quadruple_assignment(ctx: FieldCtx, k: int) -> dict:
+    """A valid partition_bent assignment: the elements of S_k in
+    ascending order take the eight odd-weight quadruples cyclically."""
+    return {g: _ODD_QUADS[i % 8] for i, g in enumerate(ctx.subfield(k))}
+
+
 def partition_bent(ctx: FieldCtx, params: GpsParams, assignment) -> BoolFn:
     """Bent function on V_{2m+2} from the spread partition {U, A(gamma)}.
 
@@ -314,23 +315,16 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False):
             f"scanning all planes of a {n}-variable function exceeds the "
             "default budget; pass allow_large to override"
         )
+    # D_b1 D_b2 f* is constant 0 (1) exactly when the autocorrelation of
+    # D_b1 f* at b2 is 2^n (-2^n): one autocorrelation labels every b2
     fstar = dual(f.with_space(None))
-    tbl = fstar.table
-    idx = np.arange(1 << n, dtype=np.int64)
+    labels = {1 << n: "AllSemibent", -(1 << n): "AllBent"}
     records = []
     for b1 in range(1, 1 << n):
-        d1 = tbl ^ tbl[idx ^ b1]
+        delta = autocorrelation(derivative(fstar, b1)).tolist()
         for b2 in range(b1 + 1, 1 << n):
-            if (b1 ^ b2) < b2:
-                continue
-            d2 = d1 ^ d1[idx ^ b2]
-            if d2.all():
-                cls = "AllBent"
-            elif not d2.any():
-                cls = "AllSemibent"
-            else:
-                cls = "Mixed"
-            records.append(ScanRecord(b1, b2, cls))
+            if (b1 ^ b2) > b2:
+                records.append(ScanRecord(b1, b2, labels.get(delta[b2], "Mixed")))
     return records
 
 

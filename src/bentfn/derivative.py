@@ -4,9 +4,9 @@ The M-subspace search works on the compatibility relation
 compat(a, b) <=> D_a D_b f == 0.  Three structural facts keep it fast:
 
 * compat(a, .) is a linear subspace: D_a D_b f == 0 iff b is an
-  XOR-period of D_a f, and the periods of g form the orthogonal
-  complement of the span of supp(W_g).  So one FWHT per vector a
-  yields the whole row of the relation.
+  XOR-period of D_a f, i.e. iff the autocorrelation of D_a f at b is
+  2^n.  So one autocorrelation (two FWHTs) per vector a yields the
+  whole row of the relation.
 * D_a D_b f depends only on the plane {0, a, b, a+b}, so a subspace is
   an M-subspace iff compat holds for all pairs inside it, and when
   extending a known M-subspace S by v it is enough to check that every
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2vec
-from .boolfn import BoolFn, _fwht_inplace, is_bent
+from .boolfn import BoolFn, autocorrelation, is_bent
 from .errors import DomainError, ParameterError, ParseError
 
 
@@ -97,10 +97,8 @@ class _CompatRows:
     """Lazy bit-packed rows of the compatibility relation of f."""
 
     def __init__(self, f: BoolFn):
-        self.n = f.n
+        self.f = f
         self.size = f.table.size
-        self.table = f.table
-        self._idx = np.arange(self.size, dtype=np.int64)
         self._cache: dict[int, np.ndarray] = {}
         self._ones = np.ones(self.size, dtype=np.uint8)
 
@@ -115,27 +113,8 @@ class _CompatRows:
         return np.unpackbits(packed, bitorder="little")[: self.size]
 
     def _compute(self, a: int) -> np.ndarray:
-        da = self.table ^ self.table[self._idx ^ a]
-        w = _fwht_inplace(1 - 2 * da.astype(np.int64))
-        supp = np.flatnonzero(w)
-        # span of the Walsh support; periods are its orthogonal complement
-        basis: list[int] = []
-        for v in supp:
-            v = int(v)
-            for b in basis:
-                v = min(v, v ^ b)
-            if v:
-                basis.append(v)
-                basis.sort(reverse=True)
-                if len(basis) == self.n:
-                    break
-        periods = gf2vec.nullspace(basis, self.n)
-        elems = np.zeros(1, dtype=np.int64)
-        for b in periods:
-            elems = np.concatenate([elems, elems ^ b])
-        mask = np.zeros(self.size, dtype=np.uint8)
-        mask[elems] = 1
-        return np.packbits(mask, bitorder="little")
+        delta = autocorrelation(derivative(self.f, a))
+        return np.packbits(delta == self.size, bitorder="little")
 
 
 @dataclass

@@ -79,57 +79,3 @@ def nullspace(rows: list[int], width: int) -> list[int]:
     # disturb rows already processed (their pivots are even higher)
         out.append(v)
     return out
-
-
-def solve(rows: list[int], rhs: list[int], width: int) -> int | None:
-    """One solution v of parity(row_i & v) = rhs_i, or None.
-
-    Augment each row with the rhs bit in bit position `width`, reduce,
-    then read the solution off the pivots.
-    """
-    aug = [r | ((b & 1) << width) for r, b in zip(rows, rhs)]
-    red = rref(aug)
-    mask = (1 << width) - 1
-    v = 0
-    for r in sorted(red, key=lambda r: (r & mask).bit_length()):
-        coeffs = r & mask
-        b = r >> width
-        if coeffs == 0:
-            if b:
-                return None
-            continue
-        if ((coeffs & v).bit_count() & 1) != b:
-            v ^= 1 << (coeffs.bit_length() - 1)
-    for r, b in zip(rows, rhs):
-        if ((r & v).bit_count() & 1) != (b & 1):
-            return None
-    return v
-
-
-def is_subspace(elems) -> bool:
-    """Does the element set form a linear subspace (0 in, XOR-closed)?"""
-    s = set(elems)
-    if 0 not in s:
-        return False
-    lst = sorted(s)
-    for i, a in enumerate(lst):
-        for b in lst[i + 1:]:
-            if a ^ b not in s:
-                return False
-    return True
-
-
-def complete_basis(basis: list[int], width: int) -> list[int]:
-    """Vectors extending an independent set to a basis of GF(2)^width.
-
-    Chosen greedily from unit vectors; returns only the added ones.
-    """
-    red = rref(basis)
-    added: list[int] = []
-    for i in range(width):
-        v = 1 << i
-        if not in_span(red + added, v):
-            added.append(v)
-        if len(red) + len(added) == width:
-            break
-    return added

@@ -48,6 +48,7 @@ from .construct import (
     trace_sum_nonconstant,
 )
 from .decomp import (
+    _odd_quadruple_assignment,
     classify_decomposition,
     concat4,
     concat_bent_check,
@@ -140,14 +141,6 @@ def _trace_form_cases():
     return cases
 
 
-def _partition_assignment(ctx, k: int):
-    odd = tuple(q for q in
-                ((a, b, c, d) for a in (0, 1) for b in (0, 1)
-                 for c in (0, 1) for d in (0, 1)) if sum(q) % 2 == 1)
-    elems = ctx.subfield(k)
-    return {g: odd[i % 8] for i, g in enumerate(elems)}
-
-
 def corpus(seed: int = 0):
     """Every bent function asserted by check 1, with labels."""
     fns = []
@@ -171,7 +164,7 @@ def corpus(seed: int = 0):
         ctx = make_field(m)
         pr = validate_gps_params(m, k, e)
         fns.append((f"partition ({m},{k})",
-                    partition_bent(ctx, pr, _partition_assignment(ctx, k))))
+                    partition_bent(ctx, pr, _odd_quadruple_assignment(ctx, k))))
     return fns
 
 

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here is written from the definitions, deliberately avoiding
-the library's fast paths: double-sum Walsh transform, subset-sum ANF,
-schoolbook polynomial field arithmetic, and a literal quadruple scan
-for the unique-subspace property.  Slow and obvious on purpose.
+the library's fast paths: double-sum Walsh transform and autocorrelation,
+subset-sum ANF, schoolbook polynomial field arithmetic, and a literal
+quadruple scan for the unique-subspace property.  Slow and obvious on
+purpose.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ def naive_walsh(table) -> list[int]:
             acc += 1 - 2 * s
         out.append(acc)
     return out
+
+
+def naive_autocorrelation(table) -> list[int]:
+    """Delta(b) = sum_x (-1)^(f(x) + f(x+b)) by the double sum."""
+    size = len(table)
+    return [sum(1 - 2 * (int(table[x]) ^ int(table[x ^ b])) for x in range(size))
+            for b in range(size)]
 
 
 def naive_anf_degree(table) -> int:

@@ -9,6 +9,7 @@ from bentfn import (
     XorShift64Star,
     anf,
     anf_degree,
+    autocorrelation,
     dual,
     ext_walsh_spectrum,
     is_balanced,
@@ -24,7 +25,7 @@ from bentfn import (
 )
 from bentfn.construct import PermTable
 
-from helpers import naive_anf_degree, naive_walsh
+from helpers import naive_anf_degree, naive_autocorrelation, naive_walsh
 
 
 def rand_fn(rng, n):
@@ -41,6 +42,16 @@ def test_walsh_matches_double_sum(n):
     for _ in range(20):
         f = rand_fn(rng, n)
         assert list(walsh_transform(f).values) == naive_walsh(f.table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_autocorrelation_matches_double_sum(n):
+    rng = XorShift64Star(n * 13)
+    for _ in range(20):
+        f = rand_fn(rng, n)
+        delta = autocorrelation(f)
+        assert delta.dtype == np.int64
+        assert list(delta) == naive_autocorrelation(f.table)
 
 
 def test_walsh_spectrum_basics():

@@ -63,6 +63,23 @@ def test_construct_parameter_error(capsys):
     assert "gcd" in err
 
 
+@pytest.mark.parametrize("option", ["--perm", "--Q"])
+def test_construct_bad_gold_exponent(tmp_path, capsys, option):
+    family = "mm" if option == "--perm" else "gpsap-trace"
+    code, _, err = run(capsys, "construct", "--family", family, "--m", "3",
+                       option, "gold:x", "--out", str(tmp_path / "f.tt"))
+    assert code == 2
+    assert err.startswith("error:") and "gold:x" in err
+
+
+def test_bad_thread_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BENT_THREADS", "abc")
+    code, _, err = run(capsys, "construct", "--family", "psap", "--m", "2",
+                       "--out", str(tmp_path / "f.tt"))
+    assert code == 2
+    assert err.startswith("error:") and "BENT_THREADS" in err
+
+
 def test_analyze_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.tt"
     p.write_text("n=4\nzz\n")

@@ -22,6 +22,7 @@ from bentfn import (
     second_derivative,
 )
 from bentfn.construct import PermTable, mm
+from bentfn.derivative import _CompatRows
 
 from helpers import random_invertible
 
@@ -49,6 +50,20 @@ def test_second_derivative_symmetry():
         for b in range(16):
             assert second_derivative(f, a, b) == second_derivative(f, b, a)
     assert not second_derivative(f, 3, 3).table.any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_compat_rows_match_second_derivatives(n):
+    # random functions plus a quadratic one, whose rows are large subspaces
+    rng = XorShift64Star(100 + n)
+    quad = BoolFn([(i & (i >> 1) & 1) ^ ((i >> 2) & (i >> 3) & 1)
+                   for i in range(1 << n)])
+    for f in [rand_fn(rng, n) for _ in range(3)] + [quad]:
+        rows = _CompatRows(f)
+        for a in range(1 << n):
+            row = rows.row(a)
+            for b in range(1 << n):
+                assert row[b] == (not second_derivative(f, a, b).table.any())
 
 
 def test_subspace_dataclass():
