@@ -296,6 +296,62 @@ def anf_degree(f: BoolFn) -> int:
 
 
 # -- file formats -------------------------------------------------------------
+#
+# Every record file is UTF-8 text: a header line of key=<int> tokens,
+# then one record per line.  Blank lines and '#' lines are skipped
+# anywhere, and parse errors carry the 1-based line number.
+
+_MAX_N = 16  # tables hold one byte per entry, so 2^16 entries at most
+
+
+def _read_records(path: str, *keys: str) -> tuple[int, list[int], list[tuple[int, str]]]:
+    """The header line number, its values for keys, and the data lines.
+
+    Data lines come back as (line number, stripped text) pairs.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", raw.count(b"\n", 0, exc.start) + 1) from None
+    lines = [(i, s) for i, line in enumerate(text.splitlines(), start=1)
+             if (s := line.strip()) and not s.startswith("#")]
+    if not lines:
+        raise ParseError("empty file", 1)
+    (head, header), records = lines[0], lines[1:]
+    parts = header.split()
+    if len(parts) != len(keys):
+        raise ParseError(f"expected header '{' '.join(k + '=<int>' for k in keys)}'", head)
+    values = []
+    for part, key in zip(parts, keys):
+        name, _, val = part.partition("=")
+        if name != key or not val:
+            raise ParseError(f"expected '{key}=<int>', got '{part}'", head)
+        try:
+            values.append(int(val))
+        except ValueError:
+            raise ParseError(f"'{val}' is not an integer", head) from None
+    return head, values, records
+
+
+def _hex_values(records: list[tuple[int, str]]) -> list[int]:
+    """One hex integer per data line."""
+    out = []
+    for lineno, text in records:
+        try:
+            out.append(int(text, 16))
+        except ValueError:
+            raise ParseError(f"'{text}' is not a hex value", lineno) from None
+    return out
+
+
+def _write_records(path: str, header: dict[str, int], lines) -> None:
+    """Write the header line, then one line per item of lines."""
+    with open(path, "w") as fh:
+        fh.write(" ".join(f"{k}={v}" for k, v in header.items()) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
 
 def table_to_hex(f: BoolFn) -> str:
     """2^n bits, 4 per char: bit i = bit (i mod 4) of digit i//4."""
@@ -307,51 +363,28 @@ def table_to_hex(f: BoolFn) -> str:
 
 
 def save_table(f: BoolFn, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"n={f.n}\n")
-        fh.write(table_to_hex(f) + "\n")
-
-
-def _parse_header(line: str, lineno: int, *keys: str) -> list[int]:
-    parts = line.split()
-    if len(parts) != len(keys):
-        raise ParseError(f"expected header '{' '.join(k + '=<int>' for k in keys)}'", lineno)
-    out = []
-    for part, key in zip(parts, keys):
-        name, _, val = part.partition("=")
-        if name != key or not val:
-            raise ParseError(f"expected '{key}=<int>', got '{part}'", lineno)
-        try:
-            out.append(int(val))
-        except ValueError:
-            raise ParseError(f"'{val}' is not an integer", lineno) from None
-    return out
-
-
-def hex_to_table(text: str, n: int, lineno: int = 2) -> np.ndarray:
-    text = text.strip().lower()
-    want = max(1, (1 << n) // 4)
-    if len(text) != want:
-        raise ParseError(f"expected {want} hex digits for n={n}, got {len(text)}", lineno)
-    try:
-        vals = np.array([_HEX.index(c) for c in text], dtype=np.uint8)
-    except ValueError:
-        raise ParseError("non-hex digit in table", lineno) from None
-    bits = (vals[:, None] >> np.arange(4)) & 1
-    return bits.reshape(-1)[: 1 << n].astype(np.uint8)
+    _write_records(path, {"n": f.n}, [table_to_hex(f)])
 
 
 def load_table(path: str) -> BoolFn:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    (n,) = _parse_header(lines[0], 1, "n")
-    if not 1 <= n <= 26:
-        raise ParseError(f"dimension n={n} out of range", 1)
-    if len(lines) < 2:
-        raise ParseError("missing table line", 2)
-    return BoolFn(hex_to_table(lines[1], n))
+    """A .tt file; the hex digits may be split across any number of lines."""
+    head, (n,), records = _read_records(path, "n")
+    if not 1 <= n <= _MAX_N:
+        raise ParseError(f"dimension n={n} out of range", head)
+    if not records:
+        raise ParseError("missing table line", head + 1)
+    want = max(1, (1 << n) // 4)
+    got = sum(len(text) for _, text in records)
+    if got != want:
+        raise ParseError(f"expected {want} hex digits for n={n}, got {got}", records[-1][0])
+    digits = []
+    for lineno, text in records:
+        try:
+            digits += [_HEX.index(c) for c in text.lower()]
+        except ValueError:
+            raise ParseError("non-hex digit in table", lineno) from None
+    bits = (np.array(digits, dtype=np.uint8)[:, None] >> np.arange(4)) & 1
+    return BoolFn(bits.reshape(-1)[: 1 << n].astype(np.uint8))
 
 
 def save_spectrum(spec: WalshSpectrum, path: str) -> None:

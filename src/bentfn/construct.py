@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (BoolFn, Space, autocorrelation, dual, is_bent, plateaued_order,
-                     walsh_transform)
+from .boolfn import (_MAX_N, BoolFn, Space, _hex_values, _read_records, _write_records,
+                     autocorrelation, dual, is_bent, plateaued_order, walsh_transform)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field
 from .vectorial import OutPairing, VecFn
@@ -252,7 +252,7 @@ def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
     m, k = params.m, params.k
     size = ctx.size
     exp = params.e if orientation == "f" else params.eta
-    neg = (-exp) % ctx.order if ctx.order > 1 else 1
+    neg = ctx.neg_exp(exp)
     table = np.zeros(size * size, dtype=np.uint8)
     for outer in range(size):
         pw = ctx.pow(outer, neg)
@@ -298,7 +298,7 @@ def gpsap_trace_form(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
             "the spread function would not be bent"
         )
     size = ctx.size
-    neg_eta = (-params.eta) % ctx.order if ctx.order > 1 else 1
+    neg_eta = ctx.neg_exp(params.eta)
     table = np.zeros(size * size, dtype=np.uint8)
     for y in range(size):
         pw = ctx.pow(y, neg_eta)
@@ -315,7 +315,7 @@ def gpsap_dual_formula(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn
     if Q.m != ctx.m:
         raise ParameterError("Q degree does not match the field")
     frob = 1 << (params.m - params.ell)
-    neg_e = (-params.e) % ctx.order if ctx.order > 1 else 1
+    neg_e = ctx.neg_exp(params.e)
     size = ctx.size
     table = np.zeros(size * size, dtype=np.uint8)
     for y in range(size):
@@ -344,7 +344,7 @@ def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
         raise DomainError(f"c0 = {c0:#x} is not in S_{k}")
     index = {z: i for i, z in enumerate(elems)}
     size = ctx.size
-    neg_e = (-params.e) % ctx.order if ctx.order > 1 else 1
+    neg_e = ctx.neg_exp(params.e)
     table = np.zeros(size * size, dtype=np.int64)
     for x in range(size):
         pw = ctx.pow(x, neg_e)
@@ -494,7 +494,7 @@ def g_lambda(ctx: FieldCtx, params: GpsParams, Q: PermTable, lam: int) -> BoolFn
     _check_gps(ctx, params)
     if lam in (0, 1):
         raise DomainError("lambda must lie outside F_2")
-    neg_e = (-params.e) % ctx.order if ctx.order > 1 else 1
+    neg_e = ctx.neg_exp(params.e)
     table = np.zeros(ctx.size, dtype=np.uint8)
     for x in range(ctx.size):
         xe = ctx.pow(x, neg_e)
@@ -516,60 +516,28 @@ def glambda_nonconstant(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> bool:
 # -- permutation / subfield-table files ----------------------------------------
 
 def save_perm(pi: PermTable, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"m={pi.m}\n")
-        for v in pi.table:
-            fh.write(f"{v:x}\n")
+    _write_records(path, {"m": pi.m}, (f"{v:x}" for v in pi.table))
 
 
 def load_perm(path: str) -> PermTable:
-    from .boolfn import _parse_header
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    (m,) = _parse_header(lines[0], 1, "m")
-    vals = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            vals.append(int(line.strip(), 16))
-        except ValueError:
-            raise ParseError(f"'{line.strip()}' is not a hex value", i) from None
+    head, (m,), records = _read_records(path, "m")
+    if not 1 <= m <= _MAX_N:
+        raise ParseError(f"field degree m={m} out of range", head)
     try:
-        return PermTable(m, vals)
+        return PermTable(m, _hex_values(records))
     except ParameterError as exc:
         raise ParseError(str(exc)) from None
 
 
 def save_subfield_fn(P: SubfieldFn, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"m={P.m} k={P.k}\n")
-        for v in P.values:
-            fh.write(f"{v:x}\n")
+    _write_records(path, {"m": P.m, "k": P.k}, (f"{v:x}" for v in P.values))
 
 
 def load_subfield_fn(ctx: FieldCtx, path: str) -> SubfieldFn:
-    from .boolfn import _parse_header
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    m, k = _parse_header(lines[0], 1, "m", "k")
+    head, (m, k), records = _read_records(path, "m", "k")
     if m != ctx.m:
-        raise ParseError(f"file is for GF(2^{m}), context is GF(2^{ctx.m})", 1)
-    vals = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            vals.append(int(line.strip(), 16))
-        except ValueError:
-            raise ParseError(f"'{line.strip()}' is not a hex value", i) from None
+        raise ParseError(f"file is for GF(2^{m}), context is GF(2^{ctx.m})", head)
     try:
-        return SubfieldFn(ctx, k, vals)
+        return SubfieldFn(ctx, k, _hex_values(records))
     except ParameterError as exc:
         raise ParseError(str(exc)) from None

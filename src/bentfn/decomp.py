@@ -139,7 +139,7 @@ def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
     bt = ctx.pow(b, frob)
     ct = ctx.pow(c, frob)
     dt = ctx.pow(d, frob)
-    neg_e = (-params.e) % ctx.order if ctx.order > 1 else 1
+    neg_e = ctx.neg_exp(params.e)
     fhat = np.zeros(size * size, dtype=np.uint8)
     for y in range(size):
         for x in range(size):
@@ -210,7 +210,7 @@ def psffff(ctx: FieldCtx, m: int, k: int, P: SubfieldFn,
         raise ParameterError(f"P is on S_{P.k}, construction uses k={k}")
     P.require_permutation()
     size = ctx.size
-    neg_e = (-e) % ctx.order if ctx.order > 1 else 1
+    neg_e = ctx.neg_exp(e)
     pt = np.zeros(size * size, dtype=np.int64)
     for x in range(size):
         pw = ctx.pow(x, neg_e)

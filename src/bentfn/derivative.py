@@ -23,12 +23,14 @@ Rows are computed lazily and cached bit-packed, so a capped search on
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gf2vec
-from .boolfn import BoolFn, autocorrelation, is_bent
+from .boolfn import (_MAX_N, BoolFn, _hex_values, _read_records, _write_records, autocorrelation,
+                     is_bent)
 from .errors import DomainError, ParameterError, ParseError
 
 
@@ -183,6 +185,7 @@ def _fork_worker(chunk) -> tuple[int, list[tuple[int, ...]]]:
 def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
             threads: int = 1) -> _SearchResult:
     roots = list(range(1, f.table.size))
+    threads = min(threads, os.cpu_count() or 1, len(roots))
     if threads <= 1 or len(roots) < 64:
         return _run_search(f, roots, target, cap, find_all)
     chunks = [roots[i::threads] for i in range(threads)]
@@ -253,29 +256,17 @@ def ea_transform(f: BoolFn, L: list[int], a: int = 0, c: int = 0, b: int = 0) ->
 
 
 def save_subspace(U: Subspace, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"n={U.n} dim={U.dim}\n")
-        for v in U.basis:
-            fh.write(f"{v:x}\n")
+    _write_records(path, {"n": U.n, "dim": U.dim}, (f"{v:x}" for v in U.basis))
 
 
 def load_subspace(path: str) -> Subspace:
-    from .boolfn import _parse_header
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    n, dim = _parse_header(lines[0], 1, "n", "dim")
-    vecs = []
-    for i, line in enumerate(lines[1:dim + 1], start=2):
-        try:
-            vecs.append(int(line.strip(), 16))
-        except (ValueError, IndexError):
-            raise ParseError("expected a hex basis vector", i) from None
-    if len(vecs) != dim:
-        raise ParseError(f"expected {dim} basis vectors, found {len(vecs)}", len(lines))
+    head, (n, dim), records = _read_records(path, "n", "dim")
+    if not 1 <= n <= _MAX_N or not 0 <= dim <= n:
+        raise ParseError(f"dimensions n={n} dim={dim} out of range", head)
+    last = records[-1][0] if records else head
+    if len(records) != dim:
+        raise ParseError(f"expected {dim} basis vectors, found {len(records)}", last)
     try:
-        return Subspace(n, vecs)
+        return Subspace(n, _hex_values(records))
     except DomainError as exc:
-        raise ParseError(str(exc), 1 + dim) from None
+        raise ParseError(str(exc), last) from None

@@ -178,6 +178,14 @@ class FieldCtx:
             return 0
         return self._exp[(self._log[a] * e) % self.order]
 
+    def neg_exp(self, e: int) -> int:
+        """(-e) mod (2^m - 1), so that pow(x, neg_exp(e)) = x^(-e) on x != 0.
+
+        On GF(2) that residue is 0, which would send 0 to 1; 1 is returned
+        instead, so 0 maps to 0 as it does for every e prime to 2^m - 1.
+        """
+        return (-e) % self.order if self.order > 1 else 1
+
     def trace(self, a: int) -> int:
         """Absolute trace to GF(2)."""
         if self._trace_tbl is None:
@@ -322,21 +330,3 @@ def validate_gps_params(m: int, k: int, e: int) -> GpsParams:
                 f"e={e} is not a power of 2 modulo 2^{k}-1={sub} (residue {r})"
             )
     return GpsParams(m=m, k=k, e=e, ell=ell, eta=eta)
-
-
-# Module-level operation aliases: the context-first calling convention.
-
-def mul(ctx: FieldCtx, a: int, b: int) -> int:
-    return ctx.mul(a, b)
-
-
-def inv(ctx: FieldCtx, a: int) -> int:
-    return ctx.inv(a)
-
-
-def pow(ctx: FieldCtx, a: int, e: int) -> int:  # noqa: A001 - deliberate op name
-    return ctx.pow(a, e)
-
-
-def trace_rel(ctx: FieldCtx, x: int, k: int) -> int:
-    return ctx.trace_rel(x, k)

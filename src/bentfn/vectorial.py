@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import BoolFn, Space, dual, is_bent
+from .boolfn import (_MAX_N, BoolFn, Space, _hex_values, _read_records, _write_records, dual,
+                     is_bent)
 from .errors import DomainError, ParseError
 from .gf2 import FieldCtx
 
@@ -114,32 +115,18 @@ def check_component_dual_linearity(F: VecFn) -> bool:
 
 
 def save_vecfn(F: VecFn, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"n={F.n} k={F.k}\n")
-        for v in F.table:
-            fh.write(f"{int(v):x}\n")
+    _write_records(path, {"n": F.n, "k": F.k}, (f"{int(v):x}" for v in F.table))
 
 
 def load_vecfn(path: str) -> VecFn:
-    from .boolfn import _parse_header
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    n, k = _parse_header(lines[0], 1, "n", "k")
-    if not 1 <= n <= 26 or not 1 <= k <= 26:
-        raise ParseError(f"dimensions n={n} k={k} out of range", 1)
+    head, (n, k), records = _read_records(path, "n", "k")
+    if not 1 <= n <= _MAX_N or not 1 <= k <= _MAX_N:
+        raise ParseError(f"dimensions n={n} k={k} out of range", head)
     want = 1 << n
-    if len(lines) < want + 1:
-        raise ParseError(f"expected {want} table lines, found {len(lines) - 1}", len(lines))
-    vals = []
-    for i, line in enumerate(lines[1:want + 1], start=2):
-        try:
-            vals.append(int(line.strip(), 16))
-        except ValueError:
-            raise ParseError(f"'{line.strip()}' is not a hex value", i) from None
+    if len(records) != want:
+        raise ParseError(f"expected {want} table lines, found {len(records)}",
+                         records[-1][0] if records else head)
     try:
-        return VecFn(np.array(vals, dtype=np.int64), k)
+        return VecFn(np.array(_hex_values(records), dtype=np.int64), k)
     except DomainError as exc:
         raise ParseError(str(exc)) from None

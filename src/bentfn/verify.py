@@ -388,7 +388,7 @@ def _c11_character_sums(level, threads, seed):
     size = ctx.size
     mask = size - 1
     hi, lo = 1 << m, (1 << (m - k))
-    neg_e = (-pr.e) % ctx.order
+    neg_e = ctx.neg_exp(pr.e)
     checked = 0
     for u in range(size):
         for v in range(size):

@@ -10,6 +10,8 @@ purpose.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 
 def naive_walsh(table) -> list[int]:
@@ -140,3 +142,24 @@ def random_invertible(rng, n: int) -> list[int]:
             got.append(v)
         if len(got) == n:
             return rows
+
+
+# -- record files -------------------------------------------------------------
+
+# Reproducible examples; each one rewrites the same file under tmp_path.
+FILE_EXAMPLES = settings(max_examples=40, derandomize=True, database=None, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_LINE_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=0x1FFF,
+                                   exclude_characters="\x85"), max_size=12)
+_NOISE = st.one_of(st.sampled_from(["", "  ", "\t"]), _LINE_TEXT.map(lambda s: "#" + s),
+                   _LINE_TEXT.map(lambda s: "  # " + s))
+
+
+def with_noise(data, lines: list[str]) -> str:
+    """The lines as file text, with '#' lines and blank lines drawn in
+    at random positions (before the header and at the end included)."""
+    out = list(lines)
+    for _ in range(data.draw(st.integers(1, 6))):
+        out.insert(data.draw(st.integers(0, len(out))), data.draw(_NOISE))
+    return "\n".join(out) + "\n"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bentfn import (
     BoolFn,
@@ -25,7 +27,8 @@ from bentfn import (
 )
 from bentfn.construct import PermTable
 
-from helpers import naive_anf_degree, naive_autocorrelation, naive_walsh
+from helpers import (FILE_EXAMPLES, naive_anf_degree, naive_autocorrelation, naive_walsh,
+                     with_noise)
 
 
 def rand_fn(rng, n):
@@ -205,6 +208,11 @@ def test_table_hex_bit_order(tmp_path):
     ("n=4\nfff\n", 2),
     ("n=4\nfffg\n", 2),
     ("n=4\n", 2),
+    ("n=17\n0\n", 1),
+    ("n=0\n0\n", 1),
+    ("# only a comment\n\n", 1),
+    ("# comment\n\nn=4\n# no table\n", 4),
+    ("n=4\nff\n# comment\nfg\n", 4),
 ])
 def test_table_parse_errors(tmp_path, body, lineno):
     p = tmp_path / "bad.tt"
@@ -212,6 +220,54 @@ def test_table_parse_errors(tmp_path, body, lineno):
     with pytest.raises(ParseError) as exc:
         load_table(str(p))
     assert f"line {lineno}" in str(exc.value)
+
+
+@FILE_EXAMPLES
+@given(st.data())
+def test_table_file_any_layout(tmp_path, data):
+    n = data.draw(st.integers(1, 10))
+    f = BoolFn.from_bitmask(data.draw(st.integers(0, (1 << (1 << n)) - 1)), n)
+    p = tmp_path / "f.tt"
+    save_table(f, str(p))
+    header, digits = p.read_text().splitlines()
+    lines = [header]
+    while digits:
+        width = data.draw(st.integers(1, 24))
+        lines.append(digits[:width])
+        digits = digits[width:]
+    p.write_text(with_noise(data, lines))
+    assert load_table(str(p)) == f
+
+
+README_TT = """\
+# bentfn construct --family mm --m 4 --perm inverse
+n=8
+000000ffaaaa6996
+6666a5a5c33cc3c3
+69690f0f6699cc33
+a55acccc0ff0aa55
+"""
+
+
+def test_table_readme_layout(tmp_path):
+    p = tmp_path / "readme.tt"
+    p.write_text(README_TT)
+    f = load_table(str(p))
+    ctx = make_field(4)
+    assert f == mm(ctx, PermTable.inverse_map(ctx))
+    one = tmp_path / "one.tt"
+    save_table(f, str(one))
+    assert one.read_text() == "n=8\n" + "".join(README_TT.splitlines()[2:]) + "\n"
+    assert load_table(str(one)) == f
+
+
+def test_table_file_not_utf8(tmp_path):
+    p = tmp_path / "bad.tt"
+    for body, lineno in ((b"n=4\nff\xfeff\n", 2), (b"\xff\n", 1)):
+        p.write_bytes(body)
+        with pytest.raises(ParseError) as exc:
+            load_table(str(p))
+        assert exc.value.line == lineno and "not UTF-8" in str(exc.value)
 
 
 def test_spectrum_file(tmp_path):

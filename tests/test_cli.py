@@ -88,6 +88,22 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_analyze_oversized_table(tmp_path, capsys):
+    p = tmp_path / "big.tt"
+    p.write_text("n=17\n0\n")
+    code, _, err = run(capsys, "analyze", str(p))
+    assert code == 3
+    assert err.startswith("error: line 1:") and "out of range" in err
+
+
+def test_analyze_undecodable_file(tmp_path, capsys):
+    p = tmp_path / "bin.tt"
+    p.write_bytes(b"n=4\n\xff\xfe\xfd\xfc\n")
+    code, _, err = run(capsys, "analyze", str(p))
+    assert code == 3
+    assert err.startswith("error: line 2:") and "UTF-8" in err
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "none.tt"))
     assert code == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bentfn import (
     BoolFn,
@@ -37,7 +39,7 @@ from bentfn import (
     walsh_transform,
 )
 
-from helpers import SlowField, literal_unique_subspace, two_block_table
+from helpers import FILE_EXAMPLES, SlowField, literal_unique_subspace, two_block_table, with_noise
 
 
 def test_perm_table_validation():
@@ -356,3 +358,37 @@ def test_subfield_fn_file_round_trip(tmp_path):
     (tmp_path / "bad.sf").write_text("k=3\n0\n")
     with pytest.raises(ParseError):
         load_subfield_fn(ctx, str(tmp_path / "bad.sf"))
+
+
+@FILE_EXAMPLES
+@given(st.data())
+def test_perm_file_with_comments(tmp_path, data):
+    m = data.draw(st.integers(1, 6))
+    pi = PermTable(m, data.draw(st.permutations(range(1 << m))))
+    p = tmp_path / "pi.perm"
+    save_perm(pi, str(p))
+    p.write_text(with_noise(data, p.read_text().splitlines()))
+    assert load_perm(str(p)).table == pi.table
+
+
+@FILE_EXAMPLES
+@given(st.data())
+def test_subfield_fn_file_with_comments(tmp_path, data):
+    m = data.draw(st.integers(1, 6))
+    k = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    ctx = make_field(m)
+    P = SubfieldFn(ctx, k, data.draw(st.lists(st.integers(0, ctx.order), min_size=1 << k,
+                                              max_size=1 << k)))
+    p = tmp_path / "p.sf"
+    save_subfield_fn(P, str(p))
+    p.write_text(with_noise(data, p.read_text().splitlines()))
+    Q = load_subfield_fn(ctx, str(p))
+    assert (Q.k, Q.values) == (P.k, P.values)
+
+
+def test_perm_file_degree_out_of_range(tmp_path):
+    p = tmp_path / "bad.perm"
+    p.write_text("m=-1\n0\n")
+    with pytest.raises(ParseError) as exc:
+        load_perm(str(p))
+    assert exc.value.line == 1

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bentfn import (
     BoolFn,
@@ -24,7 +28,7 @@ from bentfn import (
 from bentfn.construct import PermTable, mm
 from bentfn.derivative import _CompatRows
 
-from helpers import random_invertible
+from helpers import FILE_EXAMPLES, random_invertible, with_noise
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -219,3 +223,51 @@ def test_subspace_parse_errors(tmp_path, body, lineno):
     with pytest.raises(ParseError) as exc:
         load_subspace(str(p))
     assert f"line {lineno}" in str(exc.value)
+
+
+@FILE_EXAMPLES
+@given(st.data())
+def test_subspace_file_with_comments(tmp_path, data):
+    n = data.draw(st.integers(1, 8))
+    basis = []
+    for v in data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=n)):
+        if v not in Subspace(n, tuple(basis)).span():
+            basis.append(v)
+    U = Subspace(n, tuple(basis))
+    p = tmp_path / "u.sub"
+    save_subspace(U, str(p))
+    p.write_text(with_noise(data, p.read_text().splitlines()))
+    assert load_subspace(str(p)) == U
+
+
+def test_search_clamps_threads(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            assert len(chunks) == sizes[-1]
+            return [fn(chunk) for chunk in chunks]
+
+    class FakeContext:
+        Pool = InlinePool
+
+    mod = importlib.import_module("bentfn.derivative")
+    monkeypatch.setattr(mod.multiprocessing, "get_context", lambda method: FakeContext)
+    ctx = make_field(4)
+    f = mm(ctx, PermTable.inverse_map(ctx))
+    want = linearity_index(f)
+    monkeypatch.setattr(mod.os, "cpu_count", lambda: 3)
+    assert linearity_index(f, threads=100_000) == want
+    assert sizes == [3]
+    monkeypatch.setattr(mod.os, "cpu_count", lambda: None)
+    assert linearity_index(f, threads=100_000) == want
+    assert sizes == [3]  # an unknown CPU count means one worker and no pool

@@ -181,11 +181,11 @@ def test_validate_gps_params_rejects():
         validate_gps_params(4, 2, 3)  # gcd(3, 15) = 3
 
 
-def test_module_level_aliases():
-    from bentfn.gf2 import inv, mul, pow, trace_rel
-
-    ctx = make_field(4)
-    assert mul(ctx, 2, 8) == ctx.mul(2, 8)
-    assert inv(ctx, 2) == ctx.inv(2)
-    assert pow(ctx, 3, 5) == ctx.pow(3, 5)
-    assert trace_rel(ctx, 7, 2) == ctx.trace_rel(7, 2)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_neg_exp_inverts_powers(m):
+    ctx = make_field(m)
+    for e in range(1, 2 * ctx.size):
+        d = ctx.neg_exp(e)
+        assert all(ctx.mul(ctx.pow(x, d), ctx.pow(x, e)) == 1 for x in range(1, ctx.size))
+        if math.gcd(e, ctx.order) == 1:
+            assert ctx.pow(0, d) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bentfn import (
     DomainError,
@@ -17,6 +19,8 @@ from bentfn import (
     validate_gps_params,
 )
 from bentfn.construct import SubfieldFn
+
+from helpers import FILE_EXAMPLES, with_noise
 
 
 def vec_422():
@@ -104,6 +108,8 @@ def test_vecfn_file_round_trip(tmp_path):
     ("n=2\n0\n0\n0\n0\n", 1),
     ("n=2 k=2\n0\n0\n0\n", 4),
     ("n=2 k=2\n0\nq\n0\n0\n", 3),
+    ("n=17 k=1\n0\n", 1),
+    ("# comment\nn=1 k=17\n0\n1\n", 2),
 ])
 def test_vecfn_parse_errors(tmp_path, body, lineno):
     p = tmp_path / "bad.vt"
@@ -111,3 +117,17 @@ def test_vecfn_parse_errors(tmp_path, body, lineno):
     with pytest.raises(ParseError) as exc:
         load_vecfn(str(p))
     assert f"line {lineno}" in str(exc.value)
+
+
+@FILE_EXAMPLES
+@given(st.data())
+def test_vecfn_file_with_comments(tmp_path, data):
+    n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    vals = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1 << n, max_size=1 << n))
+    F = VecFn(np.array(vals), k)
+    p = tmp_path / "F.vtt"
+    save_vecfn(F, str(p))
+    p.write_text(with_noise(data, p.read_text().splitlines()))
+    G = load_vecfn(str(p))
+    assert (G.n, G.k) == (F.n, F.k)
+    assert np.array_equal(G.table, F.table)
