@@ -192,16 +192,33 @@ class WalshSpectrum:
 
 
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Butterfly transform: a[b] <- sum_x (-1)^(b.x) a[x], in place."""
-    h = 1
-    n = a.size
-    while h < n:
-        b = a.reshape(-1, 2 * h)
-        x = b[:, :h].copy()
-        y = b[:, h:]
-        b[:, :h] = x + y
-        b[:, h:] = x - y
-        h *= 2
+    """Butterfly transform: a[b] <- sum_x (-1)^(b.x) a[x], in place.
+
+    Constant-geometry order (Pease 1968): every stage reads the two
+    contiguous halves of one buffer and writes the sums to the even and
+    the differences to the odd entries of the other.  A stage thus
+    transforms the top index bit and rotates the index bits left by one,
+    so after n stages each bit has been transformed once and the order
+    is back where it started.  The buffers are `a` and one scratch
+    array, swapped after each stage; for odd n the result ends in the
+    scratch array and is copied back.  Returns `a`.
+    """
+    stages = a.size.bit_length() - 1
+    if not stages:
+        return a
+    half = a.size // 2
+    bufs = (a, np.empty_like(a))
+    # halves a stage reads and slots it writes, per buffer; taken once,
+    # because for small n making views costs as much as the arithmetic
+    halves = [(buf[:half], buf[half:]) for buf in bufs]
+    slots = [(buf.reshape(half, 2)[:, 0], buf.reshape(half, 2)[:, 1]) for buf in bufs]
+    for stage in range(stages):
+        lo, hi = halves[stage % 2]
+        even, odd = slots[1 - stage % 2]
+        np.add(lo, hi, out=even)
+        np.subtract(lo, hi, out=odd)
+    if stages % 2:
+        a[:] = bufs[1]
     return a
 
 

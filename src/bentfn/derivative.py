@@ -206,6 +206,8 @@ def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
 
 def linearity_index(f: BoolFn, dim_cap: int | None = None, threads: int = 1) -> int:
     """Largest dimension of an M-subspace of f, up to dim_cap."""
+    if dim_cap is not None and dim_cap < 0:
+        raise DomainError(f"dimension cap must be non-negative, got {dim_cap}")
     cap = f.n if dim_cap is None else min(dim_cap, f.n)
     if cap < 1:
         return 0

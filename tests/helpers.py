@@ -1,10 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here is written from the definitions, deliberately avoiding
-the library's fast paths: double-sum Walsh transform and autocorrelation,
-subset-sum ANF, schoolbook polynomial field arithmetic, and a literal
-quadruple scan for the unique-subspace property.  Slow and obvious on
-purpose.
+the library's fast paths: double-sum Hadamard and Walsh transforms and
+autocorrelation, subset-sum ANF, schoolbook polynomial field arithmetic,
+and a literal quadruple scan for the unique-subspace property.  Slow and
+obvious on purpose.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ def naive_walsh(table) -> list[int]:
             acc += 1 - 2 * s
         out.append(acc)
     return out
+
+
+def naive_hadamard(values) -> list[int]:
+    """H(b) = sum_x (-1)^(b.x) v(x) by the double sum, one row per b."""
+    v = np.asarray(values, dtype=np.int64)
+    x = np.arange(v.size)
+    sign = np.array([1 - 2 * (i.bit_count() & 1) for i in range(v.size)])  # (-1)^|i|
+    return [int((sign[b & x] * v).sum()) for b in range(v.size)]
 
 
 def naive_autocorrelation(table) -> list[int]:

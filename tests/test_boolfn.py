@@ -25,10 +25,11 @@ from bentfn import (
     save_table,
     walsh_transform,
 )
+from bentfn.boolfn import _fwht_inplace
 from bentfn.construct import PermTable
 
-from helpers import (FILE_EXAMPLES, naive_anf_degree, naive_autocorrelation, naive_walsh,
-                     with_noise)
+from helpers import (FILE_EXAMPLES, naive_anf_degree, naive_autocorrelation, naive_hadamard,
+                     naive_walsh, with_noise)
 
 
 def rand_fn(rng, n):
@@ -37,6 +38,17 @@ def rand_fn(rng, n):
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_fwht_kernel_matches_double_sum(n):
+    # odd and even stage counts: an odd n ends in the scratch buffer
+    values = np.random.default_rng(n).integers(-1000, 1001, 1 << n, dtype=np.int64)
+    expected = naive_hadamard(values)
+    got = _fwht_inplace(values)
+    assert got is values
+    assert got.dtype == np.int64
+    assert list(values) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])

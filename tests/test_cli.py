@@ -5,6 +5,7 @@ import pytest
 
 from bentfn import BoolFn, load_table, save_table
 from bentfn.cli import main
+from bentfn.verify import CriterionResult
 
 QUAD_TABLE = [((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
               for i in range(16)]
@@ -120,6 +121,14 @@ def test_msubspace(tmp_path, capsys):
     assert report["subspace"] == "0x4 0x2 0x1"
 
 
+def test_msubspace_negative_cap(tmp_path, capsys):
+    p = tmp_path / "quad.tt"
+    save_table(BoolFn(QUAD_TABLE), str(p))
+    code, text, err = run(capsys, "msubspace", str(p), "--max-dim", "-1")
+    assert code == 2
+    assert text == "" and err.startswith("error:") and "-1" in err
+
+
 def test_decompose_plane(tmp_path, capsys):
     p = tmp_path / "quad.tt"
     save_table(BoolFn(QUAD_TABLE), str(p))
@@ -161,6 +170,14 @@ def test_verify_unknown_suite(capsys):
         main(["verify", "--suite", "nosuch"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    failing = CriterionResult(1, "stub", False, 0.0, "forced failure")
+    monkeypatch.setattr("bentfn.cli.run_suite", lambda *a, **kw: [failing])
+    code, text, _ = run(capsys, "verify", "--level", "fast")
+    assert code == 1
+    assert "result: FAIL (0/1)" in text
 
 
 def test_json_output(tmp_path, capsys):

@@ -137,6 +137,9 @@ def test_linearity_index_cap():
     ctx3 = make_field(3)
     f = mm(ctx3, PermTable.inverse_map(ctx3))
     assert linearity_index(f, dim_cap=2) == 2
+    assert linearity_index(f, dim_cap=0) == 0
+    with pytest.raises(DomainError):
+        linearity_index(f, dim_cap=-1)
 
 
 def test_enumerate_known_count():
