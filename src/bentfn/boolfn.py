@@ -192,7 +192,8 @@ class WalshSpectrum:
 
 
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Butterfly transform: a[b] <- sum_x (-1)^(b.x) a[x], in place.
+    """Butterfly transform along the last axis:
+    a[..., b] <- sum_x (-1)^(b.x) a[..., x], in place.
 
     Constant-geometry order (Pease 1968): every stage reads the two
     contiguous halves of one buffer and writes the sums to the even and
@@ -201,24 +202,27 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     so after n stages each bit has been transformed once and the order
     is back where it started.  The buffers are `a` and one scratch
     array, swapped after each stage; for odd n the result ends in the
-    scratch array and is copied back.  Returns `a`.
+    scratch array and is copied back.  A C-contiguous (r, 2^n) array
+    transforms its r rows in one call.  Returns `a`.
     """
-    stages = a.size.bit_length() - 1
+    size = a.shape[-1]
+    stages = size.bit_length() - 1
     if not stages:
         return a
-    half = a.size // 2
+    half = size // 2
+    pairs = (*a.shape[:-1], half, 2)
     bufs = (a, np.empty_like(a))
     # halves a stage reads and slots it writes, per buffer; taken once,
     # because for small n making views costs as much as the arithmetic
-    halves = [(buf[:half], buf[half:]) for buf in bufs]
-    slots = [(buf.reshape(half, 2)[:, 0], buf.reshape(half, 2)[:, 1]) for buf in bufs]
+    halves = [(buf[..., :half], buf[..., half:]) for buf in bufs]
+    slots = [(buf.reshape(pairs)[..., 0], buf.reshape(pairs)[..., 1]) for buf in bufs]
     for stage in range(stages):
         lo, hi = halves[stage % 2]
         even, odd = slots[1 - stage % 2]
         np.add(lo, hi, out=even)
         np.subtract(lo, hi, out=odd)
     if stages % 2:
-        a[:] = bufs[1]
+        a[...] = bufs[1]
     return a
 
 
@@ -232,10 +236,10 @@ def walsh_transform(f: BoolFn) -> WalshSpectrum:
     return WalshSpectrum(w, f.space)
 
 
-def _abs_spectrum(f: BoolFn) -> np.ndarray:
-    # pairing-independent |W| multiset; skips the index permutation
-    signs = 1 - 2 * f.table.astype(np.int64)
-    return np.abs(_fwht_inplace(signs))
+def _abs_spectrum(table: np.ndarray) -> np.ndarray:
+    # pairing-independent |W| multiset of each bit table along the last
+    # axis; skips the index permutation
+    return np.abs(_fwht_inplace(1 - 2 * table.astype(np.int64)))
 
 
 def autocorrelation(f: BoolFn) -> np.ndarray:
@@ -250,22 +254,26 @@ def autocorrelation(f: BoolFn) -> np.ndarray:
     return _fwht_inplace(w * w) >> f.n
 
 
+def _plateau_orders(absw: np.ndarray, n: int) -> np.ndarray:
+    """Per row of |W| (last axis) of an n-variable function: the s with
+    every value in {0, 2^((n+s)/2)}, or -1 when there is no such s.
+
+    By Parseval the peak is at least 2^(n/2), so s >= 0 whenever it
+    exists; s = 0 is bent, and then no value is 0.
+    """
+    peak = absw.max(axis=-1)
+    flat = ((absw == 0) | (absw == peak[..., None])).all(axis=-1) & (peak & (peak - 1) == 0)
+    return np.where(flat, 2 * np.bitwise_count(peak - 1).astype(np.int64) - n, -1)
+
+
 def is_bent(f: BoolFn) -> bool:
-    if f.n % 2:
-        return False
-    half = 1 << (f.n // 2)
-    return bool((_abs_spectrum(f) == half).all())
+    return int(_plateau_orders(_abs_spectrum(f.table), f.n)) == 0
 
 
 def plateaued_order(f: BoolFn) -> int | None:
     """s such that |W_f| takes values in {0, 2^((n+s)/2)}, else None."""
-    absw = _abs_spectrum(f)
-    peak = int(absw.max())
-    if peak & (peak - 1):
-        return None
-    if not bool(((absw == 0) | (absw == peak)).all()):
-        return None
-    return 2 * (peak.bit_length() - 1) - f.n
+    s = int(_plateau_orders(_abs_spectrum(f.table), f.n))
+    return s if s >= 0 else None
 
 
 def is_semibent(f: BoolFn) -> bool:
@@ -279,7 +287,7 @@ def is_balanced(f: BoolFn) -> bool:
 
 def ext_walsh_spectrum(f: BoolFn) -> Counter:
     """Multiset {|W_f(b)|} as a Counter; invariant under EA maps."""
-    vals, counts = np.unique(_abs_spectrum(f), return_counts=True)
+    vals, counts = np.unique(_abs_spectrum(f.table), return_counts=True)
     return Counter(dict(zip((int(v) for v in vals), (int(c) for c in counts))))
 
 

@@ -11,56 +11,42 @@ classifier reports from both sides.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2vec
-from .boolfn import BoolFn, Space, autocorrelation, dual, is_bent, is_semibent
+from .boolfn import (BoolFn, Space, _abs_spectrum, _plateau_orders, autocorrelation, dual,
+                     is_bent)
 from .derivative import derivative, second_derivative
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams
 from .construct import PermTable, SubfieldFn, spread_sets
 
 
-def _dot(a: int, b: int) -> int:
-    return (a & b).bit_count() & 1
-
-
-def _coset_data(f: BoolFn, u: int, v: int):
-    n = f.n
+def _coset_index(n: int, u: int, v: int) -> np.ndarray:
+    """The (4, 2^(n-2)) index array of the cosets, rows in pattern order
+    (<u,x>, <v,x>) = (0,0), (0,1), (1,0), (1,1), each row ascending."""
     if not 0 < u < 1 << n or not 0 < v < 1 << n:
         raise ParameterError("u and v must be nonzero n-bit values")
     if u == v:
         raise ParameterError("u and v must be linearly independent")
-    basis = sorted(gf2vec.rref(gf2vec.nullspace([u, v], n)))
-    reps = {}
-    for x in range(1 << n):
-        pat = (_dot(u, x), _dot(v, x))
-        if pat not in reps:
-            reps[pat] = x
-            if len(reps) == 4:
-                break
-    if len(reps) < 4:
-        raise ParameterError("u and v must be linearly independent")
-    offsets = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        offsets = np.concatenate([offsets, offsets ^ b])
-    return basis, reps, offsets
+    x = np.arange(1 << n, dtype=np.uint64)
+    pattern = (np.bitwise_count(x & u) & 1) << 1 | (np.bitwise_count(x & v) & 1)
+    return np.argsort(pattern, kind="stable").reshape(4, -1)
 
 
 def restrict_to_cosets(f: BoolFn, u: int, v: int):
     """The four restrictions of f, ordered by the value pattern
     (<u,x>, <v,x>) = (0,0), (0,1), (1,0), (1,1).
 
-    Each restriction is parameterized through the ascending echelon
-    basis of S and the smallest representative of its coset.
+    Each restriction lists its coset in ascending order.  That is the
+    parameterization through the ascending reduced echelon basis of S
+    and the smallest representative of the coset: the minimum is 0 at
+    every leading bit of the basis, so the leading bits alone order the
+    combinations.
     """
-    _, reps, offsets = _coset_data(f, u, v)
-    out = []
-    for pat in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        out.append(BoolFn(f.table[offsets ^ reps[pat]]))
-    return tuple(out)
+    return tuple(BoolFn(row) for row in f.table[_coset_index(f.n, u, v)])
 
 
 @dataclass(frozen=True)
@@ -72,36 +58,41 @@ class DecompositionReport:
     dual_second_derivative: str    # ConstantOne | ConstantZero | NonConstant
 
 
-def _dual_derivative_status(f: BoolFn, u: int, v: int) -> str:
+@functools.lru_cache(maxsize=8)
+def _plain_dual(f: BoolFn) -> BoolFn:
     # the cosets are cut out by plain dot products, so the matching
-    # closed form needs the dual in the same plain pairing
-    return _constancy(second_derivative(dual(f.with_space(None)), u, v).table)
+    # closed form needs the dual in the same plain pairing; BoolFn
+    # hashes by table, so one table has one entry whatever its Space
+    return dual(f.with_space(None))
+
+
+# status by plateau order: a bent f has even n, so its restrictions have
+# an even number n - 2 of variables, where semibent means s = 2
+_STATUS = {0: "bent", 2: "semibent"}
 
 
 def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
     """Classify the coset decomposition of a bent function along u, v.
 
-    The restriction statuses are computed directly by transform; the
-    dual second derivative is reported alongside as the closed-form
-    witness of the same trichotomy.
+    The four restriction statuses come from one batched transform of
+    the coset tables; the dual second derivative is reported alongside
+    as the closed-form witness of the same trichotomy, from the real
+    dual of f (computed once per function).
     """
-    parts = restrict_to_cosets(f, u, v)
-    statuses = []
-    for g in parts:
-        if is_bent(g):
-            statuses.append("bent")
-        elif is_semibent(g):
-            statuses.append("semibent")
-        else:
-            statuses.append("other")
+    index = _coset_index(f.n, u, v)
+    if f.n < 4:
+        raise DomainError(f"a decomposition needs n >= 4 variables, got n={f.n}")
+    fstar = _plain_dual(f)
+    orders = _plateau_orders(_abs_spectrum(f.table[index]), f.n - 2)
+    statuses = tuple(_STATUS.get(s, "other") for s in orders.tolist())
     if all(s == "bent" for s in statuses):
         cls = "AllBent"
     elif all(s == "semibent" for s in statuses):
         cls = "AllSemibent"
     else:
         cls = "Mixed"
-    return DecompositionReport(u, v, cls, tuple(statuses),
-                               _dual_derivative_status(f, u, v))
+    return DecompositionReport(u, v, cls, statuses,
+                               _constancy(second_derivative(fstar, u, v).table))
 
 
 def _constancy(values: np.ndarray) -> str:
@@ -317,7 +308,7 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False):
         )
     # D_b1 D_b2 f* is constant 0 (1) exactly when the autocorrelation of
     # D_b1 f* at b2 is 2^n (-2^n): one autocorrelation labels every b2
-    fstar = dual(f.with_space(None))
+    fstar = _plain_dual(f)
     labels = {1 << n: "AllSemibent", -(1 << n): "AllBent"}
     records = []
     for b1 in range(1, 1 << n):

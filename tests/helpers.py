@@ -3,8 +3,9 @@
 Everything here is written from the definitions, deliberately avoiding
 the library's fast paths: double-sum Hadamard and Walsh transforms and
 autocorrelation, subset-sum ANF, schoolbook polynomial field arithmetic,
-and a literal quadruple scan for the unique-subspace property.  Slow and
-obvious on purpose.
+a literal quadruple scan for the unique-subspace property, and coset
+restrictions through an explicit basis and coset representatives.  Slow
+and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -40,6 +41,25 @@ def naive_autocorrelation(table) -> list[int]:
     size = len(table)
     return [sum(1 - 2 * (int(table[x]) ^ int(table[x ^ b])) for x in range(size))
             for b in range(size)]
+
+
+def naive_restrict(table, u: int, v: int) -> list[list[int]]:
+    """The four coset restrictions in pattern order (<u,x>, <v,x>) =
+    (0,0), (0,1), (1,0), (1,1), each listed as r + span(basis) through
+    the ascending reduced echelon basis of S = {x : <u,x> = <v,x> = 0}
+    and the smallest coset representative r."""
+    from bentfn import gf2vec
+
+    n = (len(table) - 1).bit_length()
+    basis = sorted(gf2vec.rref(gf2vec.nullspace([u, v], n)))
+    reps = {}
+    for x in range(1 << n):
+        reps.setdefault(((u & x).bit_count() & 1, (v & x).bit_count() & 1), x)
+    offsets = [0]
+    for b in basis:
+        offsets += [o ^ b for o in offsets]
+    return [[int(table[reps[pat] ^ o]) for o in offsets]
+            for pat in ((0, 0), (0, 1), (1, 0), (1, 1))]
 
 
 def naive_anf_degree(table) -> int:

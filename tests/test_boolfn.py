@@ -51,6 +51,19 @@ def test_fwht_kernel_matches_double_sum(n):
     assert list(values) == expected
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("k", range(9))
+def test_fwht_kernel_batched_rows(k, rows):
+    # a (rows, 2^k) array transforms each row in one call
+    values = np.random.default_rng(100 * rows + k).integers(
+        -1000, 1001, (rows, 1 << k), dtype=np.int64)
+    expected = [naive_hadamard(row) for row in values]
+    got = _fwht_inplace(values)
+    assert got is values
+    assert got.dtype == np.int64 and got.shape == (rows, 1 << k)
+    assert [list(row) for row in values] == expected
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_walsh_matches_double_sum(n):
     rng = XorShift64Star(n * 11)

@@ -139,6 +139,14 @@ def test_decompose_plane(tmp_path, capsys):
     assert report["dual_second_derivative"] == "ConstantOne"
 
 
+def test_decompose_small_dimension(tmp_path, capsys):
+    p = tmp_path / "n2.tt"
+    save_table(BoolFn([0, 0, 0, 1]), str(p))
+    code, text, err = run(capsys, "decompose", str(p), "--u", "1", "--v", "2")
+    assert code == 2
+    assert text == "" and err.startswith("error:") and "n=2" in err
+
+
 def test_decompose_scan(tmp_path, capsys):
     p = tmp_path / "quad.tt"
     save_table(BoolFn(QUAD_TABLE), str(p))

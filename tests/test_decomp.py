@@ -7,6 +7,7 @@ from bentfn import (
     ParameterError,
     PermTable,
     ResourceError,
+    Space,
     SubfieldFn,
     XorShift64Star,
     check_ftof_equivalence,
@@ -17,8 +18,10 @@ from bentfn import (
     is_bent,
     is_semibent,
     make_field,
+    gpsap,
     mm,
     partition_bent,
+    psap,
     psffff,
     restrict_to_cosets,
     save_scan,
@@ -26,6 +29,9 @@ from bentfn import (
     second_derivative,
     validate_gps_params,
 )
+from bentfn.decomp import _plain_dual
+
+from helpers import naive_restrict
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -43,6 +49,33 @@ def test_restrict_shapes_and_membership():
     for part, key in zip(parts, ((0, 0), (0, 1), (1, 0), (1, 1))):
         vals = [f.table[x] for x in pts[key]]
         assert sorted(vals) == sorted(part.table.tolist())
+    assert [p.table.tolist() for p in parts] == naive_restrict(f.table, u, v)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_restrict_matches_basis_oracle(n):
+    # every ordered pair of distinct directions, so every plane
+    rng = np.random.default_rng(n)
+    f = BoolFn(rng.integers(0, 2, 1 << n))
+    for u in range(1, 1 << n):
+        for v in range(1, 1 << n):
+            if u != v:
+                got = [p.table.tolist() for p in restrict_to_cosets(f, u, v)]
+                assert got == naive_restrict(f.table, u, v), (u, v)
+
+
+def test_restrict_matches_basis_oracle_gpsap():
+    ctx = make_field(4)
+    f = gpsap(ctx, validate_gps_params(4, 2, 2), SubfieldFn.trace_form(ctx, 2))
+    rng = XorShift64Star(0x3C0)
+    done = 0
+    while done < 300:
+        u, v = rng.randrange(256), rng.randrange(256)
+        if u == v or not u or not v:
+            continue
+        done += 1
+        got = [p.table.tolist() for p in restrict_to_cosets(f, u, v)]
+        assert got == naive_restrict(f.table, u, v), (u, v)
 
 
 def test_restrict_rejects_dependent_directions():
@@ -82,6 +115,115 @@ def test_classification_trichotomy_exhaustive_quad():
                 label = "NonConstant"
             assert rep.classification == want[label]
             assert rep.dual_second_derivative == label
+
+
+def _constancy_label(table) -> str:
+    if table.all():
+        return "ConstantOne"
+    return "NonConstant" if table.any() else "ConstantZero"
+
+
+def _oracle_report(f, u, v):
+    """Per-part analysis of the basis-oracle restrictions, and a fresh
+    dual in the plain pairing."""
+    statuses = []
+    for part in naive_restrict(f.table, u, v):
+        g = BoolFn(part)
+        statuses.append("bent" if is_bent(g) else "semibent" if is_semibent(g) else "other")
+    cls = ("AllBent" if statuses == ["bent"] * 4
+           else "AllSemibent" if statuses == ["semibent"] * 4 else "Mixed")
+    fstar = dual(f.with_space(None))
+    return (u, v, cls, tuple(statuses),
+            _constancy_label(second_derivative(fstar, u, v).table))
+
+
+def _report_tuple(rep):
+    return (rep.u, rep.v, rep.classification, rep.statuses, rep.dual_second_derivative)
+
+
+def _c07_functions():
+    ctx3 = make_field(3)
+    return [QUAD, mm(ctx3, PermTable.inverse_map(ctx3)),
+            psap(ctx3, SubfieldFn.trace_form(ctx3, 3))]
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_classify_matches_slow_oracle(which):
+    # every plane of criterion 7's n = 4 and n = 6 functions, once each
+    f = _c07_functions()[which]
+    size = 1 << f.n
+    for u in range(1, size):
+        for v in range(u + 1, size):
+            if (u ^ v) > v:
+                assert _report_tuple(classify_decomposition(f, u, v)) == _oracle_report(f, u, v)
+
+
+def test_dual_cache_alternating_functions():
+    f1, f2 = _c07_functions()[1:]
+    assert f1 != f2
+    _plain_dual.cache_clear()
+    for u, v in ((1, 2), (3, 12), (7, 56), (5, 40), (9, 18), (6, 48)):
+        for f in (f1, f2, f1):
+            assert _report_tuple(classify_decomposition(f, u, v)) == _oracle_report(f, u, v)
+    assert _plain_dual.cache_info().currsize == 2
+
+
+def test_dual_cache_ignores_space():
+    # one table under a field Space and under the plain one: the
+    # classifier pairs by dot product either way.  For x1x2 + x0x3 + x1x3
+    # the field-pairing dual has other plane classes, e.g. on (1, 4).
+    ctx = make_field(2)
+    table = [(x >> 1 & x >> 2 ^ x & x >> 3 ^ x >> 1 & x >> 3) & 1 for x in range(16)]
+    f = BoolFn(table, Space([ctx, ctx]))
+    g = f.with_space(Space.bits(4))
+    assert f.space != g.space and dual(f) != dual(g)
+    for first, second in ((f, g), (g, f)):
+        _plain_dual.cache_clear()
+        for u in range(1, 16):
+            for v in range(u + 1, 16):
+                want = _oracle_report(g, u, v)
+                assert _report_tuple(classify_decomposition(first, u, v)) == want
+                assert _report_tuple(classify_decomposition(second, u, v)) == want
+        assert _plain_dual.cache_info().currsize == 1
+
+
+def test_dual_cache_size_is_fixed():
+    limit = _plain_dual.cache_parameters()["maxsize"]
+    assert limit is not None
+    _plain_dual.cache_clear()
+    # QUAD plus each linear function: more distinct bent functions than
+    # the cache holds
+    for a in range(2 * limit):
+        f = QUAD ^ BoolFn([(a & x).bit_count() & 1 for x in range(16)])
+        assert _report_tuple(classify_decomposition(f, 1, 6)) == _oracle_report(f, 1, 6)
+        assert _plain_dual.cache_info().currsize <= limit
+    assert _plain_dual.cache_info().currsize == limit
+
+
+def test_classify_small_dimension():
+    for n in (2, 3):
+        f = BoolFn([1] + [0] * ((1 << n) - 1))
+        with pytest.raises(DomainError, match=f"n={n}"):
+            classify_decomposition(f, 1, 2)
+
+
+def test_classify_parameter_errors_before_bentness():
+    zero = BoolFn(np.zeros(16, dtype=np.uint8))   # not bent
+    for u, v in ((3, 3), (0, 1), (1, 0), (16, 1), (1, 16), (-1, 2)):
+        for f in (QUAD, zero):
+            with pytest.raises(ParameterError):
+                classify_decomposition(f, u, v)
+    # the same holds below n = 4
+    with pytest.raises(ParameterError):
+        classify_decomposition(BoolFn([0, 1, 1, 0]), 1, 1)
+
+
+def test_classify_rejects_non_bent():
+    with pytest.raises(DomainError, match="bent"):
+        classify_decomposition(BoolFn(np.zeros(16, dtype=np.uint8)), 1, 2)
+    odd = BoolFn(np.random.default_rng(5).integers(0, 2, 32))
+    with pytest.raises(DomainError, match="odd"):
+        classify_decomposition(odd, 1, 2)
 
 
 def test_statuses_match_part_analysis():
