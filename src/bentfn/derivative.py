@@ -1,7 +1,7 @@
 """Derivatives, M-subspaces, linearity index, and EA transforms.
 
 The M-subspace search works on the compatibility relation
-compat(a, b) <=> D_a D_b f == 0.  Three structural facts keep it fast:
+compat(a, b) <=> D_a D_b f == 0.  Four structural facts keep it fast:
 
 * compat(a, .) is a linear subspace: D_a D_b f == 0 iff b is an
   XOR-period of D_a f, i.e. iff the autocorrelation of D_a f at b is
@@ -15,6 +15,12 @@ compat(a, b) <=> D_a D_b f == 0.  Three structural facts keep it fast:
   added in ascending order with each new vector minimal in its coset
   (equivalently: the greedy ascending basis).  Enumerating only such
   chains visits every M-subspace exactly once, no dedup needed.
+* The i-th vector of the greedy ascending basis of a t-dimensional
+  subspace S is below 2^(n-t+i): the integers below 2^(n-t+i) form a
+  subspace of dimension n-t+i, which meets S in dimension at least i.
+  So chains towards dimension t start below 2^(n-t+1), and the vector
+  added at depth d is below 2^(n-t+d+1).  With no target dimension,
+  t is one more than the best dimension found so far.
 
 Rows are computed lazily and cached bit-packed, so a capped search on
 14 variables stays within tens of megabytes.
@@ -126,6 +132,11 @@ class _SearchResult:
     done: bool = False
 
 
+def _goal(target: int | None, res: _SearchResult) -> int:
+    """Dimension t of the subspaces still sought."""
+    return target if target is not None else res.best + 1
+
+
 def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray,
          target: int | None, cap: int, find_all: bool, res: _SearchResult) -> None:
     d = len(basis)
@@ -137,13 +148,14 @@ def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray
         return
     if d >= cap:
         return
-    need = 1 << (target if target is not None else res.best + 1)
-    if int(pmask.sum()) < need:
+    if int(pmask.sum()) < 1 << _goal(target, res):
         return
     span_max = span[-1] if len(span) > 1 else 0
     for v in map(int, np.flatnonzero(pmask)):
         if res.done:
             return
+        if v >> (rows.f.n - _goal(target, res) + d + 1):
+            break  # beyond the minimum-element bound of depth d
         if v <= span_max:
             continue
         if any(v > (v ^ s) for s in span if s):
@@ -164,7 +176,7 @@ def _run_search(f: BoolFn, roots, target: int | None, cap: int,
     res = _SearchResult()
     ones = np.ones(f.table.size, dtype=np.uint8)
     for v1 in roots:
-        if res.done:
+        if res.done or v1 >> (f.n - _goal(target, res) + 1):
             break
         if target is not None and not find_all and res.found:
             break
@@ -184,7 +196,7 @@ def _fork_worker(chunk) -> tuple[int, list[tuple[int, ...]]]:
 
 def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
             threads: int = 1) -> _SearchResult:
-    roots = list(range(1, f.table.size))
+    roots = list(range(1, f.table.size if target is None else 1 << (f.n - target + 1)))
     threads = min(threads, os.cpu_count() or 1, len(roots))
     if threads <= 1 or len(roots) < 64:
         return _run_search(f, roots, target, cap, find_all)

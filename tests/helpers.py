@@ -3,9 +3,9 @@
 Everything here is written from the definitions, deliberately avoiding
 the library's fast paths: double-sum Hadamard and Walsh transforms and
 autocorrelation, subset-sum ANF, schoolbook polynomial field arithmetic,
-a literal quadruple scan for the unique-subspace property, and coset
-restrictions through an explicit basis and coset representatives.  Slow
-and obvious on purpose.
+a literal quadruple scan for the unique-subspace property, coset
+restrictions through an explicit basis and coset representatives, and
+M-subspaces by testing every subspace.  Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -60,6 +60,31 @@ def naive_restrict(table, u: int, v: int) -> list[list[int]]:
         offsets += [o ^ b for o in offsets]
     return [[int(table[reps[pat] ^ o]) for o in offsets]
             for pat in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+
+def naive_M_subspaces(table, dim: int) -> list[tuple[int, ...]]:
+    """Every dim-dimensional subspace on which all second derivatives
+    f(x) + f(x+a) + f(x+b) + f(x+a+b) vanish, each as its ascending span.
+
+    The subspaces are the spans of every independent dim-tuple: each
+    span so far is extended by every vector outside it, and the spans
+    are deduplicated after each step.  Every one is then tested on every
+    pair of its elements.  A span is keyed by the 64-bit mask of its
+    elements, so n <= 6."""
+    t = np.asarray(table, dtype=np.uint8)
+    assert t.size <= 64
+    x = np.arange(t.size)
+    vanish = np.array([[not (t ^ t[x ^ a] ^ t[x ^ b] ^ t[x ^ a ^ b]).any()
+                        for b in range(t.size)] for a in range(t.size)])
+    spans = np.zeros((1, 1), dtype=np.int64)  # one row per subspace
+    for _ in range(dim):
+        outside = ~(spans[:, :, None] == x).any(axis=1)  # (span, v): v not in span
+        rows, vs = np.nonzero(outside)
+        ext = np.concatenate([spans[rows], spans[rows] ^ vs[:, None]], axis=1)
+        key = np.bitwise_or.reduce(np.uint64(1) << ext.astype(np.uint64), axis=1)
+        spans = np.sort(ext[np.unique(key, return_index=True)[1]], axis=1)
+    keep = vanish[spans[:, :, None], spans[:, None, :]].all(axis=(1, 2))
+    return sorted(tuple(map(int, s)) for s in spans[keep])
 
 
 def naive_anf_degree(table) -> int:

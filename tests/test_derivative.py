@@ -25,10 +25,10 @@ from bentfn import (
     save_subspace,
     second_derivative,
 )
-from bentfn.construct import PermTable, mm
+from bentfn.construct import PermTable, build_cor_ex, mm
 from bentfn.derivative import _CompatRows
 
-from helpers import FILE_EXAMPLES, random_invertible, with_noise
+from helpers import FILE_EXAMPLES, naive_M_subspaces, random_invertible, with_noise
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -155,6 +155,62 @@ def test_enumerate_known_count():
         assert is_M_subspace(f, U)
 
 
+def _oracle_functions():
+    rng = XorShift64Star(61)
+    fns = [pytest.param(rand_fn(rng, n), id=f"random{n}-{i}")
+           for n in range(1, 7) for i in range(2)]
+    for n in range(3, 7):
+        # random quadratic: a random set of products x_i x_j plus a linear part
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.bits(1)]
+        lin = rng.randrange(1 << n)
+        fns.append(pytest.param(BoolFn([
+            (sum((x >> i) & (x >> j) & 1 for i, j in pairs) + (x & lin).bit_count()) & 1
+            for x in range(1 << n)]), id=f"quadratic{n}"))
+    ctx2, ctx3 = make_field(2), make_field(3)
+    inverse6 = mm(ctx3, PermTable.inverse_map(ctx3))
+    # an affine image, so the M-subspaces leave the coordinate blocks
+    L = random_invertible(rng, 6)
+    moved = ea_transform(inverse6.with_space(None), L, rng.randrange(64), rng.randrange(64), 1)
+    shuffled = PermTable(3, rng.shuffle(list(range(8))))
+    return fns + [pytest.param(mm(ctx2, PermTable.identity(2)), id="mm-identity4"),
+                  pytest.param(inverse6, id="mm-inverse6"),
+                  pytest.param(mm(ctx3, PermTable.gold(ctx3, 1)), id="mm-gold6"),
+                  pytest.param(mm(ctx3, shuffled), id="mm-shuffled6"),
+                  pytest.param(moved, id="ea-mm-inverse6")]
+
+
+@pytest.mark.parametrize("f", _oracle_functions())
+def test_enumerate_matches_every_subspace_oracle(f):
+    nonempty = 0
+    for dim in range(1, f.n + 1):
+        want = naive_M_subspaces(f.table, dim)
+        got = sorted(tuple(U.span()) for U in enumerate_M_subspaces(f, dim))
+        assert got == want, dim
+        assert has_M_subspace(f, dim) == bool(want)
+        if want:
+            nonempty = dim
+    assert linearity_index(f) == nonempty
+
+
+def test_search_row_counts(monkeypatch):
+    # compatibility rows computed by the bounded search: a work counter
+    # that does not depend on the machine
+    computed = []
+    compute = _CompatRows._compute
+    monkeypatch.setattr(_CompatRows, "_compute",
+                        lambda self, a: computed.append(a) or compute(self, a))
+    f10 = build_cor_ex(make_field(4), 4, 1, "inverse")
+    f14 = build_cor_ex(make_field(5), 5, 2, "gold", gold_k=1)
+    counts = []
+    for run, want in ((lambda: has_M_subspace(f10, 5), False),
+                      (lambda: linearity_index(f10), 2),
+                      (lambda: has_M_subspace(f14, 7), False)):
+        computed.clear()
+        assert run() == want
+        counts.append(len(computed))
+    assert counts == [63, 257, 255]
+
+
 def test_enumerate_dim_too_large():
     assert enumerate_M_subspaces(QUAD, 3) == []
 
@@ -274,3 +330,15 @@ def test_search_clamps_threads(monkeypatch):
     monkeypatch.setattr(mod.os, "cpu_count", lambda: None)
     assert linearity_index(f, threads=100_000) == want
     assert sizes == [3]  # an unknown CPU count means one worker and no pool
+    # a target bounds the roots before the clamp: 2^(10-4+1) - 1 = 127 at
+    # n = 10, dim 4, and 2^(10-5+1) - 1 = 63 at dim 5, below the pool cutoff
+    monkeypatch.setattr(mod.os, "cpu_count", lambda: 1000)
+    ctx5 = make_field(5)
+    g = mm(ctx5, PermTable.inverse_map(ctx5))
+    want = enumerate_M_subspaces(g, 4)
+    assert enumerate_M_subspaces(g, 4, threads=100_000) == want
+    assert has_M_subspace(g, 4, threads=100_000) == has_M_subspace(g, 4)
+    assert sizes == [3, 127, 127]
+    h = build_cor_ex(make_field(4), 4, 1, "inverse")
+    assert not has_M_subspace(h, 5, threads=100_000)
+    assert sizes == [3, 127, 127]
