@@ -226,10 +226,17 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_SIGN = np.array([1, -1], dtype=np.int64)
+
+
+def _signs(table: np.ndarray) -> np.ndarray:
+    """(-1)^f(x) of a bit table, as a new int64 array."""
+    return _SIGN.take(table)
+
+
 def walsh_transform(f: BoolFn) -> WalshSpectrum:
     """Exact spectrum W_f(b) = sum_x (-1)^(f(x) + <b,x>)."""
-    signs = 1 - 2 * f.table.astype(np.int64)
-    w = _fwht_inplace(signs)
+    w = _fwht_inplace(_signs(f.table))
     if not f.space.is_plain:
         w = w[f.space.perm()]
     w.setflags(write=False)
@@ -239,7 +246,7 @@ def walsh_transform(f: BoolFn) -> WalshSpectrum:
 def _abs_spectrum(table: np.ndarray) -> np.ndarray:
     # pairing-independent |W| multiset of each bit table along the last
     # axis; skips the index permutation
-    return np.abs(_fwht_inplace(1 - 2 * table.astype(np.int64)))
+    return np.abs(_fwht_inplace(_signs(table)))
 
 
 def autocorrelation(f: BoolFn) -> np.ndarray:
@@ -250,8 +257,13 @@ def autocorrelation(f: BoolFn) -> np.ndarray:
     value (Parseval), so int64 is exact for n <= 16 and well beyond.
     Delta_f(b) = 2^n exactly when b is a period of f.
     """
-    w = _fwht_inplace(1 - 2 * f.table.astype(np.int64))
-    return _fwht_inplace(w * w) >> f.n
+    return _autocorrelation(f.table)
+
+
+def _autocorrelation(table: np.ndarray) -> np.ndarray:
+    # autocorrelation of each bit table along the last axis
+    w = _fwht_inplace(_signs(table))
+    return _fwht_inplace(w * w) >> (table.shape[-1].bit_length() - 1)
 
 
 def _plateau_orders(absw: np.ndarray, n: int) -> np.ndarray:

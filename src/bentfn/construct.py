@@ -10,6 +10,10 @@ Conventions shared by every builder here:
   special casing; the indicator 1 - x^(2^m - 1) is 1 exactly at x = 0.
 * Functions P on the subfield S_k are tables keyed by the elements of
   S_k in ascending bitmask order.
+* The spread builders are G(y x^(-e)) for a function G on the field:
+  G is composed as a table over the field from the trace,
+  relative-trace and subfield-index arrays, and one gather through
+  FieldCtx.spread_table evaluates it over the whole grid.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (_MAX_N, BoolFn, Space, _hex_values, _read_records, _write_records,
-                     autocorrelation, dual, is_bent, plateaued_order, walsh_transform)
+from .boolfn import (_MAX_N, BoolFn, Space, _autocorrelation, _fwht_inplace, _hex_values,
+                     _read_records, _write_records, dual, is_bent, plateaued_order,
+                     walsh_transform)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field
 from .vectorial import OutPairing, VecFn
@@ -43,6 +48,9 @@ class PermTable:
 
     def __len__(self):
         return len(self.table)
+
+    def array(self) -> np.ndarray:
+        return np.asarray(self.table, dtype=np.int64)
 
     @classmethod
     def identity(cls, m: int) -> "PermTable":
@@ -96,6 +104,12 @@ class SubfieldFn:
         except KeyError:
             raise DomainError(f"{z:#x} is not in S_{self.k}") from None
 
+    def gather(self, z: np.ndarray) -> np.ndarray:
+        """Values at an array of elements, all of them in S_k (the array
+        form of at)."""
+        values = np.asarray(self.values, dtype=np.int64)
+        return values[self.ctx.subfield_index_arr(self.k)[z]]
+
     def require_balanced(self) -> "SubfieldFn":
         if any(v not in (0, 1) for v in self.values):
             raise ParameterError("balanced-form table must contain bits")
@@ -136,13 +150,10 @@ def mm(ctx: FieldCtx, pi: PermTable, g=None) -> BoolFn:
     """Tr(x * pi(y)) + g(y) on F_{2^m} x F_{2^m}."""
     if pi.m != ctx.m:
         raise ParameterError("permutation degree does not match the field")
-    gt = _as_bit_table(g, ctx.size)
-    xs = np.arange(ctx.size, dtype=np.uint64)
-    blocks = []
-    for y in range(ctx.size):
-        gmask = np.uint64(ctx.dualmask(pi(y)))
-        blocks.append(((np.bitwise_count(xs & gmask) & 1) ^ gt[y]).astype(np.uint8))
-    return BoolFn(np.concatenate(blocks), Space([ctx, ctx]))
+    gt = np.array(_as_bit_table(g, ctx.size), dtype=np.uint8)
+    gmask = ctx.dualmask_arr[pi.array()]
+    table = (np.bitwise_count(ctx.elements[None, :] & gmask[:, None]) & 1) ^ gt[:, None]
+    return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
 
 def gmm_general(family) -> BoolFn:
@@ -186,29 +197,25 @@ def _check_gmm_family(ctx: FieldCtx, k: int, family) -> list[BoolFn]:
     return family
 
 
+def _trace_yz(ctx: FieldCtx) -> np.ndarray:
+    """Tr(yz) as a (z, y) array; the block of (y, z) comes at y + 2^k z."""
+    return ctx.trace_arr[ctx.mul_arr(ctx.elements[:, None], ctx.elements[None, :])]
+
+
 def gmm(ctx: FieldCtx, k: int, family) -> BoolFn:
     """f(x, y, z) = f_z(x) + Tr(yz) over x in V_n, y, z in F_{2^k}."""
     family = _check_gmm_family(ctx, k, family)
-    size = 1 << k
-    blocks = []
-    for z in range(size):
-        for y in range(size):
-            blocks.append(family[z].table ^ ctx.trace(ctx.mul(y, z)))
+    tables = np.stack([f.table for f in family])
     space = Space(list(family[0].space.factors) + [ctx, ctx])
-    return BoolFn(np.concatenate(blocks), space)
+    return BoolFn((tables[:, None, :] ^ _trace_yz(ctx)[:, :, None]).reshape(-1), space)
 
 
 def gmm_dual(ctx: FieldCtx, k: int, family) -> BoolFn:
     """Closed-form dual of gmm: f*(x, y, z) = (f_y)*(x) + Tr(yz)."""
     family = _check_gmm_family(ctx, k, family)
-    duals = [dual(f) for f in family]
-    size = 1 << k
-    blocks = []
-    for z in range(size):
-        for y in range(size):
-            blocks.append(duals[y].table ^ ctx.trace(ctx.mul(y, z)))
+    duals = np.stack([dual(f).table for f in family])
     space = Space(list(family[0].space.factors) + [ctx, ctx])
-    return BoolFn(np.concatenate(blocks), space)
+    return BoolFn((duals[None, :, :] ^ _trace_yz(ctx)[:, :, None]).reshape(-1), space)
 
 
 def psap(ctx: FieldCtx, P) -> BoolFn:
@@ -218,13 +225,8 @@ def psap(ctx: FieldCtx, P) -> BoolFn:
     if P.k != ctx.m:
         raise ParameterError("psap needs P on the whole field (k = m)")
     P.require_balanced()
-    size = ctx.size
-    table = np.zeros(size * size, dtype=np.uint8)
-    for y in range(size):
-        for x in range(size):
-            arg = ctx.mul(y, ctx.pow(x, size - 2))
-            table[x + (y << ctx.m)] = P.at(arg)
-    return BoolFn(table, Space([ctx, ctx]))
+    table = P.gather(ctx.elements)[ctx.spread_table(ctx.size - 2)]
+    return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
 
 def _check_gps(ctx: FieldCtx, params: GpsParams) -> None:
@@ -249,34 +251,23 @@ def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
         raise ParameterError("c0 must be a bit")
     if orientation not in ("f", "g"):
         raise ParameterError(f"orientation must be 'f' or 'g', got {orientation!r}")
-    m, k = params.m, params.k
-    size = ctx.size
     exp = params.e if orientation == "f" else params.eta
-    neg = ctx.neg_exp(exp)
-    table = np.zeros(size * size, dtype=np.uint8)
-    for outer in range(size):
-        pw = ctx.pow(outer, neg)
-        for inner in range(size):
-            val = P.at(ctx.trace_rel(ctx.mul(inner, pw), k))
-            if outer == 0:
-                val ^= c0
-            if orientation == "f":
-                idx = outer + (inner << m)  # outer = x, inner = y
-            else:
-                idx = inner + (outer << m)  # outer = y, inner = x
-            table[idx] = val
-    return BoolFn(table, Space([ctx, ctx]))
+    # rows the inner variable, columns the outer one: (y, x) for "f"
+    table = P.gather(ctx.trace_rel_arr(params.k))[ctx.spread_table(ctx.neg_exp(exp))]
+    table[:, 0] ^= c0
+    if orientation == "g":
+        table = table.T  # outer = y, inner = x
+    return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
 
 def _factors_through_subfield_trace(ctx: FieldCtx, k: int, Q: PermTable) -> bool:
     """Is z -> Tr(Q(z)) constant on every fiber of Tr_k^m?"""
-    fibers: dict[int, int] = {}
-    for z in range(ctx.size):
-        gamma = ctx.trace_rel(z, k)
-        bit = ctx.trace(Q(z))
-        if fibers.setdefault(gamma, bit) != bit:
-            return False
-    return True
+    gamma = ctx.trace_rel_arr(k)
+    bit = ctx.trace_arr[Q.array()]
+    # one bit of each fiber lands in fiber_bit; a constant fiber agrees with it
+    fiber_bit = np.zeros(ctx.size, dtype=np.uint8)
+    fiber_bit[gamma] = bit
+    return bool((fiber_bit[gamma] == bit).all())
 
 
 def gpsap_trace_form(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
@@ -297,15 +288,9 @@ def gpsap_trace_form(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
             f"Tr(Q(.)) is not constant on the fibers of Tr_{params.k}^{params.m}; "
             "the spread function would not be bent"
         )
-    size = ctx.size
-    neg_eta = ctx.neg_exp(params.eta)
-    table = np.zeros(size * size, dtype=np.uint8)
-    for y in range(size):
-        pw = ctx.pow(y, neg_eta)
-        base = y << ctx.m
-        for x in range(size):
-            table[x + base] = ctx.trace(Q(ctx.mul(x, pw)))
-    return BoolFn(table, Space([ctx, ctx]))
+    # the spread table has rows x and columns y here
+    table = ctx.trace_arr[Q.array()][ctx.spread_table(ctx.neg_exp(params.eta))]
+    return BoolFn(table.T.reshape(-1), Space([ctx, ctx]))
 
 
 def gpsap_dual_formula(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
@@ -314,17 +299,9 @@ def gpsap_dual_formula(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn
     _check_gps(ctx, params)
     if Q.m != ctx.m:
         raise ParameterError("Q degree does not match the field")
-    frob = 1 << (params.m - params.ell)
-    neg_e = ctx.neg_exp(params.e)
-    size = ctx.size
-    table = np.zeros(size * size, dtype=np.uint8)
-    for y in range(size):
-        yt = ctx.pow(y, frob)
-        base = y << ctx.m
-        for x in range(size):
-            xt = ctx.pow(x, frob)
-            table[x + base] = ctx.trace(Q(ctx.mul(yt, ctx.pow(xt, neg_e))))
-    return BoolFn(table, Space([ctx, ctx]))
+    tilde = ctx.pow_table(1 << (params.m - params.ell))
+    args = ctx.spread_table(ctx.neg_exp(params.e))[np.ix_(tilde, tilde)]
+    return BoolFn(ctx.trace_arr[Q.array()][args].reshape(-1), Space([ctx, ctx]))
 
 
 def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
@@ -342,17 +319,9 @@ def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
     elems = ctx.subfield(k)
     if c0 not in elems:
         raise DomainError(f"c0 = {c0:#x} is not in S_{k}")
-    index = {z: i for i, z in enumerate(elems)}
-    size = ctx.size
-    neg_e = ctx.neg_exp(params.e)
-    table = np.zeros(size * size, dtype=np.int64)
-    for x in range(size):
-        pw = ctx.pow(x, neg_e)
-        for y in range(size):
-            val = P.at(ctx.trace_rel(ctx.mul(y, pw), k))
-            if x == 0:
-                val ^= c0
-            table[x + (y << ctx.m)] = index[val]
+    values = P.gather(ctx.trace_rel_arr(k))[ctx.spread_table(ctx.neg_exp(params.e))]
+    values[:, 0] ^= c0
+    table = ctx.subfield_index_arr(k)[values].reshape(-1)
     return VecFn(table, k, Space([ctx, ctx]), OutPairing.subfield_trace(ctx, k))
 
 
@@ -405,16 +374,14 @@ def check_property_P(ctx: FieldCtx, pi: PermTable) -> PropertyPResult:
         raise ParameterError("permutation degree does not match the field")
     m = ctx.m
     size = ctx.size
-    tbl = np.array(pi.table, dtype=np.int64)
-    idx = np.arange(size, dtype=np.int64)
+    tbl = pi.array()
+    idx = ctx.elements
+    bits = np.arange(m)[:, None]
     for t in range(1, size):
         d = tbl ^ tbl[idx ^ t]
         # (i) periods of the vectorial derivative: intersect the period
-        # groups of all m component functions
-        is_period = np.ones(size, dtype=bool)
-        for j in range(m):
-            comp = BoolFn(((d >> j) & 1).astype(np.uint8))
-            is_period &= autocorrelation(comp) == size
+        # groups of its m component functions, transformed as one array
+        is_period = (_autocorrelation((d >> bits) & 1) == size).all(axis=0)
         periods = np.flatnonzero(is_period)
         if periods.size > 2:
             b2 = min(int(p) for p in periods if p not in (0, t))
@@ -475,18 +442,24 @@ def build_cor_ex(ctx: FieldCtx, m: int, k: int, variant: str = "inverse",
     return gmm(ctx_k, k, family)
 
 
-def trace_sum_nonconstant(ctx: FieldCtx, c: int, d: int) -> bool:
-    """Does x -> Tr(d (1/x + 1/(x+c))) take both values off {0, c}?"""
+def trace_sum_nonconstant(ctx: FieldCtx, c: int, d: int | None = None):
+    """Does x -> Tr(d (1/x + 1/(x+c))) take both values off {0, c}?
+
+    With d omitted, the answer for every d at once: a bool array indexed
+    by d (False at d = 0).  Tr(d s) = parity(dualmask(d) & s), so the
+    map is constant exactly when the Walsh sum of s(x) over the 2^m - 2
+    points x, taken at dualmask(d), has absolute value 2^m - 2.
+    """
     if c == 0 or d == 0:
         raise DomainError("c and d must be nonzero")
-    seen = set()
-    for x in range(ctx.size):
-        if x in (0, c):
-            continue
-        seen.add(ctx.trace(ctx.mul(d, ctx.inv(x) ^ ctx.inv(x ^ c))))
-        if len(seen) == 2:
-            return True
-    return False
+    if not 0 < c < ctx.size or d is not None and not 0 < d < ctx.size:
+        raise DomainError(f"c and d must be elements of GF(2^{ctx.m})")
+    x = ctx.elements[(ctx.elements != 0) & (ctx.elements != c)]
+    inv = ctx.pow_table(ctx.size - 2)
+    s = inv[x] ^ inv[x ^ c]
+    walsh = _fwht_inplace(np.bincount(s, minlength=ctx.size))
+    row = np.abs(walsh[ctx.dualmask_arr]) != x.size
+    return row if d is None else bool(row[d])
 
 
 def g_lambda(ctx: FieldCtx, params: GpsParams, Q: PermTable, lam: int) -> BoolFn:
@@ -494,13 +467,12 @@ def g_lambda(ctx: FieldCtx, params: GpsParams, Q: PermTable, lam: int) -> BoolFn
     _check_gps(ctx, params)
     if lam in (0, 1):
         raise DomainError("lambda must lie outside F_2")
-    neg_e = ctx.neg_exp(params.e)
-    table = np.zeros(ctx.size, dtype=np.uint8)
-    for x in range(ctx.size):
-        xe = ctx.pow(x, neg_e)
-        acc = Q(ctx.mul(1 ^ lam, xe)) ^ Q(xe) ^ Q(ctx.mul(lam, xe))
-        table[x] = ctx.trace(acc)
-    return BoolFn(table, Space([ctx]))
+    if not 0 <= lam < ctx.size:
+        raise DomainError(f"{lam:#x} is not an element of GF(2^{ctx.m})")
+    q = Q.array()
+    xe = ctx.pow_table(ctx.neg_exp(params.e))
+    acc = q[ctx.mul_arr(1 ^ lam, xe)] ^ q[xe] ^ q[ctx.mul_arr(lam, xe)]
+    return BoolFn(ctx.trace_arr[acc], Space([ctx]))
 
 
 def glambda_nonconstant(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> bool:

@@ -6,7 +6,9 @@ of S = {x : <u,x> = <v,x> = 0} (plain dot products on index bits).
 Restricting f to the cosets gives four functions on n - 2 variables;
 for bent f the four are all bent exactly when D_u D_v f* is constant 1
 and all semibent exactly when it is constant 0, which is what the
-classifier reports from both sides.
+classifier reports from both sides.  It classifies a batch of planes
+per call, in chunks of a fixed number of table entries; one plane is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -16,24 +18,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (BoolFn, Space, _abs_spectrum, _plateau_orders, autocorrelation, dual,
-                     is_bent)
+from .boolfn import BoolFn, Space, _abs_spectrum, autocorrelation, dual, is_bent
 from .derivative import derivative, second_derivative
 from .errors import DomainError, ParameterError, ResourceError
-from .gf2 import FieldCtx, GpsParams
-from .construct import PermTable, SubfieldFn, spread_sets
+from .gf2 import FieldCtx, GpsParams, validate_gps_params
+from .construct import PermTable, SubfieldFn, gpsap_vectorial
+from .vectorial import component
 
 
-def _coset_index(n: int, u: int, v: int) -> np.ndarray:
-    """The (4, 2^(n-2)) index array of the cosets, rows in pattern order
-    (<u,x>, <v,x>) = (0,0), (0,1), (1,0), (1,1), each row ascending."""
+def _check_plane(n: int, u: int, v: int) -> None:
     if not 0 < u < 1 << n or not 0 < v < 1 << n:
         raise ParameterError("u and v must be nonzero n-bit values")
     if u == v:
         raise ParameterError("u and v must be linearly independent")
-    x = np.arange(1 << n, dtype=np.uint64)
-    pattern = (np.bitwise_count(x & u) & 1) << 1 | (np.bitwise_count(x & v) & 1)
-    return np.argsort(pattern, kind="stable").reshape(4, -1)
+
+
+@functools.cache
+def _points(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0, ..., 2^n - 1 and the parity of each, read-only."""
+    x = np.arange(1 << n)
+    parity = (np.bitwise_count(x) & 1).astype(np.uint8)
+    x.setflags(write=False)
+    parity.setflags(write=False)
+    return x, parity
+
+
+def _coset_index(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (4 planes, 2^(n-2)) index array of the cosets of the planes
+    given by the int64 columns u, v: four rows per plane, in pattern
+    order (<u,x>, <v,x>) = (0,0), (0,1), (1,0), (1,1), each ascending.
+    Two axes, not three: numpy calls on small arrays cost less so."""
+    x, parity = _points(n)
+    pattern = parity[x & u] << 1 | parity[x & v]
+    return np.argsort(pattern, axis=1, kind="stable").reshape(4 * u.shape[0], 1 << (n - 2))
 
 
 def restrict_to_cosets(f: BoolFn, u: int, v: int):
@@ -46,7 +63,9 @@ def restrict_to_cosets(f: BoolFn, u: int, v: int):
     every leading bit of the basis, so the leading bits alone order the
     combinations.
     """
-    return tuple(BoolFn(row) for row in f.table[_coset_index(f.n, u, v)])
+    _check_plane(f.n, u, v)
+    index = _coset_index(f.n, np.array([[u]]), np.array([[v]]))
+    return tuple(BoolFn(row) for row in f.table[index])
 
 
 @dataclass(frozen=True)
@@ -66,33 +85,81 @@ def _plain_dual(f: BoolFn) -> BoolFn:
     return dual(f.with_space(None))
 
 
-# status by plateau order: a bent f has even n, so its restrictions have
-# an even number n - 2 of variables, where semibent means s = 2
-_STATUS = {0: "bent", 2: "semibent"}
+# Codes of classify_planes.  The status codes are bits, so the AND over
+# the four restrictions of a plane keeps the status they share, which
+# _CLASS_OF maps to its class.  Code i of CLASSES goes with code i of
+# CONSTANCY: that pairing is the trichotomy.
+STATUSES = ("other", "bent", "semibent")
+CLASSES = ("AllBent", "AllSemibent", "Mixed")
+CONSTANCY = ("ConstantOne", "ConstantZero", "NonConstant")
+_CLASS_OF = np.array([2, 0, 1])
+
+# Table entries per chunk of planes (64 planes at n = 8, one at n >= 14):
+# bounds the (planes, 2^n) temporaries of classify_planes.
+_CHUNK_ENTRIES = 1 << 14
 
 
 def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
-    """Classify the coset decomposition of a bent function along u, v.
+    """Classify the coset decomposition of a bent function along u, v:
+    classify_planes on the one plane, as a report."""
+    _check_plane(f.n, u, v)
+    status, cls, const = _classify(f, np.array([[u]]), np.array([[v]]))
+    statuses = tuple(STATUSES[s] for s in status[0].tolist())
+    return DecompositionReport(u, v, CLASSES[cls[0]], statuses, CONSTANCY[const[0]])
 
-    The four restriction statuses come from one batched transform of
-    the coset tables; the dual second derivative is reported alongside
-    as the closed-form witness of the same trichotomy, from the real
-    dual of f (computed once per function).
+
+def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify the coset decompositions of a bent function along the
+    planes (us[i], vs[i]).
+
+    Returns the (planes, 4) codes into STATUSES of the four
+    restrictions, the codes into CLASSES of the planes, and the codes
+    into CONSTANCY of the dual second derivative D_u D_v f*, the
+    closed-form witness of the same trichotomy.  Each chunk of
+    planes takes one transform of all its coset tables and one batched
+    second derivative of the dual of f (computed once per function).
     """
-    index = _coset_index(f.n, u, v)
-    if f.n < 4:
-        raise DomainError(f"a decomposition needs n >= 4 variables, got n={f.n}")
-    fstar = _plain_dual(f)
-    orders = _plateau_orders(_abs_spectrum(f.table[index]), f.n - 2)
-    statuses = tuple(_STATUS.get(s, "other") for s in orders.tolist())
-    if all(s == "bent" for s in statuses):
-        cls = "AllBent"
-    elif all(s == "semibent" for s in statuses):
-        cls = "AllSemibent"
-    else:
-        cls = "Mixed"
-    return DecompositionReport(u, v, cls, statuses,
-                               _constancy(second_derivative(fstar, u, v).table))
+    try:
+        us = np.asarray(us, dtype=np.int64).reshape(-1)
+        vs = np.asarray(vs, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ParameterError("u and v must be nonzero n-bit values") from None
+    if us.shape != vs.shape:
+        raise ParameterError("us and vs must have one entry per plane")
+    if ((us <= 0) | (vs <= 0) | (us >= 1 << f.n) | (vs >= 1 << f.n)).any():
+        raise ParameterError("u and v must be nonzero n-bit values")
+    if (us == vs).any():
+        raise ParameterError("u and v must be linearly independent")
+    return _classify(f, us[:, None], vs[:, None])
+
+
+def _classify(f: BoolFn, us: np.ndarray, vs: np.ndarray):
+    # us and vs are int64 columns, one row per plane
+    n = f.n
+    if n < 4:
+        raise DomainError(f"a decomposition needs n >= 4 variables, got n={n}")
+    fstar = _plain_dual(f).table
+    x = _points(n)[0]
+    # n - 2 is even: a restriction is bent when every |W| is h, and
+    # semibent when every |W| is 0 or 2h.  h is a power of two, so the
+    # OR of a row's |W| is h (2h) exactly when each is 0 or h (0 or 2h),
+    # and Parseval rules out the zeros in the bent case.
+    h = 1 << (n - 2) // 2
+    step = max(1, _CHUNK_ENTRIES >> n)
+    out = []
+    for i in range(0, max(us.shape[0], 1), step):  # no planes: one empty chunk
+        u, v = us[i:i + step], vs[i:i + step]
+        peak = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
+        status = ((peak == h) | (peak == 2 * h) << 1).reshape(-1, 4)
+        cls = _CLASS_OF[np.bitwise_and.reduce(status, axis=1)]
+        xu = x ^ u
+        d2 = fstar ^ fstar[xu] ^ fstar[x ^ v] ^ fstar[xu ^ v]
+        # ConstantOne (all 1) 0, ConstantZero (all 0) 1, NonConstant 2
+        const = 1 + np.bitwise_or.reduce(d2, axis=1) - 2 * np.bitwise_and.reduce(d2, axis=1)
+        out.append((status, cls, const))
+    if len(out) == 1:
+        return out[0]
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 def _constancy(values: np.ndarray) -> str:
@@ -119,27 +186,26 @@ def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
     if ctx.mul(a, d) ^ ctx.mul(b, c) == 0:
         raise DomainError("ad + bc must be nonzero")
     m = params.m
-    size = ctx.size
     f = gpsap_trace_form(ctx, params, Q)
     fstar = dual(f)
     u = a + (b << m)
     v = c + (d << m)
     lhs = _constancy(second_derivative(fstar, u, v).table)
-    frob = 1 << (m - params.ell)
-    at = ctx.pow(a, frob)
-    bt = ctx.pow(b, frob)
-    ct = ctx.pow(c, frob)
-    dt = ctx.pow(d, frob)
-    neg_e = ctx.neg_exp(params.e)
-    fhat = np.zeros(size * size, dtype=np.uint8)
-    for y in range(size):
-        for x in range(size):
-            num = ctx.mul(bt, x) ^ ctx.mul(dt, y)
-            den = ctx.mul(at, x) ^ ctx.mul(ct, y)
-            fhat[x + (y << m)] = ctx.trace(Q(ctx.mul(num, ctx.pow(den, neg_e))))
-    fhat_fn = BoolFn(fhat)
-    rhs = _constancy(second_derivative(fhat_fn, 1, 1 << m).table)
+    rhs = _constancy(second_derivative(_fhat(ctx, params, Q, a, b, c, d), 1, 1 << m).table)
     return lhs == rhs
+
+
+def _fhat(ctx: FieldCtx, params: GpsParams, Q: PermTable,
+          a: int, b: int, c: int, d: int) -> BoolFn:
+    """fhat(x, y) = Tr(Q((b~ x + d~ y)(a~ x + c~ y)^(-e))), t~ = t^(2^(m-ell))."""
+    tilde = ctx.pow_table(1 << (params.m - params.ell))
+    at, bt, ct, dt = (int(tilde[t]) for t in (a, b, c, d))
+    x = ctx.elements[None, :]
+    y = ctx.elements[:, None]
+    num = ctx.mul_arr(bt, x) ^ ctx.mul_arr(dt, y)
+    den = ctx.mul_arr(at, x) ^ ctx.mul_arr(ct, y)
+    arg = ctx.mul_arr(num, ctx.pow_table(ctx.neg_exp(params.e))[den])
+    return BoolFn(ctx.trace_arr[Q.array()[arg]].reshape(-1))
 
 
 def concat4(f1: BoolFn, f2: BoolFn, f3: BoolFn, f4: BoolFn) -> BoolFn:
@@ -199,28 +265,13 @@ def psffff(ctx: FieldCtx, m: int, k: int, P: SubfieldFn,
         raise ParameterError("alpha + beta + gamma must be nonzero")
     if P.k != k:
         raise ParameterError(f"P is on S_{P.k}, construction uses k={k}")
-    P.require_permutation()
-    size = ctx.size
-    neg_e = ctx.neg_exp(e)
-    pt = np.zeros(size * size, dtype=np.int64)
-    for x in range(size):
-        pw = ctx.pow(x, neg_e)
-        for y in range(size):
-            pt[x + (y << m)] = P.at(ctx.trace_rel(ctx.mul(y, pw), k))
-    def block(coeff: int, flip: int) -> np.ndarray:
-        out = np.zeros(size * size, dtype=np.uint8)
-        cache = {}
-        for i, p in enumerate(map(int, pt)):
-            bit = cache.get(p)
-            if bit is None:
-                bit = cache[p] = ctx.subfield_trace(ctx.mul(coeff, p), k)
-            out[i] = bit ^ flip
-        return out
-
-    # block order by (z2, z1): z1 is bit 2m, z2 is bit 2m+1
-    table = np.concatenate([block(alpha, 0), block(gamma, 0),
-                            block(beta, 0), block(csum, 1)])
-    return BoolFn(table, Space([ctx, ctx, 2]))
+    # the (z1, z2) blocks are the components of the vectorial spread
+    # function at alpha (0,0), beta (0,1), gamma (1,0) and, complemented,
+    # alpha + beta + gamma (1,1); the checks above make the params valid
+    vec = gpsap_vectorial(ctx, validate_gps_params(m, k, e), P)
+    f_a, f_b, f_c, f_abc = (component(vec, ctx.subfield_index(k, coeff))
+                            for coeff in (alpha, beta, gamma, csum))
+    return concat4(f_a, f_b, f_c, f_abc ^ 1)
 
 
 _ODD_QUADS = tuple(q for q in
@@ -268,21 +319,14 @@ def partition_bent(ctx: FieldCtx, params: GpsParams, assignment) -> BoolFn:
             raise ParameterError(
                 f"quadruple {quad} is used {counts.get(quad, 0)} times, need {want}"
             )
-    sets = spread_sets(ctx, params)
-    m = params.m
-    base = 1 << (2 * m)
-    gamma_of = np.full(base, -1, dtype=np.int64)
-    for g, pts in sets.A.items():
-        for p in pts:
-            gamma_of[p] = g
-    blocks = []
-    for j in range(4):
-        blk = np.zeros(base, dtype=np.uint8)
-        for p in range(base):
-            g = int(gamma_of[p])
-            blk[p] = (j == 3) if g < 0 else assignment[g][j]
-        blocks.append(blk)
-    return BoolFn(np.concatenate(blocks), Space([ctx, ctx, 2]))
+    quads = np.zeros((ctx.size, 4), dtype=np.uint8)
+    for g, quad in assignment.items():
+        quads[g] = quad
+    # the point (x, y) with x != 0 lies in A(gamma) for
+    # gamma = Tr_k^m(y x^(-e)); the line x = 0 is U
+    values = quads[ctx.trace_rel_arr(k)][ctx.spread_table(ctx.neg_exp(params.e))]
+    values[:, 0] = (0, 0, 0, 1)
+    return BoolFn(np.moveaxis(values, -1, 0).reshape(-1), Space([ctx, ctx, 2]))
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,9 @@ def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray
             res.done = True
         return
     if d >= cap:
+        # only an index search gets here (a target search stops at its
+        # target, which is its cap): its answer is the cap, so stop
+        res.done = True
         return
     if int(pmask.sum()) < 1 << _goal(target, res):
         return

@@ -12,13 +12,21 @@ of S_k in ascending bitmask order.  That ordering is additive: the
 index of z1 + z2 is index(z1) XOR index(z2), because the ascending
 enumeration of any GF(2)-subspace is the XOR-counter order over its
 reduced basis.
+
+Besides the scalar operations, a context offers read-only numpy arrays
+over the whole field (products through log/exp tables, power tables,
+absolute and relative traces, dual masks, subfield indices), built on
+first use, so that a loop over field elements becomes one gather.
 """
 
 from __future__ import annotations
 
 import builtins
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ParameterError
 from .rng import XorShift64Star
@@ -91,6 +99,8 @@ class FieldCtx:
         self._build_tables()
         self._trace_tbl: list[int] | None = None
         self._subfields: dict[int, list[int]] = {}
+        self._trace_rel_arrs: dict[int, np.ndarray] = {}
+        self._subfield_index_arrs: dict[int, np.ndarray] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -189,14 +199,7 @@ class FieldCtx:
     def trace(self, a: int) -> int:
         """Absolute trace to GF(2)."""
         if self._trace_tbl is None:
-            tbl = []
-            for v in range(self.size):
-                t, s = v, v
-                for _ in range(self.m - 1):
-                    s = self.mul(s, s)
-                    t ^= s
-                tbl.append(t)
-            self._trace_tbl = tbl
+            self._trace_tbl = self.trace_arr.tolist()
         return self._trace_tbl[self._check(a)]
 
     def trace_rel(self, x: int, k: int) -> int:
@@ -225,28 +228,22 @@ class FieldCtx:
 
     def subfield(self, k: int) -> list[int]:
         """The 2^k elements of S_k = {z : z^(2^k) = z}, ascending."""
-        if k <= 0 or self.m % k:
-            raise ParameterError(f"GF(2^{self.m}) has no subfield GF(2^{k})")
         cached = self._subfields.get(k)
         if cached is None:
-            cached = [z for z in range(self.size) if self.pow(z, 1 << k) == z]
-            assert len(cached) == 1 << k
+            cached = np.flatnonzero(self.subfield_index_arr(k) >= 0).tolist()
             self._subfields[k] = cached
         return cached
 
     def subfield_index(self, k: int, z: int) -> int:
         """Position of a subfield element in the ascending ordering."""
-        elems = self.subfield(k)
-        import bisect
-
-        i = bisect.bisect_left(elems, z)
-        if i == len(elems) or elems[i] != z:
+        index = self.subfield_index_arr(k)
+        i = int(index[z]) if 0 <= z < self.size else -1
+        if i < 0:
             raise DomainError(f"{z:#x} is not in the subfield S_{k}")
         return i
 
     def subfield_trace(self, z: int, k: int) -> int:
         """Absolute trace of the subfield: Tr_1^k on S_k, valued in F_2."""
-        elems = self.subfield(k)
         self.subfield_index(k, z)  # membership check
         out, s = 0, z
         for _ in range(k):
@@ -254,6 +251,96 @@ class FieldCtx:
             s = self.mul(s, s)
         assert out in (0, 1)
         return out
+
+    # -- whole-field arrays ---------------------------------------------------
+
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        """Every element, ascending: 0, 1, ..., 2^m - 1."""
+        return _frozen(np.arange(self.size, dtype=np.int64))
+
+    @functools.cached_property
+    def _log_arr(self) -> np.ndarray:
+        # log(0) is the sentinel 2^(m+1) - 3 = 2 * order - 1: any sum of
+        # two logs that involves it lands in the zero tail of _exp_arr
+        log = np.array(self._log, dtype=np.int64)
+        log[0] = 2 * self.order - 1
+        return _frozen(log)
+
+    @functools.cached_property
+    def _exp_arr(self) -> np.ndarray:
+        # exp over [0, 2 * order - 2], then zeros up to twice the sentinel
+        exp = np.array(self._exp, dtype=np.int64)
+        return _frozen(np.concatenate([exp, exp[:-1], np.zeros(2 * self.order, np.int64)]))
+
+    def mul_arr(self, a, b) -> np.ndarray:
+        """Elementwise product of element arrays, with numpy broadcasting."""
+        return self._exp_arr[self._log_arr[a] + self._log_arr[b]]
+
+    def pow_table(self, e: int) -> np.ndarray:
+        """x^e for every element x, by the rules of pow; needs e >= 0."""
+        if e < 0:
+            raise DomainError("0 cannot be raised to a negative power")
+        out = np.zeros(self.size, dtype=np.int64)
+        out[self._exp_arr[:self.order]] = self._exp_arr[
+            np.arange(self.order, dtype=np.int64) * (e % self.order) % self.order]
+        out[0] = 0 if e else 1
+        return out
+
+    def spread_table(self, e: int) -> np.ndarray:
+        """The (2^m, 2^m) table of y * x^e, rows indexed by y and columns
+        by x, so that its flat index is x + 2^m y; needs e >= 0."""
+        return self.mul_arr(self.elements[:, None], self.pow_table(e)[None, :])
+
+    def _frobenius(self, a: np.ndarray, k: int) -> np.ndarray:
+        """a^(2^k) elementwise, by k squarings."""
+        for _ in range(k):
+            a = self.mul_arr(a, a)
+        return a
+
+    @functools.cached_property
+    def trace_arr(self) -> np.ndarray:
+        """Absolute trace of every element, as uint8 bits."""
+        return _frozen(self.trace_rel_arr(1).astype(np.uint8))
+
+    def trace_rel_arr(self, k: int) -> np.ndarray:
+        """Relative trace onto S_k of every element (see trace_rel)."""
+        cached = self._trace_rel_arrs.get(k)
+        if cached is None:
+            if k <= 0 or self.m % k:
+                raise ParameterError(f"relative trace needs k | m, got k={k}, m={self.m}")
+            out = s = self.elements
+            for _ in range(self.m // k - 1):
+                s = self._frobenius(s, k)
+                out = out ^ s
+            cached = self._trace_rel_arrs[k] = _frozen(out)
+        return cached
+
+    @functools.cached_property
+    def dualmask_arr(self) -> np.ndarray:
+        """dualmask of every element."""
+        out = np.zeros(self.size, dtype=np.int64)
+        for j in range(self.m):
+            out |= self.trace_arr[self.mul_arr(self.elements, 1 << j)].astype(np.int64) << j
+        return _frozen(out)
+
+    def subfield_index_arr(self, k: int) -> np.ndarray:
+        """Position of every element in the ascending ordering of S_k,
+        or -1 for the elements outside S_k."""
+        cached = self._subfield_index_arrs.get(k)
+        if cached is None:
+            if k <= 0 or self.m % k:
+                raise ParameterError(f"GF(2^{self.m}) has no subfield GF(2^{k})")
+            inside = self._frobenius(self.elements, k) == self.elements
+            assert int(inside.sum()) == 1 << k
+            cached = np.where(inside, np.cumsum(inside) - 1, -1)
+            cached = self._subfield_index_arrs[k] = _frozen(cached)
+        return cached
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 _FIELD_CACHE: dict[tuple[int, int | None], FieldCtx] = {}

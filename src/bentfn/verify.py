@@ -48,8 +48,10 @@ from .construct import (
     trace_sum_nonconstant,
 )
 from .decomp import (
+    CLASSES,
+    CONSTANCY,
     _odd_quadruple_assignment,
-    classify_decomposition,
+    classify_planes,
     concat4,
     concat_bent_check,
     check_ftof_equivalence,
@@ -260,10 +262,11 @@ def _c05_trace_sum(level, threads, seed):
     for m in range(4, 9):
         ctx = make_field(m)
         for c in range(1, ctx.size):
-            for d in range(1, ctx.size):
-                pairs += 1
-                if not trace_sum_nonconstant(ctx, c, d):
-                    return False, f"vanishing trace sum at m={m}, c={c:#x}, d={d:#x}"
+            vanishing = np.flatnonzero(~trace_sum_nonconstant(ctx, c)[1:])
+            if vanishing.size:
+                d = int(vanishing[0]) + 1
+                return False, f"vanishing trace sum at m={m}, c={c:#x}, d={d:#x}"
+            pairs += ctx.size - 1
     return True, f"{pairs} (c, d) pairs, every sum takes both values"
 
 
@@ -286,8 +289,12 @@ def _c06_duals(level, threads, seed):
                   f"dual of dual restores all {len(fns)} corpus functions")
 
 
-_TRICHOTOMY = {"AllBent": "ConstantOne", "AllSemibent": "ConstantZero",
-               "Mixed": "NonConstant"}
+def _planes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every plane of V_n once, by its ascending echelon basis (u, v),
+    u < v < u ^ v, ordered by u and then v."""
+    x = np.arange(1 << n)
+    u, v = x[:, None], x[None, :]
+    return np.nonzero((u > 0) & (v > u) & ((u ^ v) > v))
 
 
 def _c07_trichotomy(level, threads, seed):
@@ -303,17 +310,15 @@ def _c07_trichotomy(level, threads, seed):
     ]
     planes = 0
     for label, f in cases:
-        size = 1 << f.n
-        for u in range(1, size):
-            for v in range(u + 1, size):
-                if (u ^ v) < v:
-                    continue
-                planes += 1
-                rep = classify_decomposition(f, u, v)
-                if _TRICHOTOMY[rep.classification] != rep.dual_second_derivative:
-                    return False, (f"{label}: plane ({u},{v}) classifies "
-                                   f"{rep.classification} but the dual "
-                                   f"derivative is {rep.dual_second_derivative}")
+        us, vs = _planes(f.n)
+        _, cls, const = classify_planes(f, us, vs)
+        bad = np.flatnonzero(cls != const)
+        if bad.size:
+            i = bad[0]
+            return False, (f"{label}: plane ({us[i]},{vs[i]}) classifies "
+                           f"{CLASSES[cls[i]]} but the dual "
+                           f"derivative is {CONSTANCY[const[i]]}")
+        planes += us.size
     return True, f"restriction and dual-derivative labels agree on {planes} planes"
 
 
@@ -357,16 +362,14 @@ def _c10_semibent_planes(level, threads, seed):
         ctx = make_field(m)
         pr = validate_gps_params(m, k, e)
         f = gpsap_trace_form(ctx, pr, PermTable.identity(m))
-        inside = 0
-        for a in range(1, 1 << m):
-            for b in range(a + 1, 1 << m):
-                if (a ^ b) < b:
-                    continue
-                rep = classify_decomposition(f, a << m, b << m)
-                if rep.classification != "AllSemibent":
-                    return False, (f"({m},{k},{e}): plane ({a << m},{b << m}) "
-                                   f"classifies {rep.classification}")
-                inside += 1
+        us, vs = _planes(m)
+        _, cls, _ = classify_planes(f, us << m, vs << m)
+        bad = np.flatnonzero(cls != CLASSES.index("AllSemibent"))
+        if bad.size:
+            i = bad[0]
+            return False, (f"({m},{k},{e}): plane ({us[i] << m},{vs[i] << m}) "
+                           f"classifies {CLASSES[cls[i]]}")
+        inside = us.size
         details.append(f"({m},{k},{e}): {inside} second-block planes all semibent")
         if m == 4 or level == "full":
             # exclusivity is out of reach at desk scale; record the

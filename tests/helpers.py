@@ -4,11 +4,14 @@ Everything here is written from the definitions, deliberately avoiding
 the library's fast paths: double-sum Hadamard and Walsh transforms and
 autocorrelation, subset-sum ANF, schoolbook polynomial field arithmetic,
 a literal quadruple scan for the unique-subspace property, coset
-restrictions through an explicit basis and coset representatives, and
-M-subspaces by testing every subspace.  Slow and obvious on purpose.
+restrictions through an explicit basis and coset representatives,
+M-subspaces by testing every subspace, and the builders as loops over
+every point.  Slow and obvious on purpose.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -146,6 +149,65 @@ class SlowField:
         return acc & 1
 
 
+class SlowTables:
+    """Lookup lists of one SlowField, every entry from schoolbook
+    arithmetic: the whole multiplication table, inverses, the absolute
+    trace, and on demand powers, relative traces and subfields.  An
+    oracle loop over the 2^(2m) points of F_{2^m}^2 then costs list
+    lookups only, which keeps the loops below affordable up to m = 8."""
+
+    def __init__(self, m: int, modulus: int):
+        self.slow = SlowField(m, modulus)
+        self.m = m
+        self.size = 1 << m
+        self.mul = [[self.slow.mul(a, b) for b in range(self.size)] for a in range(self.size)]
+        self.inv = [0] * self.size
+        for a, row in enumerate(self.mul):
+            for b, p in enumerate(row):
+                if p == 1:
+                    self.inv[a] = b
+        self.trace = [self.slow.trace(a) for a in range(self.size)]
+
+    def pow(self, e: int) -> list[int]:
+        """x^e for every x, with 0^0 = 1, by square and multiply."""
+        out = []
+        for x in range(self.size):
+            acc, sq, k = 1, x, e
+            while k:
+                if k & 1:
+                    acc = self.mul[acc][sq]
+                sq = self.mul[sq][sq]
+                k >>= 1
+            out.append(acc)
+        return out
+
+    def neg(self, e: int) -> list[int]:
+        """x^(-e), the inverse of x^e, for every x; 0 goes to 0."""
+        return [self.inv[p] for p in self.pow(e)]
+
+    def trace_rel(self, k: int) -> list[int]:
+        """Tr_k^m(x) = sum of x^(2^(k i)), i < m/k, for every x."""
+        out = []
+        for x in range(self.size):
+            acc, s = 0, x
+            for _ in range(self.m // k):
+                acc ^= s
+                for _ in range(k):
+                    s = self.mul[s][s]
+            out.append(acc)
+        return out
+
+    def subfield_index(self, k: int) -> dict[int, int]:
+        """Position of each element of S_k = {z : z^(2^k) = z}, ascending."""
+        frob = self.pow(1 << k)
+        return {z: i for i, z in enumerate(z for z in range(self.size) if frob[z] == z)}
+
+
+@functools.cache
+def slow_tables(m: int, modulus: int) -> SlowTables:
+    return SlowTables(m, modulus)
+
+
 def two_block_table(ctx, perm) -> np.ndarray:
     """Tr(x * perm(y)) on the x + 2^m y index, from first principles."""
     size = ctx.size
@@ -216,3 +278,184 @@ def with_noise(data, lines: list[str]) -> str:
     for _ in range(data.draw(st.integers(1, 6))):
         out.insert(data.draw(st.integers(0, len(out))), data.draw(_NOISE))
     return "\n".join(out) + "\n"
+
+
+# -- builders, one point at a time --------------------------------------------
+#
+# Each loop evaluates its construction's defining formula at every point,
+# with the index conventions of construct.py: x + 2^m y on F_{2^m}^2, and
+# subfield tables keyed by the elements of S_k in ascending order.
+
+
+def psap_loop(ctx, P) -> np.ndarray:
+    """P(y x^(2^m - 2))."""
+    T = slow_tables(ctx.m, ctx.irred)
+    index = T.subfield_index(ctx.m)
+    pw = T.pow(T.size - 2)
+    out = [0] * (T.size * T.size)
+    for y in range(T.size):
+        for x in range(T.size):
+            out[x + (y << T.m)] = P.values[index[T.mul[y][pw[x]]]]
+    return np.array(out, dtype=np.uint8)
+
+
+def gpsap_loop(ctx, params, P, c0: int, orientation: str) -> np.ndarray:
+    """f: P(Tr_k^m(y x^(-e))) + c0 [x = 0]; g: P(Tr_k^m(x y^(-eta))) + c0 [y = 0]."""
+    T = slow_tables(ctx.m, ctx.irred)
+    index = T.subfield_index(params.k)
+    trel = T.trace_rel(params.k)
+    pw = T.neg(params.e if orientation == "f" else params.eta)
+    out = [0] * (T.size * T.size)
+    for outer in range(T.size):
+        for inner in range(T.size):
+            val = P.values[index[trel[T.mul[inner][pw[outer]]]]]
+            if outer == 0:
+                val ^= c0
+            if orientation == "f":
+                out[outer + (inner << T.m)] = val
+            else:
+                out[inner + (outer << T.m)] = val
+    return np.array(out, dtype=np.uint8)
+
+
+def gpsap_vectorial_loop(ctx, params, P, c0: int) -> np.ndarray:
+    """The subfield index of P(Tr_k^m(y x^(-e))) + c0 [x = 0]."""
+    T = slow_tables(ctx.m, ctx.irred)
+    index = T.subfield_index(params.k)
+    trel = T.trace_rel(params.k)
+    pw = T.neg(params.e)
+    out = [0] * (T.size * T.size)
+    for x in range(T.size):
+        for y in range(T.size):
+            val = P.values[index[trel[T.mul[y][pw[x]]]]]
+            if x == 0:
+                val ^= c0
+            out[x + (y << T.m)] = index[val]
+    return np.array(out, dtype=np.int64)
+
+
+def gpsap_trace_form_loop(ctx, params, Q) -> np.ndarray:
+    """Tr(Q(x y^(-eta)))."""
+    T = slow_tables(ctx.m, ctx.irred)
+    pw = T.neg(params.eta)
+    out = [0] * (T.size * T.size)
+    for y in range(T.size):
+        for x in range(T.size):
+            out[x + (y << T.m)] = T.trace[Q.table[T.mul[x][pw[y]]]]
+    return np.array(out, dtype=np.uint8)
+
+
+def factors_through_subfield_trace_loop(ctx, k: int, Q) -> bool:
+    """Is Tr(Q(z)) constant on every fiber of Tr_k^m?"""
+    T = slow_tables(ctx.m, ctx.irred)
+    trel = T.trace_rel(k)
+    fibers: dict[int, set] = {}
+    for z in range(T.size):
+        fibers.setdefault(trel[z], set()).add(T.trace[Q.table[z]])
+    return all(len(bits) == 1 for bits in fibers.values())
+
+
+def gpsap_dual_formula_loop(ctx, params, Q) -> np.ndarray:
+    """Tr(Q(y~ x~^(-e))) with t~ = t^(2^(m - ell))."""
+    T = slow_tables(ctx.m, ctx.irred)
+    tilde = T.pow(1 << (params.m - params.ell))
+    pw = T.neg(params.e)
+    out = [0] * (T.size * T.size)
+    for y in range(T.size):
+        for x in range(T.size):
+            out[x + (y << T.m)] = T.trace[Q.table[T.mul[tilde[y]][pw[tilde[x]]]]]
+    return np.array(out, dtype=np.uint8)
+
+
+def g_lambda_loop(ctx, params, Q, lam: int) -> np.ndarray:
+    """Tr(Q((1 + lam) x^(-e)) + Q(x^(-e)) + Q(lam x^(-e)))."""
+    T = slow_tables(ctx.m, ctx.irred)
+    out = []
+    for xe in T.neg(params.e):
+        acc = Q.table[T.mul[1 ^ lam][xe]] ^ Q.table[xe] ^ Q.table[T.mul[lam][xe]]
+        out.append(T.trace[acc])
+    return np.array(out, dtype=np.uint8)
+
+
+def gmm_loop(ctx, tables) -> np.ndarray:
+    """Block (y, z) at y + 2^k z: tables[z] + Tr(yz)."""
+    T = slow_tables(ctx.m, ctx.irred)
+    return np.concatenate([np.asarray(tables[z]) ^ T.trace[T.mul[y][z]]
+                           for z in range(T.size) for y in range(T.size)])
+
+
+def gmm_dual_loop(ctx, dual_tables) -> np.ndarray:
+    """Block (y, z) at y + 2^k z: dual_tables[y] + Tr(yz)."""
+    T = slow_tables(ctx.m, ctx.irred)
+    return np.concatenate([np.asarray(dual_tables[y]) ^ T.trace[T.mul[y][z]]
+                           for z in range(T.size) for y in range(T.size)])
+
+
+def psffff_loop(ctx, k: int, P, alpha: int, beta: int, gamma: int) -> np.ndarray:
+    """Blocks (z1, z2) = (0,0), (1,0), (0,1), (1,1) of
+    Tr_1^k(((1+z1+z2) alpha + z2 beta + z1 gamma) P(Tr_k^m(y x^(-e)))) + z1 z2,
+    e = 2^k + 1, with z1 at bit 2m and z2 at bit 2m + 1."""
+    T = slow_tables(ctx.m, ctx.irred)
+    index = T.subfield_index(k)
+    trel = T.trace_rel(k)
+    pw = T.neg((1 << k) + 1)
+    pt = [0] * (T.size * T.size)
+    for x in range(T.size):
+        for y in range(T.size):
+            pt[x + (y << T.m)] = P.values[index[trel[T.mul[y][pw[x]]]]]
+    sub_trace = {}
+    for z in index:  # Tr_1^k(z) on S_k
+        acc, s = 0, z
+        for _ in range(k):
+            acc ^= s
+            s = T.mul[s][s]
+        sub_trace[z] = acc
+    blocks = []
+    for z1, z2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        coeff = (alpha if (1 + z1 + z2) % 2 else 0) ^ (beta if z2 else 0) ^ (gamma if z1 else 0)
+        blocks += [sub_trace[T.mul[coeff][p]] ^ (z1 & z2) for p in pt]
+    return np.array(blocks, dtype=np.uint8)
+
+
+def partition_loop(ctx, params, assignment) -> np.ndarray:
+    """Slice j = z1 + 2 z2 takes a_j of gamma on A(gamma) = {(x, s x^e) :
+    x != 0, Tr_k^m(s) = gamma} and (0, 0, 0, 1)_j on U = {x = 0}."""
+    T = slow_tables(ctx.m, ctx.irred)
+    trel = T.trace_rel(params.k)
+    xe = T.pow(params.e)
+    gamma_of = {}
+    for x in range(1, T.size):
+        for s in range(T.size):
+            gamma_of[x + (T.mul[s][xe[x]] << T.m)] = trel[s]
+    out = []
+    for j in range(4):
+        for p in range(T.size * T.size):
+            out.append(assignment[gamma_of[p]][j] if p in gamma_of else int(j == 3))
+    return np.array(out, dtype=np.uint8)
+
+
+def fhat_loop(ctx, params, Q, a: int, b: int, c: int, d: int) -> np.ndarray:
+    """Tr(Q((b~ x + d~ y)(a~ x + c~ y)^(-e))) with t~ = t^(2^(m - ell))."""
+    T = slow_tables(ctx.m, ctx.irred)
+    tilde = T.pow(1 << (params.m - params.ell))
+    at, bt, ct, dt = (tilde[t] for t in (a, b, c, d))
+    pw = T.neg(params.e)
+    out = [0] * (T.size * T.size)
+    for y in range(T.size):
+        for x in range(T.size):
+            num = T.mul[bt][x] ^ T.mul[dt][y]
+            den = T.mul[at][x] ^ T.mul[ct][y]
+            out[x + (y << T.m)] = T.trace[Q.table[T.mul[num][pw[den]]]]
+    return np.array(out, dtype=np.uint8)
+
+
+def trace_sum_loop(ctx, c: int, d: int) -> bool:
+    """Does Tr(d (1/x + 1/(x+c))) take both values over x outside {0, c}?"""
+    T = slow_tables(ctx.m, ctx.irred)
+    seen = set()
+    for x in range(T.size):
+        if x not in (0, c):
+            seen.add(T.trace[T.mul[d][T.inv[x] ^ T.inv[x ^ c]]])
+            if len(seen) == 2:
+                return True
+    return False

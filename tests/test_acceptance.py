@@ -26,7 +26,7 @@ from bentfn import (
     spread_sets,
     validate_gps_params,
 )
-from bentfn.verify import corpus, run_criterion
+from bentfn.verify import corpus, run_criterion, run_suite
 
 from helpers import SlowField, naive_anf_degree, naive_walsh
 
@@ -131,6 +131,42 @@ def test_criterion_11_character_sums():
 
 def test_criterion_12_structural_suite():
     report(run_criterion(12))
+
+
+# The detail strings of the battery at seed 0, pinned as the library
+# printed them before the array kernels and the batched classifier.
+FAST_DETAILS = {
+    1: "34 builder outputs, all bent",
+    2: "20 functions at the extremal degree",
+    3: "(4,1) dim-10: dim-5 subspace absent, index 2",
+    4: "12 permutations decided; identity counterexample (0, 1, 0, 2) verified literally",
+    5: "86309 (c, d) pairs, every sum takes both values",
+    6: ("combiner and spread closed-form duals match the transform; "
+        "dual of dual restores all 34 corpus functions"),
+    7: "restriction and dual-derivative labels agree on 12132 planes",
+    8: "50 seeded quadruples plus both designed cases agree",
+    9: "50 admissible substitutions, both constancy tests agree",
+    10: ("(4,2,2): 35 second-block planes all semibent, 0 semibent planes elsewhere "
+         "(recorded only); (5,1,3): 155 second-block planes all semibent"),
+    11: "1020 character sums match the two-branch closed form",
+    12: ("Parseval on the corpus, 100 transform cross-checks, restriction round trip, "
+         "20 affine invariance trials, partition class sizes"),
+}
+FULL_DETAILS = {
+    3: "(4,1) dim-10: dim-5 subspace absent, index 2; (5,2) dim-14: dim-7 subspace absent",
+    10: ("(4,2,2): 35 second-block planes all semibent, 0 semibent planes elsewhere "
+         "(recorded only); (5,1,3): 155 second-block planes all semibent, "
+         "0 semibent planes elsewhere (recorded only)"),
+}
+
+
+def test_detail_strings_pinned():
+    results = run_suite("fast", seed=0)
+    assert {r.cid: r.detail for r in results} == FAST_DETAILS
+    assert all(r.passed for r in results)
+    for cid, detail in FULL_DETAILS.items():
+        r = run_criterion(cid, level="full", seed=0)
+        assert r.passed and r.detail == detail
 
 
 def test_corpus_spans_every_family():

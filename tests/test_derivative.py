@@ -201,14 +201,20 @@ def test_search_row_counts(monkeypatch):
                         lambda self, a: computed.append(a) or compute(self, a))
     f10 = build_cor_ex(make_field(4), 4, 1, "inverse")
     f14 = build_cor_ex(make_field(5), 5, 2, "gold", gold_k=1)
+    ctx5 = make_field(5)
+    inv10 = mm(ctx5, PermTable.inverse_map(ctx5))
     counts = []
     for run, want in ((lambda: has_M_subspace(f10, 5), False),
                       (lambda: linearity_index(f10), 2),
-                      (lambda: has_M_subspace(f14, 7), False)):
+                      (lambda: has_M_subspace(f14, 7), False),
+                      # a capped index stops once it reaches its cap
+                      (lambda: linearity_index(f10, dim_cap=1), 1),
+                      (lambda: linearity_index(f10, dim_cap=2), 2),
+                      (lambda: linearity_index(inv10, dim_cap=2), 2)):
         computed.clear()
         assert run() == want
         counts.append(len(computed))
-    assert counts == [63, 257, 255]
+    assert counts == [63, 257, 255, 1, 3, 3]
 
 
 def test_enumerate_dim_too_large():

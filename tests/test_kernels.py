@@ -1,0 +1,333 @@
+"""The array kernels against the point-by-point loops they replaced.
+
+Every builder, the fhat table of the substitution check and the
+trace-sum rows must reproduce the loops of helpers.py byte for byte,
+and the batched plane classifier must agree with its one-plane case and
+with the basis-oracle restrictions on every plane it is given.
+"""
+
+import numpy as np
+import pytest
+
+import bentfn.verify as verify
+from bentfn import (
+    BoolFn,
+    ParameterError,
+    PermTable,
+    SubfieldFn,
+    classify_decomposition,
+    dual,
+    g_lambda,
+    gmm,
+    gmm_dual,
+    gpsap,
+    gpsap_dual_formula,
+    gpsap_trace_form,
+    gpsap_vectorial,
+    make_field,
+    mm,
+    partition_bent,
+    psap,
+    psffff,
+    trace_sum_nonconstant,
+    validate_gps_params,
+)
+from bentfn.construct import _factors_through_subfield_trace
+from bentfn.decomp import (CLASSES, CONSTANCY, STATUSES, _coset_index, _fhat,
+                           _odd_quadruple_assignment, classify_planes)
+from bentfn.verify import _planes
+
+from helpers import (factors_through_subfield_trace_loop, fhat_loop, g_lambda_loop,
+                     gmm_dual_loop, gmm_loop, gpsap_dual_formula_loop, gpsap_loop,
+                     gpsap_trace_form_loop, gpsap_vectorial_loop, naive_restrict,
+                     partition_loop, psap_loop, psffff_loop, slow_tables, trace_sum_loop,
+                     two_block_table)
+
+
+def valid_params(m):
+    """Every valid (m, k, e) with e in [1, 2^m - 2] (e = 1 on GF(2)),
+    ascending in k and then e."""
+    for k in range(1, m + 1):
+        if m % k:
+            continue
+        for e in range(1, max(2, (1 << m) - 1)):
+            try:
+                yield validate_gps_params(m, k, e)
+            except ParameterError:
+                pass
+
+
+def balanced(ctx, k, rng) -> SubfieldFn:
+    values = [0, 1] * (1 << (k - 1))
+    rng.shuffle(values)
+    return SubfieldFn(ctx, k, values)
+
+
+def scaled(ctx, c) -> PermTable:
+    """z -> c z; for c in S_k, Tr(c z) = Tr_1^k(c Tr_k^m(z)) factors."""
+    return PermTable(ctx.m, [ctx.mul(c, z) for z in range(ctx.size)])
+
+
+def test_field_arrays_match_schoolbook():
+    for m in range(1, 11):
+        ctx = make_field(m)
+        T = slow_tables(m, ctx.irred) if m <= 8 else None
+        x = ctx.elements
+        if T is not None:
+            assert ctx.mul_arr(x[:, None], x[None, :]).tolist() == T.mul
+            assert ctx.trace_arr.tolist() == T.trace
+            for e in (0, 1, 2, 3, ctx.size - 2, 1 << m, 1000):
+                assert ctx.pow_table(e).tolist() == T.pow(e)
+        for k in range(1, m + 1):
+            if m % k == 0:
+                rel = ctx.trace_rel_arr(k).tolist()
+                assert rel == [ctx.trace_rel(int(z), k) for z in x]
+                index = ctx.subfield_index_arr(k)
+                assert np.flatnonzero(index >= 0).tolist() == ctx.subfield(k)
+                assert [int(index[z]) for z in ctx.subfield(k)] == list(range(1 << k))
+        assert ctx.dualmask_arr.tolist() == [ctx.dualmask(int(b)) for b in x]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_spread_builders_match_loops(m):
+    """gpsap in both orientations and with both c0, gpsap_vectorial with
+    c0 = 0 and 1, gpsap_trace_form and gpsap_dual_formula, at every
+    valid (k, e).  Up to m = 6 every table is looped; at m = 7 and 8 the
+    loops run at e = 1, and the table at e is the one at 1 with its
+    arguments raised to e (x^(-e) = (x^e)^(-1)), or with the Frobenius
+    t -> t~ of the dual formula applied first."""
+    ctx = make_field(m)
+    T = slow_tables(m, ctx.irred)
+    size = ctx.size
+    rng = np.random.default_rng(m)
+    Q_dual = PermTable(m, rng.permutation(size))
+    per_k = {}
+    for pr in valid_params(m):
+        k = pr.k
+        if k not in per_k:
+            P = balanced(ctx, k, rng)
+            Pv = SubfieldFn(ctx, k, rng.permutation(ctx.subfield(k)))
+            per_k[k] = P, Pv, scaled(ctx, ctx.subfield(k)[-1]), {}
+        P, Pv, Q, base = per_k[k]
+        got = {("f", c0): gpsap(ctx, pr, P, c0, "f").table for c0 in (0, 1)}
+        got.update({("g", c0): gpsap(ctx, pr, P, c0, "g").table for c0 in (0, 1)})
+        got.update({("vec", c0): gpsap_vectorial(ctx, pr, Pv, c0).table for c0 in (0, 1)})
+        got["trace"] = gpsap_trace_form(ctx, pr, Q).table
+        got["dual"] = gpsap_dual_formula(ctx, pr, Q_dual).table
+        if m <= 6 or pr.e == 1:
+            want = {("f", c0): gpsap_loop(ctx, pr, P, c0, "f") for c0 in (0, 1)}
+            want.update({("g", c0): gpsap_loop(ctx, pr, P, c0, "g") for c0 in (0, 1)})
+            want.update({("vec", c0): gpsap_vectorial_loop(ctx, pr, Pv, c0) for c0 in (0, 1)})
+            want["trace"] = gpsap_trace_form_loop(ctx, pr, Q)
+            want["dual"] = gpsap_dual_formula_loop(ctx, pr, Q_dual)
+            if pr.e == 1:
+                base.update((key, t.reshape(size, size)) for key, t in want.items())
+        else:
+            xe = np.array(T.pow(pr.e))
+            y_eta = np.array(T.pow(pr.eta))
+            tilde = np.array(T.pow(1 << (m - pr.ell)))
+            want = {}
+            for c0 in (0, 1):
+                want["f", c0] = base["f", c0][:, xe]
+                want["g", c0] = base["g", c0][y_eta, :]
+                want["vec", c0] = base["vec", c0][:, xe]
+            want["trace"] = base["trace"][y_eta, :]
+            want["dual"] = base["dual"][np.ix_(tilde, xe[tilde])]
+        for key, table in got.items():
+            assert np.array_equal(table, want[key].reshape(-1)), (m, pr.k, pr.e, key)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_psap_mm_g_lambda_match_loops(m):
+    ctx = make_field(m)
+    rng = np.random.default_rng(100 + m)
+    for P in (SubfieldFn.trace_form(ctx, m), balanced(ctx, m, rng)):
+        assert np.array_equal(psap(ctx, P).table, psap_loop(ctx, P))
+    perm = PermTable(m, rng.permutation(ctx.size))
+    g = rng.integers(0, 2, ctx.size)
+    want = two_block_table(ctx, perm.table) ^ np.repeat(g, ctx.size).astype(np.uint8)
+    assert np.array_equal(mm(ctx, perm, g).table, want)
+    if m < 2:
+        return  # no lambda outside F_2
+    Q = PermTable(m, [0] + list(1 + rng.permutation(ctx.size - 1)))
+    lams = range(2, ctx.size) if m <= 5 else (2, 3, ctx.size - 1)
+    for e in sorted({pr.e for pr in valid_params(m)}):
+        pr = validate_gps_params(m, 1, e)
+        for lam in lams:
+            assert np.array_equal(g_lambda(ctx, pr, Q, lam).table,
+                                  g_lambda_loop(ctx, pr, Q, lam)), (m, e, lam)
+
+
+def test_factors_through_subfield_trace_matches_loop():
+    rng = np.random.default_rng(7)
+    for m in range(1, 7):
+        ctx = make_field(m)
+        for k in range(1, m + 1):
+            if m % k:
+                continue
+            Qs = [scaled(ctx, c) for c in ctx.subfield(k)[1:]]
+            Qs += [PermTable(m, rng.permutation(ctx.size)) for _ in range(4)]
+            for Q in Qs:
+                assert (_factors_through_subfield_trace(ctx, k, Q)
+                        == factors_through_subfield_trace_loop(ctx, k, Q))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_gmm_and_dual_match_loops(k):
+    ck = make_field(k)
+    rng = np.random.default_rng(k)
+    for n in (2, 4):
+        cm = make_field(n // 2)
+        fam = [mm(cm, PermTable(n // 2, rng.permutation(cm.size)),
+                  rng.integers(0, 2, cm.size)) for _ in range(1 << k)]
+        assert np.array_equal(gmm(ck, k, fam).table, gmm_loop(ck, [f.table for f in fam]))
+        assert np.array_equal(gmm_dual(ck, k, fam).table,
+                              gmm_dual_loop(ck, [dual(f).table for f in fam]))
+
+
+def test_psffff_matches_loop():
+    rng = np.random.default_rng(5)
+    cases = 0
+    for m in range(1, 9):
+        ctx = make_field(m)
+        for k in range(1, m + 1):
+            if m % k or np.gcd(ctx.order, (1 << k) + 1) != 1:
+                continue
+            P = SubfieldFn(ctx, k, rng.permutation(ctx.subfield(k)))
+            s = ctx.subfield(k)[1:]
+            triples = {(s[0], s[0], s[0]), (s[-1], s[0], s[-1]), (s[0], s[-1], s[len(s) // 2])}
+            for a, b, c in sorted(triples)[:1 if m > 6 else 3]:
+                if a ^ b ^ c:
+                    cases += 1
+                    assert np.array_equal(psffff(ctx, m, k, P, a, b, c).table,
+                                          psffff_loop(ctx, k, P, a, b, c)), (m, k, a, b, c)
+    assert cases >= 20
+
+
+def test_partition_matches_loop():
+    rng = np.random.default_rng(3)
+    cases = 0
+    for m in range(3, 7):
+        ctx = make_field(m)
+        for pr in valid_params(m):
+            if pr.k < 3:
+                continue
+            cyclic = _odd_quadruple_assignment(ctx, pr.k)
+            quads = list(cyclic.values())
+            rng.shuffle(quads)
+            for assignment in (cyclic, dict(zip(cyclic, quads))):
+                cases += 1
+                assert np.array_equal(partition_bent(ctx, pr, assignment).table,
+                                      partition_loop(ctx, pr, assignment)), (m, pr.k, pr.e)
+    assert cases == 2 * (3 + 4 + 5 + 18 + 6)
+
+
+def test_fhat_matches_loop():
+    rng = np.random.default_rng(9)
+    for m in range(1, 6):
+        ctx = make_field(m)
+        Q = PermTable(m, rng.permutation(ctx.size))
+        for pr in valid_params(m):
+            for _ in range(3):
+                a, b, c, d = (int(t) for t in rng.integers(0, ctx.size, 4))
+                assert np.array_equal(_fhat(ctx, pr, Q, a, b, c, d).table,
+                                      fhat_loop(ctx, pr, Q, a, b, c, d)), (m, pr, a, b, c, d)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_trace_sum_rows_match_loop(m):
+    ctx = make_field(m)
+    for c in range(1, ctx.size):
+        row = trace_sum_nonconstant(ctx, c)
+        assert row.shape == (ctx.size,) and not row[0]
+        want = [trace_sum_loop(ctx, c, d) for d in range(1, ctx.size)]
+        assert row[1:].tolist() == want, c
+        d = 1 + c % (ctx.size - 1)
+        assert trace_sum_nonconstant(ctx, c, d) is want[d - 1]
+
+
+def _classifier_functions():
+    """Criterion 7's four functions and criterion 10's (4,2,2) function."""
+    quad = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1) for i in range(16)])
+    ctx3, ctx4 = make_field(3), make_field(4)
+    pr = validate_gps_params(4, 2, 2)
+    return [quad, mm(ctx3, PermTable.inverse_map(ctx3)),
+            psap(ctx3, SubfieldFn.trace_form(ctx3, 3)),
+            gpsap(ctx4, pr, SubfieldFn.trace_form(ctx4, 2)),
+            gpsap_trace_form(ctx4, pr, PermTable.identity(4))]
+
+
+_NAIVE_INDEX = {}
+
+
+def _naive_coset_index(n, us, vs):
+    if n not in _NAIVE_INDEX:
+        points = np.arange(1 << n)
+        _NAIVE_INDEX[n] = np.array([naive_restrict(points, u, v)
+                                    for u, v in zip(us.tolist(), vs.tolist())])
+    return _NAIVE_INDEX[n]
+
+
+@pytest.mark.parametrize("which", range(5))
+def test_batched_classifier_matches_planes_one_by_one(which):
+    f = _classifier_functions()[which]
+    us, vs = _planes(f.n)
+    status, cls, const = classify_planes(f, us, vs)
+    assert status.shape == (us.size, 4) and cls.shape == const.shape == (us.size,)
+    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        rep = classify_decomposition(f, u, v)
+        assert rep.statuses == tuple(STATUSES[s] for s in status[i].tolist())
+        assert (rep.classification, rep.dual_second_derivative) == (
+            CLASSES[cls[i]], CONSTANCY[const[i]]), (u, v)
+    # the restrictions behind the statuses are the basis-oracle ones
+    index = _coset_index(f.n, us[:, None], vs[:, None]).reshape(us.size, 4, -1)
+    assert np.array_equal(index, _naive_coset_index(f.n, us, vs))
+
+
+def test_classify_planes_edges():
+    f = _classifier_functions()[1]
+    status, cls, const = classify_planes(f, [], [])
+    assert status.shape == (0, 4) and cls.size == const.size == 0
+    for us, vs in (([0], [1]), ([3], [3]), ([64], [1]), ([-1], [2]), ([1 << 70], [1]),
+                   ([1, 2], [3])):
+        with pytest.raises(ParameterError):
+            classify_planes(f, us, vs)
+
+
+def test_criterion_05_reports_first_vanishing_pair(monkeypatch):
+    real = verify.trace_sum_nonconstant
+    vanish = {(5, 7): (3, 2), (5, 9): (1,), (6, 1): (1,)}
+
+    def fake(ctx, c, d=None):
+        row = real(ctx, c, d).copy()
+        for dd in vanish.get((ctx.m, c), ()):
+            row[dd] = False
+        return row
+
+    monkeypatch.setattr(verify, "trace_sum_nonconstant", fake)
+    res = verify.run_criterion(5)
+    assert not res.passed
+    assert res.detail == "vanishing trace sum at m=5, c=0x7, d=0x2"
+
+
+def test_criterion_07_reports_first_disagreeing_plane(monkeypatch):
+    real = verify.classify_planes
+    ctx3 = make_field(3)
+    inverse_mm = mm(ctx3, PermTable.inverse_map(ctx3))
+    flip = {(6, 5, 40), (6, 3, 12), (8, 1, 2)}
+
+    def fake(f, us, vs):
+        status, cls, const = real(f, us, vs)
+        const = const.copy()
+        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+            if (f.n, u, v) in flip and (f.n != 6 or f == inverse_mm):
+                const[i] = (const[i] + 1) % 3
+        return status, cls, const
+
+    monkeypatch.setattr(verify, "classify_planes", fake)
+    res = verify.run_criterion(7)
+    assert not res.passed
+    rep = classify_decomposition(inverse_mm, 3, 12)
+    flipped = CONSTANCY[(CONSTANCY.index(rep.dual_second_derivative) + 1) % 3]
+    assert res.detail == (f"two-block m=3: plane (3,12) classifies {rep.classification} "
+                          f"but the dual derivative is {flipped}")
