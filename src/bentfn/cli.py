@@ -19,6 +19,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .boolfn import (
     BoolFn,
     anf_degree,
@@ -43,6 +45,7 @@ from .construct import (
     psap,
 )
 from .decomp import (
+    CLASSES,
     _odd_quadruple_assignment,
     classify_decomposition,
     partition_bent,
@@ -227,18 +230,16 @@ def cmd_decompose(args) -> int:
     f = load_table(args.path)
     if args.scan:
         try:
-            records = scan_decompositions(f, allow_large=args.allow_large)
+            scan = scan_decompositions(f, allow_large=args.allow_large)
         except ResourceError as exc:
             raise ResourceError(f"{exc} (rerun with --allow-large)") from exc
         out = args.out or str(Path(args.path).with_suffix(".scan.csv"))
-        save_scan(records, out)
-        counts: dict[str, int] = {}
-        for r in records:
-            counts[r.classification] = counts.get(r.classification, 0) + 1
+        save_scan(scan, out)
+        counts = np.bincount(scan.codes, minlength=len(CLASSES))
         report = {
             "n": f.n,
-            "planes": len(records),
-            "classes": {k: counts[k] for k in sorted(counts)},
+            "planes": len(scan),
+            "classes": dict(sorted((CLASSES[c], int(k)) for c, k in enumerate(counts) if k)),
             "out": out,
         }
         _emit(report, args.json)

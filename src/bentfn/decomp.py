@@ -8,7 +8,8 @@ for bent f the four are all bent exactly when D_u D_v f* is constant 1
 and all semibent exactly when it is constant 0, which is what the
 classifier reports from both sides.  It classifies a batch of planes
 per call, in chunks of a fixed number of table entries; one plane is
-the batch of one.
+the batch of one.  The scan of every plane labels them from the dual
+side alone and returns its result as arrays.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BoolFn, Space, _abs_spectrum, autocorrelation, dual, is_bent
-from .derivative import derivative, second_derivative
+from .boolfn import BoolFn, Space, _abs_spectrum, _autocorrelation, dual, is_bent
+from .derivative import second_derivative
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, validate_gps_params
 from .construct import PermTable, SubfieldFn, gpsap_vectorial
@@ -94,8 +95,10 @@ CLASSES = ("AllBent", "AllSemibent", "Mixed")
 CONSTANCY = ("ConstantOne", "ConstantZero", "NonConstant")
 _CLASS_OF = np.array([2, 0, 1])
 
-# Table entries per chunk of planes (64 planes at n = 8, one at n >= 14):
-# bounds the (planes, 2^n) temporaries of classify_planes.
+# Table entries per chunk (64 rows at n = 8, one at n >= 14): bounds the
+# (planes, 2^n) temporaries of classify_planes and the (b1, 2^n) rows of
+# scan_decompositions.  A PlaneScan builds records and CSV lines this
+# many planes at a time.
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -336,13 +339,49 @@ class ScanRecord:
     classification: str
 
 
-def scan_decompositions(f: BoolFn, allow_large: bool = False):
+def _planes(n: int, lo: int = 1, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every plane of V_n whose first basis vector lies in [lo, hi), once,
+    by its ascending echelon basis (u, v) with u < v < u ^ v, ordered by
+    u and then v.  Costs one (hi - lo, 2^n) mask."""
+    x = _points(n)[0]
+    u, v = x[lo:hi, None], x[None, :]
+    rows, cols = np.nonzero((u > 0) & (v > u) & ((u ^ v) > v))
+    return rows + lo, cols
+
+
+@dataclass(frozen=True, eq=False)
+class PlaneScan:
+    """Every plane of a bent function with its class, as three arrays in
+    scan order (basis1 ascending, then basis2): the int32 echelon bases
+    and the uint8 codes into CLASSES.
+
+    len() is the number of planes.  Iterating yields one ScanRecord per
+    plane, built a chunk at a time, so no list of every record is held
+    and the scan can be iterated again.
+    """
+    basis1: np.ndarray
+    basis2: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __iter__(self):
+        for i in range(0, len(self), _CHUNK_ENTRIES):
+            j = i + _CHUNK_ENTRIES
+            names = [CLASSES[c] for c in self.codes[i:j].tolist()]
+            yield from map(ScanRecord, self.basis1[i:j].tolist(),
+                           self.basis2[i:j].tolist(), names)
+
+
+def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
     """Classify every two-dimensional decomposition of a bent function.
 
     Planes are enumerated once each through their canonical ascending
     echelon basis (b1, b2): the two smallest nonzero elements, i.e.
     pairs with b1 < b2 < b1 ^ b2.  Labels come from the dual second
-    derivative, the closed-form side of the trichotomy.
+    derivative, the closed-form side of the trichotomy.  Returns a
+    PlaneScan in that order.
     """
     n = f.n
     if n > 12 and not allow_large:
@@ -351,20 +390,42 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False):
             "default budget; pass allow_large to override"
         )
     # D_b1 D_b2 f* is constant 0 (1) exactly when the autocorrelation of
-    # D_b1 f* at b2 is 2^n (-2^n): one autocorrelation labels every b2
-    fstar = _plain_dual(f)
-    labels = {1 << n: "AllSemibent", -(1 << n): "AllBent"}
-    records = []
-    for b1 in range(1, 1 << n):
-        delta = autocorrelation(derivative(fstar, b1)).tolist()
-        for b2 in range(b1 + 1, 1 << n):
-            if (b1 ^ b2) > b2:
-                records.append(ScanRecord(b1, b2, labels.get(delta[b2], "Mixed")))
-    return records
+    # D_b1 f* at b2 is 2^n (-2^n): one autocorrelation labels every b2.
+    # The rows D_b1 f* of a chunk of b1 go through one batched call.
+    fstar = _plain_dual(f).table
+    x = _points(n)[0]
+    size = 1 << n
+    total = (size - 1) * (size - 2) // 6
+    basis1 = np.empty(total, dtype=np.int32)
+    basis2 = np.empty(total, dtype=np.int32)
+    codes = np.empty(total, dtype=np.uint8)
+    step = max(1, _CHUNK_ENTRIES >> n)
+    done = 0
+    for lo in range(1, size, step):
+        b1 = x[lo:lo + step, None]
+        delta = _autocorrelation(fstar ^ fstar[x ^ b1])
+        u, v = _planes(n, lo, lo + step)
+        d = delta[u - lo, v]
+        end = done + u.size
+        basis1[done:end] = u
+        basis2[done:end] = v
+        # AllBent (-2^n) 0, AllSemibent (2^n) 1, Mixed 2
+        codes[done:end] = np.where(d == size, 1, np.where(d == -size, 0, 2))
+        done = end
+    return PlaneScan(basis1, basis2, codes)
 
 
-def save_scan(records, path: str) -> None:
+def save_scan(scan: PlaneScan, path: str) -> None:
+    """Write a scan as CSV: a header, then one basis1,basis2,class line
+    per plane in scan order."""
+    # a line is three looked-up strings, "b1,", "b2," and "class\n",
+    # joined elementwise in object arrays a chunk of planes at a time
+    number = np.array([f"{b}," for b in range(int(scan.basis2.max(initial=0)) + 1)],
+                      dtype=object)
+    name = np.array([f"{c}\n" for c in CLASSES], dtype=object)
     with open(path, "w") as fh:
         fh.write("span_basis1,span_basis2,class\n")
-        for r in records:
-            fh.write(f"{r.basis1},{r.basis2},{r.classification}\n")
+        for i in range(0, len(scan), _CHUNK_ENTRIES):
+            j = i + _CHUNK_ENTRIES
+            fh.write("".join(number[scan.basis1[i:j]] + number[scan.basis2[i:j]]
+                             + name[scan.codes[i:j]]))

@@ -5,8 +5,9 @@ the library's fast paths: double-sum Hadamard and Walsh transforms and
 autocorrelation, subset-sum ANF, schoolbook polynomial field arithmetic,
 a literal quadruple scan for the unique-subspace property, coset
 restrictions through an explicit basis and coset representatives,
-M-subspaces by testing every subspace, and the builders as loops over
-every point.  Slow and obvious on purpose.
+the plane scan as one record per plane, M-subspaces by testing every
+subspace, and the builders as loops over every point.  Slow and
+obvious on purpose.
 """
 
 from __future__ import annotations
@@ -63,6 +64,39 @@ def naive_restrict(table, u: int, v: int) -> list[list[int]]:
         offsets += [o ^ b for o in offsets]
     return [[int(table[reps[pat] ^ o]) for o in offsets]
             for pat in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+
+def naive_planes(n: int) -> list[tuple[int, int]]:
+    """Every plane of V_n once, by its ascending echelon basis
+    u < v < u ^ v, ordered by u and then v."""
+    size = 1 << n
+    return [(u, v) for u in range(1, size) for v in range(u + 1, size) if (u ^ v) > v]
+
+
+def naive_scan(f) -> list:
+    """The plane scan as one record per plane, one autocorrelation of
+    D_b1 f* per b1: the plane (b1, b2) is AllSemibent when the
+    autocorrelation at b2 is 2^n, AllBent when it is -2^n."""
+    from bentfn import ScanRecord, autocorrelation, derivative, dual
+
+    n = f.n
+    fstar = dual(f.with_space(None))
+    labels = {1 << n: "AllSemibent", -(1 << n): "AllBent"}
+    records = []
+    for b1 in range(1, 1 << n):
+        delta = autocorrelation(derivative(fstar, b1)).tolist()
+        for b2 in range(b1 + 1, 1 << n):
+            if (b1 ^ b2) > b2:
+                records.append(ScanRecord(b1, b2, labels.get(delta[b2], "Mixed")))
+    return records
+
+
+def naive_save_scan(records, path) -> None:
+    """The scan CSV written one record at a time."""
+    with open(path, "w") as fh:
+        fh.write("span_basis1,span_basis2,class\n")
+        for r in records:
+            fh.write(f"{r.basis1},{r.basis2},{r.classification}\n")
 
 
 def naive_M_subspaces(table, dim: int) -> list[tuple[int, ...]]:

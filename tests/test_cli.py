@@ -7,6 +7,8 @@ from bentfn import BoolFn, load_table, save_table
 from bentfn.cli import main
 from bentfn.verify import CriterionResult
 
+from helpers import naive_save_scan, naive_scan
+
 QUAD_TABLE = [((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
               for i in range(16)]
 
@@ -148,14 +150,23 @@ def test_decompose_small_dimension(tmp_path, capsys):
 
 
 def test_decompose_scan(tmp_path, capsys):
-    p = tmp_path / "quad.tt"
-    save_table(BoolFn(QUAD_TABLE), str(p))
+    # the README's gpsap n = 8 example, and the CSV of the per-plane loop
+    p = tmp_path / "gpsap_n8.tt"
+    code, _, _ = run(capsys, "construct", "--family", "gpsap", "--m", "4",
+                     "--k", "2", "--e", "2", "--out", str(p))
+    assert code == 0
     code, text, _ = run(capsys, "decompose", str(p), "--scan",
                         "--out", str(tmp_path / "scan.csv"))
     assert code == 0
     report = parse_kv(text)
-    assert report["planes"] == "35"
-    assert (tmp_path / "scan.csv").exists()
+    assert {k: v for k, v in report.items() if k.startswith(("planes", "classes"))} == {
+        "planes": "10795", "classes.AllSemibent": "35", "classes.Mixed": "10760"}
+    naive_save_scan(naive_scan(load_table(str(p))), str(tmp_path / "naive.csv"))
+    assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
+    code, text, _ = run(capsys, "decompose", str(p), "--scan", "--json",
+                        "--out", str(tmp_path / "scan.csv"))
+    assert code == 0
+    assert json.loads(text)["classes"] == {"AllSemibent": 35, "Mixed": 10760}
 
 
 def test_decompose_scan_guard(tmp_path, capsys):

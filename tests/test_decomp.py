@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import bentfn.verify as verify
 from bentfn import (
     BoolFn,
     DomainError,
     ParameterError,
     PermTable,
+    PlaneScan,
     ResourceError,
     Space,
     SubfieldFn,
@@ -19,6 +23,7 @@ from bentfn import (
     is_semibent,
     make_field,
     gpsap,
+    gpsap_trace_form,
     mm,
     partition_bent,
     psap,
@@ -29,7 +34,7 @@ from bentfn import (
     second_derivative,
     validate_gps_params,
 )
-from bentfn.decomp import _plain_dual
+from bentfn.decomp import CLASSES, _plain_dual
 
 from helpers import naive_restrict
 
@@ -386,3 +391,30 @@ def test_scan_guard_and_save(tmp_path):
     assert len(lines) == 36
     b1, b2, cls = lines[1].split(",")
     assert int(b1) and int(b2) and cls in ("AllBent", "AllSemibent", "Mixed")
+
+
+def test_scan_n12_spread_function(tmp_path):
+    # the (6,2,2) trace-form function: every semibent plane lies in the
+    # second block, and 651 is the number of planes there
+    ctx = make_field(6)
+    f = gpsap_trace_form(ctx, validate_gps_params(6, 2, 2), PermTable.identity(6))
+    scan = scan_decompositions(f)
+    assert len(scan) == 2_794_155
+    assert np.bincount(scan.codes, minlength=3).tolist() == [0, 651, 2_793_504]
+    semibent = scan.codes == CLASSES.index("AllSemibent")
+    assert not ((scan.basis1[semibent] | scan.basis2[semibent]) & 63).any()
+    p = tmp_path / "scan.csv"
+    save_scan(scan, str(p))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "a75a1b9e5dfccd8feaaa6431dd75ed039f3472166f061087be9f2ed207aba7ee")
+
+
+def test_criterion_10_counts_semibent_planes_outside_the_second_block(monkeypatch):
+    # (17, 34) lies above 2^4 in both vectors but has nonzero low bits, so
+    # it is outside the second block; (16, 32) is inside
+    scan = PlaneScan(np.array([16, 17], np.int32), np.array([32, 34], np.int32),
+                     np.array([1, 1], np.uint8))
+    monkeypatch.setattr(verify, "scan_decompositions", lambda f: scan)
+    passed, detail = verify._c10_semibent_planes("fast", 1, 0)
+    assert passed
+    assert "(4,2,2): 35 second-block planes all semibent, 1 semibent planes elsewhere" in detail

@@ -2,21 +2,26 @@
 
 Every builder, the fhat table of the substitution check and the
 trace-sum rows must reproduce the loops of helpers.py byte for byte,
-and the batched plane classifier must agree with its one-plane case and
-with the basis-oracle restrictions on every plane it is given.
+the batched plane classifier must agree with its one-plane case and
+with the basis-oracle restrictions on every plane it is given, and the
+array-backed plane scan must agree with the per-plane loop and its CSV
+writer.
 """
 
 import numpy as np
 import pytest
 
+import bentfn.decomp as decomp
 import bentfn.verify as verify
 from bentfn import (
     BoolFn,
     ParameterError,
     PermTable,
     SubfieldFn,
+    XorShift64Star,
     classify_decomposition,
     dual,
+    ea_transform,
     g_lambda,
     gmm,
     gmm_dual,
@@ -29,6 +34,8 @@ from bentfn import (
     partition_bent,
     psap,
     psffff,
+    save_scan,
+    scan_decompositions,
     trace_sum_nonconstant,
     validate_gps_params,
 )
@@ -39,9 +46,10 @@ from bentfn.verify import _planes
 
 from helpers import (factors_through_subfield_trace_loop, fhat_loop, g_lambda_loop,
                      gmm_dual_loop, gmm_loop, gpsap_dual_formula_loop, gpsap_loop,
-                     gpsap_trace_form_loop, gpsap_vectorial_loop, naive_restrict,
-                     partition_loop, psap_loop, psffff_loop, slow_tables, trace_sum_loop,
-                     two_block_table)
+                     gpsap_trace_form_loop, gpsap_vectorial_loop, naive_planes,
+                     naive_restrict, naive_save_scan, naive_scan, partition_loop,
+                     psap_loop, psffff_loop, random_invertible, slow_tables,
+                     trace_sum_loop, two_block_table)
 
 
 def valid_params(m):
@@ -292,6 +300,50 @@ def test_classify_planes_edges():
                    ([1, 2], [3])):
         with pytest.raises(ParameterError):
             classify_planes(f, us, vs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_plane_enumerator_matches_loop(n):
+    u, v = _planes(n)
+    assert list(zip(u.tolist(), v.tolist())) == naive_planes(n)
+    # the row-block form: blocks of first vectors concatenate to the whole
+    bounds = list(range(0, 1 << n, 3)) + [1 << n]
+    blocks = [_planes(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), u)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), v)
+
+
+def _scan_functions():
+    """Criterion 7's four functions, criterion 10's (4,2,2) function and a
+    seeded affine image of it."""
+    fns = _classifier_functions()
+    rng = XorShift64Star(8)
+    spread = fns[-1]
+    L = random_invertible(rng, spread.n)
+    return fns + [ea_transform(spread, L, rng.randrange(256), rng.randrange(256), 1)]
+
+
+@pytest.mark.parametrize("chunk", [decomp._CHUNK_ENTRIES, 100])
+@pytest.mark.parametrize("which", range(6))
+def test_scan_matches_per_plane_loop(which, chunk, tmp_path, monkeypatch):
+    # a chunk of 100 entries batches six b1 at n = 4 and one at n = 8, and
+    # splits the records of every n = 6 and n = 8 function across chunks
+    monkeypatch.setattr(decomp, "_CHUNK_ENTRIES", chunk)
+    f = _scan_functions()[which]
+    want = naive_scan(f)
+    scan = scan_decompositions(f)
+    assert len(scan) == len(want)
+    assert (scan.basis1.dtype, scan.basis2.dtype, scan.codes.dtype) == (
+        np.int32, np.int32, np.uint8)
+    assert scan.basis1.nbytes + scan.basis2.nbytes + scan.codes.nbytes <= 9 * len(scan)
+    assert scan.basis1.tolist() == [r.basis1 for r in want]
+    assert scan.basis2.tolist() == [r.basis2 for r in want]
+    assert scan.codes.tolist() == [CLASSES.index(r.classification) for r in want]
+    assert list(scan) == want
+    assert list(scan) == list(scan)
+    save_scan(scan, str(tmp_path / "arrays.csv"))
+    naive_save_scan(want, str(tmp_path / "records.csv"))
+    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
 
 
 def test_criterion_05_reports_first_vanishing_pair(monkeypatch):
