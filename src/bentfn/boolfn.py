@@ -261,9 +261,30 @@ def autocorrelation(f: BoolFn) -> np.ndarray:
 
 
 def _autocorrelation(table: np.ndarray) -> np.ndarray:
-    # autocorrelation of each bit table along the last axis
+    # autocorrelation of each bit table along the last axis; squares and
+    # shifts in place, so a call allocates three full-size arrays
     w = _fwht_inplace(_signs(table))
-    return _fwht_inplace(w * w) >> (table.shape[-1].bit_length() - 1)
+    w *= w
+    _fwht_inplace(w)
+    w >>= table.shape[-1].bit_length() - 1
+    return w
+
+
+def _derivative_autocorrelation(table: np.ndarray, a) -> np.ndarray:
+    """Autocorrelation of D_a t(x) = t(x) + t(x + a) for each bit table t
+    along the last axis, exact in int64.
+
+    a is one direction, or a 1-D array of directions, which adds a
+    leading axis.  D_a D_b t is constant 0 (1) exactly when the result
+    at b is 2^n (-2^n): the period test of the M-subspace rows, the
+    plane scan and property P.
+    """
+    a = np.asarray(a)
+    rows = np.take(table, np.arange(table.shape[-1]) ^ a[..., None], axis=-1)
+    if a.ndim:
+        rows = np.ascontiguousarray(np.moveaxis(rows, -2, 0))
+    rows ^= table
+    return _autocorrelation(rows)
 
 
 def _plateau_orders(absw: np.ndarray, n: int) -> np.ndarray:

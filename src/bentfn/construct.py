@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2vec
-from .boolfn import (_MAX_N, BoolFn, Space, _autocorrelation, _fwht_inplace, _hex_values,
-                     _read_records, _write_records, dual, is_bent, plateaued_order,
-                     walsh_transform)
+from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _fwht_inplace,
+                     _hex_values, _read_records, _write_records, dual, is_bent,
+                     plateaued_order, walsh_transform)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field
 from .vectorial import OutPairing, VecFn
@@ -65,16 +64,18 @@ class PermTable:
             raise ParameterError(
                 f"x^{e} is not a permutation: gcd({e}, 2^{ctx.m}-1) = {math.gcd(e, ctx.order)}"
             )
-        return cls(ctx.m, [ctx.pow(x, e) for x in range(ctx.size)])
+        return cls(ctx.m, ctx.pow_table(e))
 
     @classmethod
     def inverse_map(cls, ctx: FieldCtx) -> "PermTable":
-        """x -> x^(2^m - 2), i.e. 1/x with 0 -> 0."""
-        return cls.from_exponent(ctx, ctx.size - 2)
+        """x -> x^(-1) with 0 -> 0: x^(2^m - 2) for m >= 2, x on GF(2)."""
+        return cls.from_exponent(ctx, ctx.neg_exp(1))
 
     @classmethod
     def gold(cls, ctx: FieldCtx, k: int) -> "PermTable":
         """x -> x^(2^k + 1); a permutation iff gcd(k, m) = 1 and m odd."""
+        if k < 0:
+            raise ParameterError(f"Gold exponent 2^k + 1 needs k >= 0, got k={k}")
         return cls.from_exponent(ctx, (1 << k) + 1)
 
 
@@ -219,13 +220,13 @@ def gmm_dual(ctx: FieldCtx, k: int, family) -> BoolFn:
 
 
 def psap(ctx: FieldCtx, P) -> BoolFn:
-    """P(y * x^(2^m - 2)) on F_{2^m} x F_{2^m} for balanced P."""
+    """P(y * x^(-1)) on F_{2^m} x F_{2^m} for balanced P, 0^(-1) = 0."""
     if not isinstance(P, SubfieldFn):
         P = SubfieldFn(ctx, ctx.m, P)
     if P.k != ctx.m:
         raise ParameterError("psap needs P on the whole field (k = m)")
     P.require_balanced()
-    table = P.gather(ctx.elements)[ctx.spread_table(ctx.size - 2)]
+    table = P.gather(ctx.elements)[ctx.spread_table(ctx.neg_exp(1))]
     return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
 
@@ -372,34 +373,24 @@ def check_property_P(ctx: FieldCtx, pi: PermTable) -> PropertyPResult:
     """
     if pi.m != ctx.m:
         raise ParameterError("permutation degree does not match the field")
-    m = ctx.m
     size = ctx.size
     tbl = pi.array()
-    idx = ctx.elements
-    bits = np.arange(m)[:, None]
+    # the m component functions of pi, one row each
+    comps = (tbl >> np.arange(ctx.m)[:, None]) & 1
     for t in range(1, size):
-        d = tbl ^ tbl[idx ^ t]
-        # (i) periods of the vectorial derivative: intersect the period
-        # groups of its m component functions, transformed as one array
-        is_period = (_autocorrelation((d >> bits) & 1) == size).all(axis=0)
+        # (i) the periods of D_t pi are those its m components share
+        is_period = (_derivative_autocorrelation(comps, t) == size).all(axis=0)
         periods = np.flatnonzero(is_period)
         if periods.size > 2:
-            b2 = min(int(p) for p in periods if p not in (0, t))
+            b2 = int(periods[(periods != 0) & (periods != t)][0])
             return PropertyPResult(False, (0, t, 0, b2))
-        # (ii) the image of D_t pi must span the whole field
-        img_basis: list[int] = []
-        for v in map(int, d):
-            for r in img_basis:
-                v = min(v, v ^ r)
-            if v:
-                img_basis.append(v)
-                if len(img_basis) == m:
-                    break
-        if len(img_basis) < m:
-            duals = [ctx.dualmask(b) for b in img_basis]
-            ortho = gf2vec.span(gf2vec.nullspace(duals, m))
-            c = min(v for v in ortho if v)
-            return PropertyPResult(False, (c, 0, 0, t))
+        # (ii) Tr(c D_t pi) vanishes everywhere exactly when the Walsh sum
+        # of the values of D_t pi at dualmask(c) is 2^m; c = 0 always is
+        d = tbl ^ tbl[ctx.elements ^ t]
+        walsh = _fwht_inplace(np.bincount(d, minlength=size))
+        zero = np.flatnonzero(walsh[ctx.dualmask_arr] == size)
+        if zero.size > 1:
+            return PropertyPResult(False, (int(zero[1]), 0, 0, t))
     return PropertyPResult(True, None)
 
 
@@ -455,7 +446,7 @@ def trace_sum_nonconstant(ctx: FieldCtx, c: int, d: int | None = None):
     if not 0 < c < ctx.size or d is not None and not 0 < d < ctx.size:
         raise DomainError(f"c and d must be elements of GF(2^{ctx.m})")
     x = ctx.elements[(ctx.elements != 0) & (ctx.elements != c)]
-    inv = ctx.pow_table(ctx.size - 2)
+    inv = ctx.pow_table(ctx.neg_exp(1))
     s = inv[x] ^ inv[x ^ c]
     walsh = _fwht_inplace(np.bincount(s, minlength=ctx.size))
     row = np.abs(walsh[ctx.dualmask_arr]) != x.size

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BoolFn, Space, _abs_spectrum, _autocorrelation, dual, is_bent
+from .boolfn import BoolFn, Space, _abs_spectrum, _derivative_autocorrelation, dual, is_bent
 from .derivative import second_derivative
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, validate_gps_params
@@ -157,20 +157,16 @@ def _classify(f: BoolFn, us: np.ndarray, vs: np.ndarray):
         cls = _CLASS_OF[np.bitwise_and.reduce(status, axis=1)]
         xu = x ^ u
         d2 = fstar ^ fstar[xu] ^ fstar[x ^ v] ^ fstar[xu ^ v]
-        # ConstantOne (all 1) 0, ConstantZero (all 0) 1, NonConstant 2
-        const = 1 + np.bitwise_or.reduce(d2, axis=1) - 2 * np.bitwise_and.reduce(d2, axis=1)
-        out.append((status, cls, const))
+        out.append((status, cls, _constancy_code(d2)))
     if len(out) == 1:
         return out[0]
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
-def _constancy(values: np.ndarray) -> str:
-    if values.all():
-        return "ConstantOne"
-    if not values.any():
-        return "ConstantZero"
-    return "NonConstant"
+def _constancy_code(d2: np.ndarray):
+    """Codes into CONSTANCY of the bit tables along the last axis:
+    ConstantOne (all 1) 0, ConstantZero (all 0) 1, NonConstant 2."""
+    return 1 + np.bitwise_or.reduce(d2, axis=-1) - 2 * np.bitwise_and.reduce(d2, axis=-1)
 
 
 def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
@@ -193,9 +189,9 @@ def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
     fstar = dual(f)
     u = a + (b << m)
     v = c + (d << m)
-    lhs = _constancy(second_derivative(fstar, u, v).table)
-    rhs = _constancy(second_derivative(_fhat(ctx, params, Q, a, b, c, d), 1, 1 << m).table)
-    return lhs == rhs
+    lhs = _constancy_code(second_derivative(fstar, u, v).table)
+    rhs = _constancy_code(second_derivative(_fhat(ctx, params, Q, a, b, c, d), 1, 1 << m).table)
+    return bool(lhs == rhs)
 
 
 def _fhat(ctx: FieldCtx, params: GpsParams, Q: PermTable,
@@ -389,11 +385,9 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
             f"scanning all planes of a {n}-variable function exceeds the "
             "default budget; pass allow_large to override"
         )
-    # D_b1 D_b2 f* is constant 0 (1) exactly when the autocorrelation of
-    # D_b1 f* at b2 is 2^n (-2^n): one autocorrelation labels every b2.
-    # The rows D_b1 f* of a chunk of b1 go through one batched call.
+    # the autocorrelation of D_b1 f* at b2 labels the plane (b1, b2);
+    # the b1 of a chunk go through one batched call
     fstar = _plain_dual(f).table
-    x = _points(n)[0]
     size = 1 << n
     total = (size - 1) * (size - 2) // 6
     basis1 = np.empty(total, dtype=np.int32)
@@ -402,8 +396,7 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
     step = max(1, _CHUNK_ENTRIES >> n)
     done = 0
     for lo in range(1, size, step):
-        b1 = x[lo:lo + step, None]
-        delta = _autocorrelation(fstar ^ fstar[x ^ b1])
+        delta = _derivative_autocorrelation(fstar, np.arange(lo, min(lo + step, size)))
         u, v = _planes(n, lo, lo + step)
         d = delta[u - lo, v]
         end = done + u.size

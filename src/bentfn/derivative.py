@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (_MAX_N, BoolFn, _hex_values, _read_records, _write_records, autocorrelation,
-                     is_bent)
+from .boolfn import (_MAX_N, BoolFn, _derivative_autocorrelation, _hex_values, _read_records,
+                     _write_records, is_bent)
 from .errors import DomainError, ParameterError, ParseError
 
 
@@ -121,8 +121,8 @@ class _CompatRows:
         return np.unpackbits(packed, bitorder="little")[: self.size]
 
     def _compute(self, a: int) -> np.ndarray:
-        delta = autocorrelation(derivative(self.f, a))
-        return np.packbits(delta == self.size, bitorder="little")
+        row = _derivative_autocorrelation(self.f.table, a)
+        return np.packbits(row == self.size, bitorder="little")
 
 
 @dataclass

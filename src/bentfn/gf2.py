@@ -205,24 +205,11 @@ class FieldCtx:
     def trace_rel(self, x: int, k: int) -> int:
         """Relative trace onto the subfield S_k: sum of x^(2^(ki))."""
         self._check(x)
-        if k <= 0 or self.m % k:
-            raise ParameterError(f"relative trace needs k | m, got k={k}, m={self.m}")
-        out = 0
-        s = x
-        for _ in range(self.m // k):
-            out ^= s
-            for _ in range(k):
-                s = self.mul(s, s)
-        return out
+        return int(self.trace_rel_arr(k)[x])
 
     def dualmask(self, b: int) -> int:
         """Mask g with Tr(b*x) = parity(g & x) for all x."""
-        self._check(b)
-        out = 0
-        for j in range(self.m):
-            if self.trace(self.mul(b, 1 << j)):
-                out |= 1 << j
-        return out
+        return int(self.dualmask_arr[self._check(b)])
 
     # -- subfield plumbing ----------------------------------------------------
 

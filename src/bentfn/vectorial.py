@@ -32,11 +32,6 @@ class OutPairing:
         return cls(k, [1 << i for i in range(k)], "dot")
 
     @classmethod
-    def field_trace(cls, ctx: FieldCtx) -> "OutPairing":
-        cols = [ctx.dualmask(1 << i) for i in range(ctx.m)]
-        return cls(ctx.m, cols, f"trace(2^{ctx.m})")
-
-    @classmethod
     def subfield_trace(cls, ctx: FieldCtx, k: int) -> "OutPairing":
         """Tr_1^k(a*b) on S_k inside GF(2^m), via the ascending encoding."""
         elems = ctx.subfield(k)

@@ -3,7 +3,8 @@
 Everything here is written from the definitions, deliberately avoiding
 the library's fast paths: double-sum Hadamard and Walsh transforms and
 autocorrelation, subset-sum ANF, schoolbook polynomial field arithmetic,
-a literal quadruple scan for the unique-subspace property, coset
+a literal quadruple scan for the unique-subspace property and the
+shift-by-shift loop of its fast check, coset
 restrictions through an explicit basis and coset representatives,
 the plane scan as one record per plane, M-subspaces by testing every
 subspace, and the builders as loops over every point.  Slow and
@@ -278,6 +279,41 @@ def literal_unique_subspace(ctx, perm) -> bool:
     return True
 
 
+def property_P_loop(ctx, pi):
+    """check_property_P shift by shift: (i) the periods of D_t pi from the
+    autocorrelations of its m component functions, (ii) an XOR basis of
+    the image of D_t pi, and the smallest nonzero c orthogonal to it
+    under Tr(c .) from the nullspace of its dual masks."""
+    from bentfn import PropertyPResult, gf2vec
+    from bentfn.boolfn import _autocorrelation
+
+    m, size = ctx.m, ctx.size
+    tbl = pi.array()
+    idx = ctx.elements
+    bits = np.arange(m)[:, None]
+    for t in range(1, size):
+        d = tbl ^ tbl[idx ^ t]
+        is_period = (_autocorrelation((d >> bits) & 1) == size).all(axis=0)
+        periods = np.flatnonzero(is_period)
+        if periods.size > 2:
+            b2 = min(int(p) for p in periods if p not in (0, t))
+            return PropertyPResult(False, (0, t, 0, b2))
+        img_basis: list[int] = []
+        for v in map(int, d):
+            for r in img_basis:
+                v = min(v, v ^ r)
+            if v:
+                img_basis.append(v)
+                if len(img_basis) == m:
+                    break
+        if len(img_basis) < m:
+            duals = [ctx.dualmask(b) for b in img_basis]
+            ortho = gf2vec.span(gf2vec.nullspace(duals, m))
+            c = min(v for v in ortho if v)
+            return PropertyPResult(False, (c, 0, 0, t))
+    return PropertyPResult(True, None)
+
+
 def random_invertible(rng, n: int) -> list[int]:
     """Row masks of a random invertible matrix over GF(2)."""
     while True:
@@ -322,10 +358,10 @@ def with_noise(data, lines: list[str]) -> str:
 
 
 def psap_loop(ctx, P) -> np.ndarray:
-    """P(y x^(2^m - 2))."""
+    """P(y x^(-1)) with 0^(-1) = 0."""
     T = slow_tables(ctx.m, ctx.irred)
     index = T.subfield_index(ctx.m)
-    pw = T.pow(T.size - 2)
+    pw = T.neg(1)
     out = [0] * (T.size * T.size)
     for y in range(T.size):
         for x in range(T.size):

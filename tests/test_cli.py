@@ -75,6 +75,27 @@ def test_construct_bad_gold_exponent(tmp_path, capsys, option):
     assert err.startswith("error:") and "gold:x" in err
 
 
+@pytest.mark.parametrize("args", [("--family", "mm", "--m", "3", "--perm", "gold:-1"),
+                                  ("--family", "gpsap-trace", "--m", "3", "--Q", "gold:-2"),
+                                  ("--family", "cor-ex2", "--m", "5", "--k", "2",
+                                   "--gold-k", "-1")],
+                         ids=["perm", "Q", "cor-ex2"])
+def test_construct_negative_gold_parameter(tmp_path, capsys, args):
+    code, _, err = run(capsys, "construct", *args, "--out", str(tmp_path / "f.tt"))
+    assert code == 2
+    assert err.startswith("error:") and "k >= 0" in err
+
+
+@pytest.mark.parametrize("family", ["mm", "psap"])
+def test_construct_on_gf2(tmp_path, capsys, family):
+    out = tmp_path / "f.tt"
+    code, text, _ = run(capsys, "construct", "--family", family, "--m", "1",
+                        "--out", str(out))
+    assert code == 0
+    assert parse_kv(text)["bent"] == "true"
+    assert load_table(str(out)).table.tolist() == [0, 0, 0, 1]
+
+
 def test_bad_thread_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BENT_THREADS", "abc")
     code, _, err = run(capsys, "construct", "--family", "psap", "--m", "2",

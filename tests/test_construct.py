@@ -65,6 +65,22 @@ def test_perm_from_exponent():
     assert inv(0) == 0
 
 
+def test_inverse_map_and_psap_on_gf2():
+    # on GF(2) x^(-1) is x: the two-block function and psap are x y
+    ctx = make_field(1)
+    assert PermTable.inverse_map(ctx).table == [0, 1]
+    xy = [0, 0, 0, 1]
+    for f in (mm(ctx, PermTable.inverse_map(ctx)), psap(ctx, SubfieldFn.trace_form(ctx, 1))):
+        assert f.table.tolist() == xy and is_bent(f)
+
+
+def test_gold_rejects_negative_parameter():
+    ctx = make_field(3)
+    assert PermTable.gold(ctx, 0).table == [ctx.mul(x, x) for x in range(8)]
+    with pytest.raises(ParameterError, match="k >= 0"):
+        PermTable.gold(ctx, -1)
+
+
 def test_subfield_fn_guards():
     ctx = make_field(4)
     tr = SubfieldFn.trace_form(ctx, 2)
@@ -262,6 +278,17 @@ def test_property_P_counterexample_is_literal():
 
     assert not second_derivative(f, u, v).table.any()
     assert (a2, b2) != (0, 0) and u != v and u and v
+
+
+def test_property_P_part_ii_witness():
+    # part (i) holds at every shift up to 13, and the image of D_13 pi
+    # lies in the hyperplane Tr(12 .) = 0
+    ctx = make_field(4)
+    pi = PermTable(4, [11, 13, 7, 3, 1, 0, 6, 12, 10, 15, 5, 8, 14, 2, 9, 4])
+    res = check_property_P(ctx, pi)
+    assert not res.holds and res.counterexample == (12, 0, 0, 13)
+    d = [pi(x) ^ pi(x ^ 13) for x in range(16)]
+    assert {ctx.trace(ctx.mul(12, v)) for v in d} == {0}
 
 
 def test_build_cor_ex_guards():

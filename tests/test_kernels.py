@@ -3,10 +3,14 @@
 Every builder, the fhat table of the substitution check and the
 trace-sum rows must reproduce the loops of helpers.py byte for byte,
 the batched plane classifier must agree with its one-plane case and
-with the basis-oracle restrictions on every plane it is given, and the
+with the basis-oracle restrictions on every plane it is given, the
 array-backed plane scan must agree with the per-plane loop and its CSV
-writer.
+writer, and the derivative autocorrelation and the unique-subspace
+check must agree with the double sum and the shift-by-shift loop.
 """
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from bentfn import (
     PermTable,
     SubfieldFn,
     XorShift64Star,
+    check_property_P,
     classify_decomposition,
     dual,
     ea_transform,
@@ -39,16 +44,18 @@ from bentfn import (
     trace_sum_nonconstant,
     validate_gps_params,
 )
+from bentfn.boolfn import _derivative_autocorrelation
 from bentfn.construct import _factors_through_subfield_trace
 from bentfn.decomp import (CLASSES, CONSTANCY, STATUSES, _coset_index, _fhat,
                            _odd_quadruple_assignment, classify_planes)
+from bentfn.derivative import derivative
 from bentfn.verify import _planes
 
-from helpers import (factors_through_subfield_trace_loop, fhat_loop, g_lambda_loop,
+from helpers import (SlowField, factors_through_subfield_trace_loop, fhat_loop, g_lambda_loop,
                      gmm_dual_loop, gmm_loop, gpsap_dual_formula_loop, gpsap_loop,
-                     gpsap_trace_form_loop, gpsap_vectorial_loop, naive_planes,
-                     naive_restrict, naive_save_scan, naive_scan, partition_loop,
-                     psap_loop, psffff_loop, random_invertible, slow_tables,
+                     gpsap_trace_form_loop, gpsap_vectorial_loop, naive_autocorrelation,
+                     naive_planes, naive_restrict, naive_save_scan, naive_scan, partition_loop,
+                     property_P_loop, psap_loop, psffff_loop, random_invertible, slow_tables,
                      trace_sum_loop, two_block_table)
 
 
@@ -77,10 +84,13 @@ def scaled(ctx, c) -> PermTable:
 
 
 def test_field_arrays_match_schoolbook():
+    # every element up to m = 8, every 37th one at m = 9 and 10
     for m in range(1, 11):
         ctx = make_field(m)
+        slow = SlowField(m, ctx.irred)
         T = slow_tables(m, ctx.irred) if m <= 8 else None
         x = ctx.elements
+        sample = x.tolist()[::1 if T is not None else 37]
         if T is not None:
             assert ctx.mul_arr(x[:, None], x[None, :]).tolist() == T.mul
             assert ctx.trace_arr.tolist() == T.trace
@@ -88,12 +98,17 @@ def test_field_arrays_match_schoolbook():
                 assert ctx.pow_table(e).tolist() == T.pow(e)
         for k in range(1, m + 1):
             if m % k == 0:
-                rel = ctx.trace_rel_arr(k).tolist()
-                assert rel == [ctx.trace_rel(int(z), k) for z in x]
+                rel = ctx.trace_rel_arr(k)
+                for z in sample:
+                    want = functools.reduce(int.__xor__, (slow.pow(z, 1 << (k * i))
+                                                          for i in range(m // k)))
+                    assert ctx.trace_rel(z, k) == rel[z] == want
                 index = ctx.subfield_index_arr(k)
                 assert np.flatnonzero(index >= 0).tolist() == ctx.subfield(k)
                 assert [int(index[z]) for z in ctx.subfield(k)] == list(range(1 << k))
-        assert ctx.dualmask_arr.tolist() == [ctx.dualmask(int(b)) for b in x]
+        for b in sample:
+            want = sum(slow.trace(slow.mul(b, 1 << j)) << j for j in range(m))
+            assert ctx.dualmask(b) == ctx.dualmask_arr[b] == want
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -383,3 +398,42 @@ def test_criterion_07_reports_first_disagreeing_plane(monkeypatch):
     flipped = CONSTANCY[(CONSTANCY.index(rep.dual_second_derivative) + 1) % 3]
     assert res.detail == (f"two-block m=3: plane (3,12) classifies {rep.classification} "
                           f"but the dual derivative is {flipped}")
+
+
+def test_derivative_autocorrelation_matches_naive():
+    """One direction, an array of every direction (a leading axis), and
+    a stack of tables; each row is the autocorrelation of D_a f."""
+    rng = np.random.default_rng(9)
+    for n in range(1, 7):
+        f = BoolFn(rng.integers(0, 2, 1 << n))
+        want = [naive_autocorrelation(derivative(f, a).table) for a in range(1 << n)]
+        rows = _derivative_autocorrelation(f.table, np.arange(1 << n))
+        assert rows.dtype == np.int64 and rows.tolist() == want
+        for a in range(1 << n):
+            assert _derivative_autocorrelation(f.table, a).tolist() == want[a]
+    stack = rng.integers(0, 2, (5, 32)).astype(np.uint8)
+    for a in (1, 6, 31):
+        want = [naive_autocorrelation(derivative(BoolFn(t), a).table) for t in stack]
+        assert _derivative_autocorrelation(stack, a).tolist() == want
+    rows = _derivative_autocorrelation(stack, np.array([3, 17]))
+    assert rows.shape == (2, 5, 32)
+    for i, a in enumerate((3, 17)):
+        assert rows[i].tolist() == _derivative_autocorrelation(stack, a).tolist()
+
+
+def test_property_P_matches_loop():
+    """Every power-map permutation at m = 2..8 and seeded random
+    permutations at m <= 6: the same answer and the same counterexample
+    as the shift-by-shift loop."""
+    for m in range(2, 9):
+        ctx = make_field(m)
+        for e in range(1, ctx.order):
+            if math.gcd(e, ctx.order) == 1:
+                pi = PermTable.from_exponent(ctx, e)
+                assert check_property_P(ctx, pi) == property_P_loop(ctx, pi), (m, e)
+    rng = np.random.default_rng(44)
+    for m in range(1, 7):
+        ctx = make_field(m)
+        for _ in range(20):
+            pi = PermTable(m, rng.permutation(ctx.size))
+            assert check_property_P(ctx, pi) == property_P_loop(ctx, pi), (m, pi.table)
