@@ -30,6 +30,17 @@ from .gf2 import FieldCtx
 _HEX = "0123456789abcdef"
 
 
+def _linear_image(cols) -> np.ndarray:
+    """The XOR of cols[j] over the bits j of i, for every i < 2^len(cols):
+    the image of every vector under the linear map with these columns,
+    built by doubling."""
+    img = np.zeros(1 << len(cols), dtype=np.int64)
+    for j, col in enumerate(cols):
+        half = 1 << j
+        img[half:2 * half] = img[:half] ^ int(col)
+    return img
+
+
 class Space:
     """An n-dimensional binary space split into pairing blocks.
 
@@ -73,23 +84,12 @@ class Space:
 
     def dualmask(self, b: int) -> int:
         """The mask g(b) with <b, x> = parity(g(b) & x)."""
-        out = 0
-        i = 0
-        while b:
-            if b & 1:
-                out ^= self._cols[i]
-            b >>= 1
-            i += 1
-        return out
+        return int(self.perm()[b])
 
     def perm(self) -> np.ndarray:
         """dualmask as an index array over the whole space (cached)."""
         if self._perm is None:
-            p = np.zeros(1 << self.n, dtype=np.int64)
-            for i, col in enumerate(self._cols):
-                size = 1 << i
-                p[size:2 * size] = p[:size] ^ col
-            self._perm = p
+            self._perm = _linear_image(self._cols)
         return self._perm
 
     def __eq__(self, other) -> bool:

@@ -57,7 +57,7 @@ from .derivative import enumerate_M_subspaces, linearity_index
 from .errors import DomainError, ParameterError, ParseError, ResourceError
 from .gf2 import make_field, validate_gps_params
 from .rng import XorShift64Star
-from .verify import run_suite
+from .verify import _seeded_mm, run_suite
 
 
 def _default_threads() -> int:
@@ -134,14 +134,7 @@ def _build_family(args) -> BoolFn:
     if fam == "gmm":
         ck = make_field(args.k)
         rng = XorShift64Star(args.seed)
-        members = []
-        for _ in range(1 << args.k):
-            cm = make_field(args.m)
-            tbl = list(range(cm.size))
-            rng.shuffle(tbl)
-            g = [rng.bits(1) for _ in range(cm.size)]
-            members.append(mm(cm, PermTable(args.m, tbl), g))
-        return gmm(ck, args.k, members)
+        return gmm(ck, args.k, [_seeded_mm(2 * args.m, rng) for _ in range(1 << args.k)])
     if fam == "psap":
         ctx = make_field(args.m)
         return psap(ctx, _parse_subfield_fn(args.P, ctx, args.m))

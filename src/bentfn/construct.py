@@ -237,6 +237,32 @@ def _check_gps(ctx: FieldCtx, params: GpsParams) -> None:
         )
 
 
+def _orientation_exp(params: GpsParams, orientation: str) -> int:
+    """The exponent of the outer variable: e for "f", eta for "g"."""
+    if orientation not in ("f", "g"):
+        raise ParameterError(f"orientation must be 'f' or 'g', got {orientation!r}")
+    return params.e if orientation == "f" else params.eta
+
+
+def spread_labels(ctx: FieldCtx, params: GpsParams, orientation: str = "f") -> np.ndarray:
+    """The spread partition of F_{2^m}^2 as one label per point.
+
+    A read-only int64 (2^m, 2^m) array indexed [y, x], so that its flat
+    index is x + 2^m y.  For "f" the label of (x, y) is
+    gamma = Tr_k^m(y x^(-e)), the part A(gamma) that holds it, and the
+    column x = 0 is U; for "g" it is Tr_k^m(x y^(-eta)), the part
+    B(gamma), and the row y = 0 is V.  The label on that special line is
+    0: callers recognise the line by its coordinate.
+    """
+    _check_gps(ctx, params)
+    exp = _orientation_exp(params, orientation)
+    labels = ctx.trace_rel_arr(params.k)[ctx.spread_table(ctx.neg_exp(exp))]
+    if orientation == "g":
+        labels = labels.T
+    labels.setflags(write=False)
+    return labels
+
+
 def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
           orientation: str = "f") -> BoolFn:
     """Spread bent function over the generalized Desarguesian partition.
@@ -250,9 +276,7 @@ def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
     P.require_balanced()
     if c0 not in (0, 1):
         raise ParameterError("c0 must be a bit")
-    if orientation not in ("f", "g"):
-        raise ParameterError(f"orientation must be 'f' or 'g', got {orientation!r}")
-    exp = params.e if orientation == "f" else params.eta
+    exp = _orientation_exp(params, orientation)
     # rows the inner variable, columns the outer one: (y, x) for "f"
     table = P.gather(ctx.trace_rel_arr(params.k))[ctx.spread_table(ctx.neg_exp(exp))]
     table[:, 0] ^= c0
@@ -324,34 +348,6 @@ def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
     values[:, 0] ^= c0
     table = ctx.subfield_index_arr(k)[values].reshape(-1)
     return VecFn(table, k, Space([ctx, ctx]), OutPairing.subfield_trace(ctx, k))
-
-
-@dataclass(frozen=True)
-class SpreadSets:
-    """The two spread partitions, points encoded as x + 2^m y."""
-
-    U: frozenset
-    A: dict
-    V: frozenset
-    B: dict
-
-
-def spread_sets(ctx: FieldCtx, params: GpsParams) -> SpreadSets:
-    """The partitions {U, A(gamma)} and {V, B(gamma)} of F_{2^m}^2."""
-    _check_gps(ctx, params)
-    m, k = params.m, params.k
-    size = ctx.size
-    U = frozenset(y << m for y in range(size))
-    V = frozenset(x for x in range(size))
-    A: dict[int, set] = {g: set() for g in ctx.subfield(k)}
-    B: dict[int, set] = {g: set() for g in ctx.subfield(k)}
-    for s in range(size):
-        gamma = ctx.trace_rel(s, k)
-        for x in range(1, size):
-            A[gamma].add(x + (ctx.mul(s, ctx.pow(x, params.e)) << m))
-            B[gamma].add(ctx.mul(s, ctx.pow(x, params.eta)) + (x << m))
-    return SpreadSets(U, {g: frozenset(v) for g, v in A.items()},
-                      V, {g: frozenset(v) for g, v in B.items()})
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .boolfn import BoolFn, Space, _abs_spectrum, _derivative_autocorrelation, d
 from .derivative import second_derivative
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, validate_gps_params
-from .construct import PermTable, SubfieldFn, gpsap_vectorial
+from .construct import PermTable, SubfieldFn, _check_gps, gpsap_vectorial, spread_labels
 from .vectorial import component
 
 
@@ -294,10 +294,7 @@ def partition_bent(ctx: FieldCtx, params: GpsParams, assignment) -> BoolFn:
     the eight odd-weight quadruples must be used exactly 2^(k-3) times,
     which forces k >= 3.
     """
-    if params.m != ctx.m:
-        raise ParameterError(
-            f"params are for GF(2^{params.m}), the context is GF(2^{ctx.m})"
-        )
+    _check_gps(ctx, params)
     k = params.k
     if k < 3:
         raise ParameterError(f"the partition construction needs k >= 3, got k={k}")
@@ -321,10 +318,8 @@ def partition_bent(ctx: FieldCtx, params: GpsParams, assignment) -> BoolFn:
     quads = np.zeros((ctx.size, 4), dtype=np.uint8)
     for g, quad in assignment.items():
         quads[g] = quad
-    # the point (x, y) with x != 0 lies in A(gamma) for
-    # gamma = Tr_k^m(y x^(-e)); the line x = 0 is U
-    values = quads[ctx.trace_rel_arr(k)][ctx.spread_table(ctx.neg_exp(params.e))]
-    values[:, 0] = (0, 0, 0, 1)
+    values = quads[spread_labels(ctx, params)]
+    values[:, 0] = (0, 0, 0, 1)  # the line x = 0 is U
     return BoolFn(np.moveaxis(values, -1, 0).reshape(-1), Space([ctx, ctx, 2]))
 
 

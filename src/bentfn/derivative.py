@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (_MAX_N, BoolFn, _derivative_autocorrelation, _hex_values, _read_records,
-                     _write_records, is_bent)
+from .boolfn import (_MAX_N, BoolFn, _derivative_autocorrelation, _hex_values, _linear_image,
+                     _read_records, _write_records, is_bent)
 from .errors import DomainError, ParameterError, ParseError
 
 
@@ -86,19 +86,13 @@ class Subspace:
 
 
 def is_M_subspace(f: BoolFn, U: Subspace) -> bool:
-    """Do all second derivatives over U vanish?  Checks every span pair."""
+    """Do all second derivatives over U vanish?  Checks every span pair
+    on the compatibility rows of the search."""
     if U.n != f.n:
         raise DomainError(f"subspace lives on {U.n} variables, function on {f.n}")
     elems = [v for v in U.span() if v]
-    t = f.table
-    idx = np.arange(t.size, dtype=np.int64)
-    shifted = {v: t[idx ^ v] for v in elems}
-    for i, a in enumerate(elems):
-        da = t ^ shifted[a]
-        for b in elems[i + 1:]:
-            if (da != (shifted[b] ^ shifted[a ^ b])).any():
-                return False
-    return True
+    rows = _CompatRows(f)
+    return all(rows.row(a)[elems].all() for a in elems)
 
 
 class _CompatRows:
@@ -262,12 +256,8 @@ def ea_transform(f: BoolFn, L: list[int], a: int = 0, c: int = 0, b: int = 0) ->
     """
     if len(L) != f.n or gf2vec.rank(list(L)) != f.n:
         raise ParameterError("L must be an invertible n x n matrix over GF(2)")
-    size = f.table.size
-    img = np.zeros(size, dtype=np.int64)
-    for j, col in enumerate(L):
-        half = 1 << j
-        img[half:2 * half] = img[:half] ^ int(col)
-    idx = np.arange(size, dtype=np.int64)
+    img = _linear_image(L)
+    idx = np.arange(f.table.size, dtype=np.int64)
     lin = (np.bitwise_count((idx & c).astype(np.uint64)) & 1).astype(np.uint8)
     return BoolFn(f.table[img ^ a] ^ lin ^ (b & 1), f.space)
 

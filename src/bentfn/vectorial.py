@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import (_MAX_N, BoolFn, Space, _hex_values, _read_records, _write_records, dual,
-                     is_bent)
+from .boolfn import (_MAX_N, BoolFn, Space, _hex_values, _linear_image, _read_records,
+                     _write_records, dual, is_bent)
 from .errors import DomainError, ParseError
 from .gf2 import FieldCtx
 
@@ -24,7 +24,7 @@ class OutPairing:
 
     def __init__(self, k: int, columns: list[int], name: str):
         self.k = k
-        self._cols = columns
+        self._image = _linear_image(columns)
         self.name = name
 
     @classmethod
@@ -45,14 +45,7 @@ class OutPairing:
         return cls(k, cols, f"subtrace(2^{k} in 2^{ctx.m})")
 
     def dualmask(self, alpha: int) -> int:
-        out = 0
-        i = 0
-        while alpha:
-            if alpha & 1:
-                out ^= self._cols[i]
-            alpha >>= 1
-            i += 1
-        return out
+        return int(self._image[alpha])
 
 
 class VecFn:

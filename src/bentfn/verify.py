@@ -26,6 +26,8 @@ import numpy as np
 from . import gf2vec
 from .boolfn import (
     BoolFn,
+    Space,
+    _fwht_inplace,
     anf_degree,
     dual,
     ext_walsh_spectrum,
@@ -44,7 +46,7 @@ from .construct import (
     gpsap_trace_form,
     mm,
     psap,
-    spread_sets,
+    spread_labels,
     trace_sum_nonconstant,
 )
 from .decomp import (
@@ -380,33 +382,35 @@ def _c11_character_sums(level, threads, seed):
     m, k, e = 4, 2, 2
     ctx = make_field(m)
     pr = validate_gps_params(m, k, e)
-    sets = spread_sets(ctx, pr)
     size = ctx.size
-    mask = size - 1
-    hi, lo = 1 << m, (1 << (m - k))
-    neg_e = ctx.neg_exp(pr.e)
-    checked = 0
-    for u in range(size):
-        for v in range(size):
-            if u == 0 and v == 0:
-                continue
-            um, vm = ctx.dualmask(u), ctx.dualmask(v)
-            chi_v = sum(1 - 2 * ((um & (p & mask)).bit_count() & 1)
-                        for p in sets.V)
-            want_v = 0 if u else size
-            if chi_v != want_v:
-                return False, f"chi(V) = {chi_v} != {want_v} at (u,v)=({u},{v})"
-            for gamma, pts in sets.B.items():
-                chi = sum(1 - 2 * (((um & (p & mask)).bit_count()
-                                    + (vm & (p >> m)).bit_count()) & 1)
-                          for p in pts)
-                first = (u != 0 and ctx.pow(gamma, 1 << pr.ell)
-                         == ctx.trace_rel(ctx.mul(v, ctx.pow(u, neg_e)), k))
-                want = hi - lo if first else -lo
-                if chi != want:
-                    return False, (f"chi(B({gamma:#x})) = {chi} != {want} "
-                                   f"at (u,v)=({u},{v})")
-                checked += 1
+    gammas = np.array(ctx.subfield(k))
+    # indicator rows of V (the row y = 0) and of each B(gamma) off it
+    parts = np.zeros((1 + gammas.size, size, size), dtype=np.int64)
+    parts[0, 0] = 1
+    parts[1:, 1:] = spread_labels(ctx, pr, "g")[1:] == gammas[:, None, None]
+    # the character sum at (u, v) is the Walsh sum at Tr(ux) + Tr(vy),
+    # read at u + 2^m v; reordered to [u, v, part], the order of the claims
+    walsh = _fwht_inplace(parts.reshape(1 + gammas.size, -1))
+    chi = walsh[:, Space([ctx, ctx]).perm()].reshape(-1, size, size).transpose(2, 1, 0)
+    u = ctx.elements[:, None, None]
+    v = ctx.elements[None, :, None]
+    first = (u != 0) & (ctx.pow_table(1 << pr.ell)[gammas] == ctx.trace_rel_arr(k)[
+        ctx.mul_arr(v, ctx.pow_table(ctx.neg_exp(pr.e))[u])])
+    lo = 1 << (m - k)
+    want = np.empty_like(chi)
+    want[..., 0] = np.where(u[..., 0] == 0, size, 0)
+    want[..., 1:] = np.where(first, size - lo, -lo)
+    wrong = chi != want
+    wrong[0, 0] = False
+    bad = np.flatnonzero(wrong)
+    if bad.size:
+        iu, iv, part = np.unravel_index(bad[0], wrong.shape)
+        got, closed = int(chi[iu, iv, part]), int(want[iu, iv, part])
+        where = f"at (u,v)=({iu},{iv})"
+        if part == 0:
+            return False, f"chi(V) = {got} != {closed} {where}"
+        return False, f"chi(B({int(gammas[part - 1]):#x})) = {got} != {closed} {where}"
+    checked = (size * size - 1) * gammas.size
     return True, f"{checked} character sums match the two-branch closed form"
 
 
@@ -453,11 +457,14 @@ def _c12_structural(level, threads, seed):
     for m, k, e in GPS_GRID:
         ctx = make_field(m)
         pr = validate_gps_params(m, k, e)
-        sets = spread_sets(ctx, pr)
+        # class sizes: the count of each gamma off the special line
+        A = np.bincount(spread_labels(ctx, pr, "f")[:, 1:].ravel(), minlength=ctx.size)
+        B = np.bincount(spread_labels(ctx, pr, "g")[1:].ravel(), minlength=ctx.size)
+        gammas = np.array(ctx.subfield(k))
         want = (1 << (m - k)) * ((1 << m) - 1)
-        for gamma in ctx.subfield(k):
-            if len(sets.A[gamma]) != want or len(sets.B[gamma]) != want:
-                return False, f"partition class size off at ({m},{k},{e}), gamma={gamma:#x}"
+        off = gammas[(A[gammas] != want) | (B[gammas] != want)]
+        if off.size:
+            return False, f"partition class size off at ({m},{k},{e}), gamma={int(off[0]):#x}"
     return True, ("Parseval on the corpus, 100 transform cross-checks, "
                   "restriction round trip, 20 affine invariance trials, "
                   "partition class sizes")

@@ -7,8 +7,9 @@ a literal quadruple scan for the unique-subspace property and the
 shift-by-shift loop of its fast check, coset
 restrictions through an explicit basis and coset representatives,
 the plane scan as one record per plane, M-subspaces by testing every
-subspace, and the builders as loops over every point.  Slow and
-obvious on purpose.
+subspace, the builders and the spread partition as loops over every
+point, and the character sums of criterion 11 as a loop over every
+(u, v) and every point of each part.  Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -529,3 +530,61 @@ def trace_sum_loop(ctx, c: int, d: int) -> bool:
             if len(seen) == 2:
                 return True
     return False
+
+
+def spread_sets_loop(ctx, params):
+    """The partitions {U, A(gamma)} and {V, B(gamma)} of F_{2^m}^2 as
+    frozensets of points x + 2^m y, gamma ascending over S_k:
+    A(gamma) = {(x, s x^e) : x != 0, Tr_k^m(s) = gamma} beside the line
+    U = {x = 0}, and B(gamma) = {(s y^eta, y) : y != 0, Tr_k^m(s) = gamma}
+    beside V = {y = 0}."""
+    T = slow_tables(ctx.m, ctx.irred)
+    m, size = T.m, T.size
+    trel = T.trace_rel(params.k)
+    xe, xeta = T.pow(params.e), T.pow(params.eta)
+    A = {g: set() for g in T.subfield_index(params.k)}
+    B = {g: set() for g in A}
+    for s in range(size):
+        for x in range(1, size):
+            A[trel[s]].add(x + (T.mul[s][xe[x]] << m))
+            B[trel[s]].add(T.mul[s][xeta[x]] + (x << m))
+    U = frozenset(y << m for y in range(size))
+    V = frozenset(range(size))
+    return (U, {g: frozenset(p) for g, p in A.items()},
+            V, {g: frozenset(p) for g, p in B.items()})
+
+
+def character_sums_loop(ctx, params, B, V):
+    """Criterion 11 as a loop: for (u, v) != (0, 0), u and then v
+    ascending, the sums of (-1)^(Tr(ux) + Tr(vy)) over V and then over
+    each B(gamma), gamma ascending, against the two-branch closed form
+    2^m - 2^(m-k) when u != 0 and gamma^(2^ell) = Tr_k^m(v u^(-e)), else
+    -2^(m-k), and 2^m or 0 on V.  (True, detail) when all match, else
+    (False, detail of the first mismatch)."""
+    T = slow_tables(ctx.m, ctx.irred)
+    m, size = T.m, T.size
+    lo = 1 << (m - params.k)
+    trel = T.trace_rel(params.k)
+    frob = T.pow(1 << params.ell)
+    neg = T.neg(params.e)
+
+    def chi(u, v, pts):
+        return sum(1 - 2 * (T.trace[T.mul[u][p & (size - 1)]] ^ T.trace[T.mul[v][p >> m]])
+                   for p in pts)
+
+    checked = 0
+    for u in range(size):
+        for v in range(size):
+            if u == 0 and v == 0:
+                continue
+            got, want = chi(u, v, V), 0 if u else size
+            if got != want:
+                return False, f"chi(V) = {got} != {want} at (u,v)=({u},{v})"
+            for gamma in sorted(B):
+                got = chi(u, v, B[gamma])
+                first = u != 0 and frob[gamma] == trel[T.mul[v][neg[u]]]
+                want = size - lo if first else -lo
+                if got != want:
+                    return False, f"chi(B({gamma:#x})) = {got} != {want} at (u,v)=({u},{v})"
+                checked += 1
+    return True, f"{checked} character sums match the two-branch closed form"

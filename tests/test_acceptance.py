@@ -23,7 +23,7 @@ from bentfn import (
     make_field,
     mm,
     psap,
-    spread_sets,
+    spread_labels,
     validate_gps_params,
 )
 from bentfn.verify import corpus, run_criterion, run_suite
@@ -116,14 +116,14 @@ def test_criterion_11_character_sums():
     ctx = make_field(4)
     pr = validate_gps_params(4, 2, 2)
     slow = SlowField(4, ctx.irred)
-    sets = spread_sets(ctx, pr)
+    labels = spread_labels(ctx, pr, "g")
     u, v = 3, 7
     for gamma in ctx.subfield(2):
         acc = 0
-        for p in sets.B[gamma]:
-            x, y = p & 15, p >> 4
-            acc += 1 - 2 * (slow.trace(slow.mul(u, x))
-                            ^ slow.trace(slow.mul(v, y)))
+        for y in range(1, 16):   # B(gamma) lies off the line y = 0
+            for x in np.flatnonzero(labels[y] == gamma).tolist():
+                acc += 1 - 2 * (slow.trace(slow.mul(u, x))
+                                ^ slow.trace(slow.mul(v, y)))
         first = slow.pow(gamma, 1 << pr.ell) == ctx.trace_rel(
             ctx.mul(v, ctx.pow(u, (-pr.e) % ctx.order)), 2)
         assert acc == (12 if first else -4)

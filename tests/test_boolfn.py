@@ -25,7 +25,7 @@ from bentfn import (
     save_table,
     walsh_transform,
 )
-from bentfn.boolfn import _fwht_inplace
+from bentfn.boolfn import _fwht_inplace, _linear_image
 from bentfn.construct import PermTable
 
 from helpers import (FILE_EXAMPLES, naive_anf_degree, naive_autocorrelation, naive_hadamard,
@@ -194,6 +194,20 @@ def test_space_pairing_changes_transform():
     assert sorted(map(abs, plain)) == sorted(map(abs, paired))
     perm = f.space.perm()
     assert list(paired) == [plain[p] for p in perm]
+
+
+def test_linear_image_matches_bit_loop():
+    rng = XorShift64Star(5)
+    for width in range(7):
+        cols = [rng.randrange(1 << 10) for _ in range(width)]
+        want = []
+        for i in range(1 << width):
+            acc = 0
+            for j, col in enumerate(cols):
+                if i >> j & 1:
+                    acc ^= col
+            want.append(acc)
+        assert _linear_image(cols).tolist() == want
 
 
 def test_space_gram_symmetric():

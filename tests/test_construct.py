@@ -33,7 +33,7 @@ from bentfn import (
     psap,
     save_perm,
     save_subfield_fn,
-    spread_sets,
+    spread_labels,
     trace_sum_nonconstant,
     validate_gps_params,
     walsh_transform,
@@ -346,19 +346,22 @@ def test_g_lambda_gold_balanced():
         assert is_balanced(g_lambda(ctx, pr, Q, lam))
 
 
-def test_spread_sets_partition():
+def test_spread_labels_partition():
     ctx = make_field(4)
     pr = validate_gps_params(4, 2, 2)
-    sets = spread_sets(ctx, pr)
-    whole = set(range(1 << 8))
-    blocks = [set(sets.U)] + [set(v) for v in sets.A.values()]
-    assert set().union(*blocks) == whole
-    assert sum(len(b) for b in blocks) == len(whole)
-    blocks = [set(sets.V)] + [set(v) for v in sets.B.values()]
-    assert set().union(*blocks) == whole
-    assert sum(len(b) for b in blocks) == len(whole)
-    for gamma, pts in sets.B.items():
-        assert len(pts) == (1 << (4 - 2)) * ((1 << 4) - 1)
+    f, g = spread_labels(ctx, pr, "f"), spread_labels(ctx, pr, "g")
+    assert np.array_equal(spread_labels(ctx, pr), f)
+    # off the special line every point lies in one part A(gamma) or
+    # B(gamma), gamma in S_2, and every part has 2^(m-k) (2^m - 1) points
+    for line, off in ((f[:, 0], f[:, 1:]), (g[0], g[1:])):
+        assert not line.any()
+        counts = np.bincount(off.ravel(), minlength=16)
+        assert np.flatnonzero(counts).tolist() == ctx.subfield(2)
+        assert (counts[ctx.subfield(2)] == (1 << (4 - 2)) * ((1 << 4) - 1)).all()
+    with pytest.raises(ParameterError, match="orientation"):
+        spread_labels(ctx, pr, "h")
+    with pytest.raises(ParameterError, match="params are for"):
+        spread_labels(make_field(6), pr)
 
 
 def test_perm_file_round_trip(tmp_path):

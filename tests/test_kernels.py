@@ -5,7 +5,9 @@ trace-sum rows must reproduce the loops of helpers.py byte for byte,
 the batched plane classifier must agree with its one-plane case and
 with the basis-oracle restrictions on every plane it is given, the
 array-backed plane scan must agree with the per-plane loop and its CSV
-writer, and the derivative autocorrelation and the unique-subspace
+writer, the spread labels must rebuild the partition's point sets, the
+batched character sums of criterion 11 must report what their loop
+reports, and the derivative autocorrelation and the unique-subspace
 check must agree with the double sum and the shift-by-shift loop.
 """
 
@@ -41,6 +43,7 @@ from bentfn import (
     psffff,
     save_scan,
     scan_decompositions,
+    spread_labels,
     trace_sum_nonconstant,
     validate_gps_params,
 )
@@ -49,14 +52,15 @@ from bentfn.construct import _factors_through_subfield_trace
 from bentfn.decomp import (CLASSES, CONSTANCY, STATUSES, _coset_index, _fhat,
                            _odd_quadruple_assignment, classify_planes)
 from bentfn.derivative import derivative
-from bentfn.verify import _planes
+from bentfn.verify import GPS_GRID, _planes
 
-from helpers import (SlowField, factors_through_subfield_trace_loop, fhat_loop, g_lambda_loop,
-                     gmm_dual_loop, gmm_loop, gpsap_dual_formula_loop, gpsap_loop,
-                     gpsap_trace_form_loop, gpsap_vectorial_loop, naive_autocorrelation,
-                     naive_planes, naive_restrict, naive_save_scan, naive_scan, partition_loop,
-                     property_P_loop, psap_loop, psffff_loop, random_invertible, slow_tables,
-                     trace_sum_loop, two_block_table)
+from helpers import (SlowField, character_sums_loop, factors_through_subfield_trace_loop,
+                     fhat_loop, g_lambda_loop, gmm_dual_loop, gmm_loop, gpsap_dual_formula_loop,
+                     gpsap_loop, gpsap_trace_form_loop, gpsap_vectorial_loop,
+                     naive_autocorrelation, naive_planes, naive_restrict, naive_save_scan,
+                     naive_scan, partition_loop, property_P_loop, psap_loop, psffff_loop,
+                     random_invertible, slow_tables, spread_sets_loop, trace_sum_loop,
+                     two_block_table)
 
 
 def valid_params(m):
@@ -245,6 +249,32 @@ def test_partition_matches_loop():
     assert cases == 2 * (3 + 4 + 5 + 18 + 6)
 
 
+def _sets_from_labels(ctx, params):
+    """U, A, V and B as spread_sets_loop gives them, read off the labels."""
+    points = np.arange(ctx.size * ctx.size)
+    x, y = points & (ctx.size - 1), points >> ctx.m
+    out = []
+    for orientation, line in (("f", x == 0), ("g", y == 0)):
+        labels = spread_labels(ctx, params, orientation).reshape(-1)
+        assert not labels[line].any()
+        out += [frozenset(points[line].tolist()),
+                {g: frozenset(points[~line & (labels == g)].tolist())
+                 for g in ctx.subfield(params.k)}]
+    return tuple(out)
+
+
+def test_spread_labels_match_loop():
+    cases = [pr for m in range(1, 7) for pr in valid_params(m)]
+    cases += [validate_gps_params(*mke) for mke in GPS_GRID]
+    for pr in cases:
+        ctx = make_field(pr.m)
+        for orientation in ("f", "g"):
+            labels = spread_labels(ctx, pr, orientation)
+            assert labels.shape == (ctx.size, ctx.size) and labels.dtype == np.int64
+            assert not labels.flags.writeable
+        assert _sets_from_labels(ctx, pr) == spread_sets_loop(ctx, pr), (pr.m, pr.k, pr.e)
+
+
 def test_fhat_matches_loop():
     rng = np.random.default_rng(9)
     for m in range(1, 6):
@@ -375,6 +405,38 @@ def test_criterion_05_reports_first_vanishing_pair(monkeypatch):
     res = verify.run_criterion(5)
     assert not res.passed
     assert res.detail == "vanishing trace sum at m=5, c=0x7, d=0x2"
+
+
+@pytest.mark.parametrize("a, b", [((1, 1), (7, 2)), ((3, 1), (3, 2))])
+def test_criterion_11_reports_first_wrong_sum(monkeypatch, a, b):
+    # swap the parts of two points, indexed [y, x]: across rows the first
+    # wrong sum has u = 0, within a row u != 0, and there it is B(0x6)'s
+    real = verify.spread_labels
+    ctx = make_field(4)
+    pr = validate_gps_params(4, 2, 2)
+    moved = real(ctx, pr, "g").copy()
+    assert moved[a] != moved[b]
+    moved[a], moved[b] = moved[b], moved[a]
+
+    def fake(ctx, params, orientation="f"):
+        return moved if orientation == "g" else real(ctx, params, orientation)
+
+    monkeypatch.setattr(verify, "spread_labels", fake)
+    res = verify.run_criterion(11)
+    points = np.arange(256)
+    flat = moved.reshape(-1)
+    B = {g: frozenset(points[(points >> 4 != 0) & (flat == g)].tolist())
+         for g in ctx.subfield(2)}
+    passed, detail = character_sums_loop(ctx, pr, B, frozenset(range(16)))
+    assert not passed and not res.passed
+    assert res.detail == detail
+
+
+def test_criterion_11_matches_loop():
+    ctx = make_field(4)
+    pr = validate_gps_params(4, 2, 2)
+    _, _, V, B = spread_sets_loop(ctx, pr)
+    assert character_sums_loop(ctx, pr, B, V) == (True, verify.run_criterion(11).detail)
 
 
 def test_criterion_07_reports_first_disagreeing_plane(monkeypatch):
