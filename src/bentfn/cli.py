@@ -18,46 +18,16 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .boolfn import (
-    BoolFn,
-    anf_degree,
-    dual,
-    ext_walsh_spectrum,
-    is_balanced,
-    is_bent,
-    load_table,
-    plateaued_order,
-    save_table,
-)
-from .construct import (
-    PermTable,
-    SubfieldFn,
-    build_cor_ex,
-    gmm,
-    gpsap,
-    gpsap_trace_form,
-    load_perm,
-    load_subfield_fn,
-    mm,
-    psap,
-)
-from .decomp import (
-    CLASSES,
-    _odd_quadruple_assignment,
-    classify_decomposition,
-    partition_bent,
-    psffff,
-    save_scan,
-    scan_decompositions,
-)
-from .derivative import enumerate_M_subspaces, linearity_index
 from .errors import DomainError, ParameterError, ParseError, ResourceError
-from .gf2 import make_field, validate_gps_params
-from .rng import XorShift64Star
-from .verify import _seeded_mm, run_suite
+
+if TYPE_CHECKING:
+    from .boolfn import BoolFn
+    from .construct import SubfieldFn
+
+# Each command imports the library modules it runs inside its own
+# function, so a fresh process executes only those (see bentfn/__init__).
 
 
 def _default_threads() -> int:
@@ -97,6 +67,8 @@ def _int_arg(text: str) -> int:
 
 def _parse_perm(spec: str, ctx):
     """Permutation option: identity, inverse, gold:<k>, or a file path."""
+    from .construct import PermTable, load_perm
+
     if spec == "identity":
         return PermTable.identity(ctx.m)
     if spec == "inverse":
@@ -112,6 +84,8 @@ def _parse_perm(spec: str, ctx):
 
 def _parse_subfield_fn(spec: str, ctx, k: int) -> SubfieldFn:
     """Subfield-function option: trace, identity, or a file path."""
+    from .construct import SubfieldFn, load_subfield_fn
+
     if spec == "trace":
         return SubfieldFn.trace_form(ctx, k)
     if spec == "identity":
@@ -120,7 +94,14 @@ def _parse_subfield_fn(spec: str, ctx, k: int) -> SubfieldFn:
 
 
 def _build_family(args) -> BoolFn:
+    from .construct import (PermTable, _seeded_mm, build_cor_ex, gmm, gpsap,
+                            gpsap_trace_form, mm, psap)
+    from .gf2 import make_field, validate_gps_params
+    from .rng import XorShift64Star
+
     fam = args.family
+    if args.c0 and fam != "gpsap":
+        raise ParameterError(f"--c0 applies to --family gpsap only, not {fam}")
     if fam == "mm":
         ctx = make_field(args.m)
         if args.perm == "random":
@@ -153,11 +134,13 @@ def _build_family(args) -> BoolFn:
         return build_cor_ex(make_field(args.m), args.m, args.k, "gold",
                             gold_k=args.gold_k)
     if fam == "psffff":
+        from .decomp import psffff
         ctx = make_field(args.m)
         P = _parse_subfield_fn(args.P, ctx, args.k)
         return psffff(ctx, args.m, args.k, P, args.alpha, args.beta,
                       args.gamma)
     if fam == "partition":
+        from .decomp import _odd_quadruple_assignment, partition_bent
         ctx = make_field(args.m)
         pr = validate_gps_params(args.m, args.k, args.e)
         return partition_bent(ctx, pr, _odd_quadruple_assignment(ctx, args.k))
@@ -165,6 +148,8 @@ def _build_family(args) -> BoolFn:
 
 
 def cmd_construct(args) -> int:
+    from .boolfn import anf_degree, is_bent, save_table
+
     f = _build_family(args)
     out = args.out or f"{args.family.replace('-', '_')}_n{f.n}.tt"
     save_table(f, out)
@@ -181,6 +166,9 @@ def cmd_construct(args) -> int:
 
 
 def _analyze_report(f: BoolFn, path: str) -> dict:
+    from .boolfn import (anf_degree, dual, ext_walsh_spectrum, is_balanced,
+                         is_bent, plateaued_order, save_table)
+
     report: dict = {
         "n": f.n,
         "degree": anf_degree(f),
@@ -199,12 +187,17 @@ def _analyze_report(f: BoolFn, path: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from .boolfn import load_table
+
     f = load_table(args.path)
     _emit(_analyze_report(f, args.path), args.json)
     return 0
 
 
 def cmd_msubspace(args) -> int:
+    from .boolfn import load_table
+    from .derivative import enumerate_M_subspaces, linearity_index
+
     f = load_table(args.path)
     idx = linearity_index(f, dim_cap=args.max_dim, threads=args.threads)
     report: dict = {"n": f.n, "index": idx}
@@ -220,6 +213,11 @@ def cmd_msubspace(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    import numpy as np
+
+    from .boolfn import load_table
+    from .decomp import CLASSES, classify_decomposition, save_scan, scan_decompositions
+
     f = load_table(args.path)
     if args.scan:
         try:
@@ -252,6 +250,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.level, threads=args.threads, seed=args.seed)
     ok = all(r.passed for r in results)
     if args.json:

@@ -27,6 +27,7 @@ from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _fwht_i
                      plateaued_order, walsh_transform)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field
+from .rng import XorShift64Star
 from .vectorial import OutPairing, VecFn
 
 
@@ -217,6 +218,17 @@ def gmm_dual(ctx: FieldCtx, k: int, family) -> BoolFn:
     duals = np.stack([dual(f).table for f in family])
     space = Space(list(family[0].space.factors) + [ctx, ctx])
     return BoolFn((duals[None, :, :] ^ _trace_yz(ctx)[:, :, None]).reshape(-1), space)
+
+
+def _seeded_mm(n: int, rng: XorShift64Star) -> BoolFn:
+    """A random bent function on n variables: random permutation and
+    random affine part through the two-block construction."""
+    m = n // 2
+    ctx = make_field(m)
+    perm = list(range(1 << m))
+    rng.shuffle(perm)
+    g = [rng.bits(1) for _ in range(1 << m)]
+    return mm(ctx, PermTable(m, perm), g)
 
 
 def psap(ctx: FieldCtx, P) -> BoolFn:

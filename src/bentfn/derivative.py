@@ -28,7 +28,6 @@ Rows are computed lazily and cached bit-packed, so a capped search on
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 
@@ -197,6 +196,8 @@ def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
     threads = min(threads, os.cpu_count() or 1, len(roots))
     if threads <= 1 or len(roots) < 64:
         return _run_search(f, roots, target, cap, find_all)
+    import multiprocessing   # only a pooled search pays for this import
+
     chunks = [roots[i::threads] for i in range(threads)]
     _FORK_ARGS.update(f=f, target=target, cap=cap, find_all=find_all)
     try:

@@ -37,6 +37,7 @@ from .boolfn import (
 from .construct import (
     PermTable,
     SubfieldFn,
+    _seeded_mm,
     build_cor_ex,
     check_property_P,
     gmm,
@@ -90,17 +91,6 @@ def grid_P(ctx, m: int, k: int, e: int) -> SubfieldFn:
     if (m, k, e) == (6, 3, 11):
         return SubfieldFn(ctx, k, P_633_BITS)
     return SubfieldFn.trace_form(ctx, k)
-
-
-def _seeded_mm(n: int, rng: XorShift64Star) -> BoolFn:
-    """A random bent function on n variables: random permutation and
-    random affine part through the two-block construction."""
-    m = n // 2
-    ctx = make_field(m)
-    perm = list(range(1 << m))
-    rng.shuffle(perm)
-    g = [rng.bits(1) for _ in range(1 << m)]
-    return mm(ctx, PermTable(m, perm), g)
 
 
 def _gmm_cases(seed: int):

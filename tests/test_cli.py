@@ -86,6 +86,19 @@ def test_construct_negative_gold_parameter(tmp_path, capsys, args):
     assert err.startswith("error:") and "k >= 0" in err
 
 
+@pytest.mark.parametrize("family", ["mm", "gmm", "psap", "gpsap-trace"])
+def test_construct_c0_only_for_gpsap(tmp_path, capsys, family):
+    out = tmp_path / "f.tt"
+    args = ("construct", "--family", family, "--m", "4", "--k", "2", "--e", "2",
+            "--out", str(out))
+    code, _, err = run(capsys, *args, "--c0", "1")
+    assert code == 2
+    assert err.startswith("error:") and "--c0" in err
+    assert not out.exists()
+    assert run(capsys, *args, "--c0", "0")[0] == 0
+    assert run(capsys, "construct", "--family", "gpsap", *args[3:], "--c0", "1")[0] == 0
+
+
 @pytest.mark.parametrize("family", ["mm", "psap"])
 def test_construct_on_gf2(tmp_path, capsys, family):
     out = tmp_path / "f.tt"
@@ -214,7 +227,7 @@ def test_verify_unknown_suite(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = CriterionResult(1, "stub", False, 0.0, "forced failure")
-    monkeypatch.setattr("bentfn.cli.run_suite", lambda *a, **kw: [failing])
+    monkeypatch.setattr("bentfn.verify.run_suite", lambda *a, **kw: [failing])
     code, text, _ = run(capsys, "verify", "--level", "fast")
     assert code == 1
     assert "result: FAIL (0/1)" in text

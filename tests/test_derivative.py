@@ -326,7 +326,7 @@ def test_search_clamps_threads(monkeypatch):
         Pool = InlinePool
 
     mod = importlib.import_module("bentfn.derivative")
-    monkeypatch.setattr(mod.multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr("multiprocessing.get_context", lambda method: FakeContext)
     ctx = make_field(4)
     f = mm(ctx, PermTable.inverse_map(ctx))
     want = linearity_index(f)

@@ -1,9 +1,98 @@
-"""The package's public name list, which is kept by hand beside its imports."""
+"""The package entry: its public names, and what a fresh process executes
+on `import bentfn` and on each CLI verb."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import bentfn
+
+SUBMODULES = ("errors", "rng", "gf2", "gf2vec", "boolfn", "vectorial",
+              "derivative", "construct", "decomp", "verify")
+
+# Prints the bentfn submodules a process has executed, as its last line.
+# A registered but unused submodule is still LazyLoader's module subclass.
+EXECUTED = (
+    "import json, sys, types\n"
+    "print(json.dumps(sorted(name[7:] for name, mod in sys.modules.items()\n"
+    "                        if name.startswith('bentfn.')\n"
+    "                        and type(mod) is types.ModuleType)))\n"
+)
+
+
+def fresh(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python *argv` with this checkout's bentfn on the path."""
+    src = str(Path(bentfn.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               BENT_THREADS="1")
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
 
 
 def test_public_names_resolve_once():
     assert len(set(bentfn.__all__)) == len(bentfn.__all__)
     missing = [name for name in bentfn.__all__ if not hasattr(bentfn, name)]
     assert missing == []
+
+
+def test_submodule_attributes():
+    assert bentfn.derivative is sys.modules["bentfn.derivative"].derivative
+    assert bentfn.gf2vec is sys.modules["bentfn.gf2vec"]
+
+
+def test_public_name_cached_after_first_lookup():
+    vars(bentfn).pop("classify_decomposition", None)
+    first = bentfn.classify_decomposition
+    assert vars(bentfn)["classify_decomposition"] is first
+    assert first is sys.modules["bentfn.decomp"].classify_decomposition
+
+
+def test_import_executes_no_submodule():
+    proc = fresh("-c", "import bentfn, sys\n"
+                 "assert all(f'bentfn.{m}' in sys.modules for m in "
+                 f"{SUBMODULES!r})\n" + EXECUTED)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.fixture(scope="module")
+def two_block_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "f.tt"
+    ctx = bentfn.make_field(4)
+    bentfn.save_table(bentfn.mm(ctx, bentfn.PermTable.inverse_map(ctx)), str(path))
+    return str(path)
+
+
+# `derivative` binds `gf2vec` without running it; only a search runs it.
+BASE = {"cli", "errors", "rng", "gf2", "boolfn"}
+SEARCH = BASE | {"derivative", "gf2vec"}
+BUILD = BASE | {"vectorial", "construct"}
+PLANES = BUILD | {"derivative", "decomp"}
+
+
+@pytest.mark.parametrize("argv, executed", [
+    (["analyze", "{f}"], BASE),
+    (["msubspace", "{f}", "--max-dim", "2"], SEARCH),
+    (["decompose", "{f}", "--u", "1", "--v", "2"], PLANES),
+    (["construct", "--family", "mm", "--m", "3", "--out", "{out}"], BUILD),
+    (["construct", "--family", "gmm", "--m", "2", "--out", "{out}"], BUILD),
+    (["verify"], PLANES | SEARCH | {"verify"}),
+])
+def test_verb_executes_only_its_modules(argv, executed, two_block_table, tmp_path):
+    argv = [a.format(f=two_block_table, out=tmp_path / "out.tt") for a in argv]
+    proc = fresh("-c", "import sys\nfrom bentfn.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\n" + EXECUTED, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == executed
+
+
+def test_module_entry_writes_nothing_to_stderr(two_block_table, tmp_path):
+    proc = fresh("-m", "bentfn.cli", "analyze", two_block_table, cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("n: 8\n")
+    assert proc.stderr == ""
