@@ -27,7 +27,7 @@ _PUBLIC = {
     "vectorial": ("OutPairing", "VecFn", "check_component_dual_linearity",
                   "component", "is_vectorial_bent", "load_vecfn", "save_vecfn"),
     "derivative": ("Subspace", "derivative", "ea_transform",
-                   "enumerate_M_subspaces", "has_M_subspace", "in_MM_completed",
+                   "enumerate_M_subspaces", "has_M_subspace",
                    "is_M_subspace", "linearity_index", "load_subspace",
                    "save_subspace", "second_derivative"),
     "construct": ("PermTable", "PropertyPResult", "SubfieldFn", "build_cor_ex",

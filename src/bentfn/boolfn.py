@@ -24,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx
 
 _HEX = "0123456789abcdef"
@@ -195,34 +195,43 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     """Butterfly transform along the last axis:
     a[..., b] <- sum_x (-1)^(b.x) a[..., x], in place.
 
-    Constant-geometry order (Pease 1968): every stage reads the two
-    contiguous halves of one buffer and writes the sums to the even and
-    the differences to the odd entries of the other.  A stage thus
-    transforms the top index bit and rotates the index bits left by one,
-    so after n stages each bit has been transformed once and the order
-    is back where it started.  The buffers are `a` and one scratch
-    array, swapped after each stage; for odd n the result ends in the
-    scratch array and is copied back.  A C-contiguous (r, 2^n) array
-    transforms its r rows in one call.  Returns `a`.
+    Every stage works on the whole buffer flattened to one dimension:
+    it reads the even and the odd entries of one buffer (stride 2) and
+    writes their sums to the first and their differences to the second
+    contiguous half of the other.  A stage thus transforms the lowest
+    index bit and moves it to the top, so 1-D ufunc calls do all the
+    work, whatever the number of rows; on small arrays numpy's per-call
+    cost dominates, and a 1-D call costs a fraction of a 2-D one.
+    After log2(row length) stages the transformed bits sit on top in
+    natural order and the row index lowest: the buffer holds the
+    (2^n, rows) transpose of the result.  A single row is then already
+    in order; a batch takes one transposing copy back into `a`.  The
+    buffers are `a` and one scratch array, swapped after each stage.
+
+    `a` must be C-contiguous (its rows may have any leading shape), as
+    a flattened copy would drop the result.  Returns `a`.
     """
+    if not a.flags.c_contiguous:
+        raise ValueError("the Walsh kernel needs a C-contiguous array")
     size = a.shape[-1]
     stages = size.bit_length() - 1
     if not stages:
         return a
-    half = size // 2
-    pairs = (*a.shape[:-1], half, 2)
-    bufs = (a, np.empty_like(a))
-    # halves a stage reads and slots it writes, per buffer; taken once,
-    # because for small n making views costs as much as the arithmetic
-    halves = [(buf[..., :half], buf[..., half:]) for buf in bufs]
-    slots = [(buf.reshape(pairs)[..., 0], buf.reshape(pairs)[..., 1]) for buf in bufs]
+    bufs = (a.reshape(-1), np.empty(a.size, dtype=a.dtype))
+    half = a.size // 2
+    # the pairs a stage reads and the halves it writes, per buffer; taken
+    # once, because for small n making views costs as much as the arithmetic
+    views = [(buf[0::2], buf[1::2], buf[:half], buf[half:]) for buf in bufs]
     for stage in range(stages):
-        lo, hi = halves[stage % 2]
-        even, odd = slots[1 - stage % 2]
-        np.add(lo, hi, out=even)
-        np.subtract(lo, hi, out=odd)
-    if stages % 2:
-        a[...] = bufs[1]
+        even, odd = views[stage % 2][:2]
+        lo, hi = views[1 - stage % 2][2:]
+        np.add(even, odd, out=lo)
+        np.subtract(even, odd, out=hi)
+    done = bufs[stages % 2]
+    if a.size != size:
+        a.reshape(-1, size)[...] = done.reshape(size, -1).T
+    elif stages % 2:
+        a.reshape(-1)[...] = done
     return a
 
 
@@ -421,6 +430,8 @@ def table_to_hex(f: BoolFn) -> str:
 
 
 def save_table(f: BoolFn, path: str) -> None:
+    if f.n > _MAX_N:
+        raise ParameterError(f"a .tt file holds n <= {_MAX_N}, got n={f.n}")
     _write_records(path, {"n": f.n}, [table_to_hex(f)])
 
 

@@ -94,6 +94,7 @@ def _parse_subfield_fn(spec: str, ctx, k: int) -> SubfieldFn:
 
 
 def _build_family(args) -> BoolFn:
+    from .boolfn import _MAX_N
     from .construct import (PermTable, _seeded_mm, build_cor_ex, gmm, gpsap,
                             gpsap_trace_form, mm, psap)
     from .gf2 import make_field, validate_gps_params
@@ -102,6 +103,14 @@ def _build_family(args) -> BoolFn:
     fam = args.family
     if args.c0 and fam != "gpsap":
         raise ParameterError(f"--c0 applies to --family gpsap only, not {fam}")
+    # refused before building: a table above n = 16 fits no .tt file, and
+    # at m = 16 it would take 4 GiB
+    extra = {"gmm": args.k, "cor-ex1": args.k, "cor-ex2": args.k,
+             "psffff": 1, "partition": 1}.get(fam, 0)
+    n = 2 * (args.m + extra)
+    if n > _MAX_N:
+        raise ParameterError(f"--family {fam} at m={args.m} has n={n} variables; "
+                             f"truth tables hold n <= {_MAX_N}")
     if fam == "mm":
         ctx = make_field(args.m)
         if args.perm == "random":

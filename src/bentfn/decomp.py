@@ -6,10 +6,11 @@ of S = {x : <u,x> = <v,x> = 0} (plain dot products on index bits).
 Restricting f to the cosets gives four functions on n - 2 variables;
 for bent f the four are all bent exactly when D_u D_v f* is constant 1
 and all semibent exactly when it is constant 0, which is what the
-classifier reports from both sides.  It classifies a batch of planes
-per call, in chunks of a fixed number of table entries; one plane is
-the batch of one.  The scan of every plane labels them from the dual
-side alone and returns its result as arrays.
+classifier reports from both sides.  One plane takes one transform of
+its four coset tables and one gather of the dual; a batch of planes is
+classified in chunks of a fixed number of table entries, each chunk
+with one transform of all its coset tables.  The scan of every plane
+labels them from the dual side alone and returns its result as arrays.
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ def _points(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, parity
 
 
-def _coset_index(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _coset_index(n: int, u, v) -> np.ndarray:
     """The (4 planes, 2^(n-2)) index array of the cosets of the planes
-    given by the int64 columns u, v: four rows per plane, in pattern
-    order (<u,x>, <v,x>) = (0,0), (0,1), (1,0), (1,1), each ascending.
-    Two axes, not three: numpy calls on small arrays cost less so."""
+    given by the ints u, v or the int64 columns u, v: four rows per
+    plane, in pattern order (<u,x>, <v,x>) = (0,0), (0,1), (1,0), (1,1),
+    each ascending.  Two axes, not three: numpy calls on small arrays
+    cost less so."""
     x, parity = _points(n)
     pattern = parity[x & u] << 1 | parity[x & v]
-    return np.argsort(pattern, axis=1, kind="stable").reshape(4 * u.shape[0], 1 << (n - 2))
+    return np.argsort(pattern, axis=-1, kind="stable").reshape(-1, 1 << (n - 2))
 
 
 def restrict_to_cosets(f: BoolFn, u: int, v: int):
@@ -65,7 +67,7 @@ def restrict_to_cosets(f: BoolFn, u: int, v: int):
     combinations.
     """
     _check_plane(f.n, u, v)
-    index = _coset_index(f.n, np.array([[u]]), np.array([[v]]))
+    index = _coset_index(f.n, u, v)
     return tuple(BoolFn(row) for row in f.table[index])
 
 
@@ -103,12 +105,22 @@ _CHUNK_ENTRIES = 1 << 14
 
 
 def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
-    """Classify the coset decomposition of a bent function along u, v:
-    classify_planes on the one plane, as a report."""
+    """Classify the coset decomposition of a bent function along u, v.
+
+    The four restrictions are classified from one transform of f's own
+    coset tables, and D_u D_v f* from one gather of the cached dual at
+    x + {0, u, v, u + v}; the two sides are computed independently, and
+    they agree with classify_planes on the one plane.
+    """
     _check_plane(f.n, u, v)
-    status, cls, const = _classify(f, np.array([[u]]), np.array([[v]]))
-    statuses = tuple(STATUSES[s] for s in status[0].tolist())
-    return DecompositionReport(u, v, CLASSES[cls[0]], statuses, CONSTANCY[const[0]])
+    fstar = _fstar(f)
+    n = f.n
+    peaks = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
+    status = [_status(peak, n) for peak in peaks.tolist()]
+    cls = _CLASS_OF[status[0] & status[1] & status[2] & status[3]]
+    d2 = np.bitwise_xor.reduce(fstar[_points(n)[0] ^ np.array([[0], [u], [v], [u ^ v]])])
+    return DecompositionReport(u, v, CLASSES[cls], tuple(STATUSES[s] for s in status),
+                               CONSTANCY[_constancy_code(d2)])
 
 
 def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,24 +148,35 @@ def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _classify(f, us[:, None], vs[:, None])
 
 
-def _classify(f: BoolFn, us: np.ndarray, vs: np.ndarray):
-    # us and vs are int64 columns, one row per plane
-    n = f.n
-    if n < 4:
-        raise DomainError(f"a decomposition needs n >= 4 variables, got n={n}")
-    fstar = _plain_dual(f).table
-    x = _points(n)[0]
+def _fstar(f: BoolFn) -> np.ndarray:
+    """The plain dual table of a bent function with n >= 4 variables."""
+    if f.n < 4:
+        raise DomainError(f"a decomposition needs n >= 4 variables, got n={f.n}")
+    return _plain_dual(f).table
+
+
+def _status(peak, n: int):
+    """Codes into STATUSES of restrictions of an n-variable function
+    from the OR of their |W| values (ints or an array)."""
     # n - 2 is even: a restriction is bent when every |W| is h, and
     # semibent when every |W| is 0 or 2h.  h is a power of two, so the
     # OR of a row's |W| is h (2h) exactly when each is 0 or h (0 or 2h),
     # and Parseval rules out the zeros in the bent case.
     h = 1 << (n - 2) // 2
+    return (peak == h) | (peak == 2 * h) << 1
+
+
+def _classify(f: BoolFn, us: np.ndarray, vs: np.ndarray):
+    # us and vs are int64 columns, one row per plane
+    fstar = _fstar(f)
+    n = f.n
+    x = _points(n)[0]
     step = max(1, _CHUNK_ENTRIES >> n)
     out = []
     for i in range(0, max(us.shape[0], 1), step):  # no planes: one empty chunk
         u, v = us[i:i + step], vs[i:i + step]
         peak = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
-        status = ((peak == h) | (peak == 2 * h) << 1).reshape(-1, 4)
+        status = _status(peak, n).reshape(-1, 4)
         cls = _CLASS_OF[np.bitwise_and.reduce(status, axis=1)]
         xu = x ^ u
         d2 = fstar ^ fstar[xu] ^ fstar[x ^ v] ^ fstar[xu ^ v]

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import gf2vec
 from .boolfn import (_MAX_N, BoolFn, _derivative_autocorrelation, _hex_values, _linear_image,
-                     _read_records, _write_records, is_bent)
+                     _read_records, _write_records)
 from .errors import DomainError, ParameterError, ParseError
 
 
@@ -241,13 +241,6 @@ def has_M_subspace(f: BoolFn, dim: int, threads: int = 1) -> bool:
     if dim > f.n:
         return False
     return bool(_search(f, dim, dim, False, threads).found)
-
-
-def in_MM_completed(f: BoolFn, threads: int = 1) -> bool:
-    """Completed two-block class test: an (n/2)-dimensional M-subspace exists."""
-    if not is_bent(f):
-        raise DomainError("the completed-class test applies to bent functions")
-    return has_M_subspace(f, f.n // 2, threads)
 
 
 def ea_transform(f: BoolFn, L: list[int], a: int = 0, c: int = 0, b: int = 0) -> BoolFn:

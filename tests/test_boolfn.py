@@ -51,17 +51,28 @@ def test_fwht_kernel_matches_double_sum(n):
     assert list(values) == expected
 
 
-@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("rows", [1, 3, 4, 16, (2, 3)], ids=str)
 @pytest.mark.parametrize("k", range(9))
 def test_fwht_kernel_batched_rows(k, rows):
-    # a (rows, 2^k) array transforms each row in one call
-    values = np.random.default_rng(100 * rows + k).integers(
-        -1000, 1001, (rows, 1 << k), dtype=np.int64)
-    expected = [naive_hadamard(row) for row in values]
+    # a (rows, 2^k) or (2, 3, 2^k) array transforms each row in one call
+    lead = rows if isinstance(rows, tuple) else (rows,)
+    values = np.random.default_rng(100 * len(lead) * lead[-1] + k).integers(
+        -1000, 1001, (*lead, 1 << k), dtype=np.int64)
+    expected = [naive_hadamard(row) for row in values.reshape(-1, 1 << k)]
     got = _fwht_inplace(values)
     assert got is values
-    assert got.dtype == np.int64 and got.shape == (rows, 1 << k)
-    assert [list(row) for row in values] == expected
+    assert got.dtype == np.int64 and got.shape == (*lead, 1 << k)
+    assert [list(row) for row in values.reshape(-1, 1 << k)] == expected
+
+
+def test_fwht_kernel_rejects_non_contiguous():
+    # a flattened copy would take the result: the kernel refuses instead
+    values = np.arange(64, dtype=np.int64).reshape(8, 8)
+    for view in (values.T, values[:, ::2], values[::2], values.reshape(-1)[::2]):
+        before = values.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _fwht_inplace(view)
+        assert np.array_equal(values, before)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])

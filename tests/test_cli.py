@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bentfn import BoolFn, load_table, save_table
+from bentfn import BoolFn, ParameterError, load_table, save_table
 from bentfn.cli import main
 from bentfn.verify import CriterionResult
 
@@ -97,6 +97,25 @@ def test_construct_c0_only_for_gpsap(tmp_path, capsys, family):
     assert not out.exists()
     assert run(capsys, *args, "--c0", "0")[0] == 0
     assert run(capsys, "construct", "--family", "gpsap", *args[3:], "--c0", "1")[0] == 0
+
+
+@pytest.mark.parametrize("family", ["mm", "gmm", "psap", "gpsap", "gpsap-trace", "cor-ex1",
+                                    "cor-ex2", "psffff", "partition"])
+def test_construct_rejects_tables_above_n16(tmp_path, capsys, family):
+    # m = 9 gives n >= 18, which no .tt file holds: refused before building
+    out = tmp_path / "f.tt"
+    code, text, err = run(capsys, "construct", "--family", family, "--m", "9",
+                          "--out", str(out))
+    assert code == 2 and not text
+    assert err.startswith(f"error: --family {family} at m=9 has n=") and "n <= 16" in err
+    assert not out.exists()
+
+
+def test_save_table_rejects_n_above_16(tmp_path):
+    out = tmp_path / "f.tt"
+    with pytest.raises(ParameterError, match="n=18"):
+        save_table(BoolFn(np.zeros(1 << 18, dtype=np.uint8)), str(out))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family", ["mm", "psap"])

@@ -205,6 +205,42 @@ def test_dual_cache_size_is_fixed():
     assert _plain_dual.cache_info().currsize == limit
 
 
+def test_classify_work_counters(monkeypatch):
+    # one transform per plane (the four coset tables at once) and one
+    # dual per function, whatever the number of planes
+    import bentfn.boolfn
+    import bentfn.decomp
+
+    counts = {"fwht": 0, "dual": 0}
+    in_dual = []
+    kernel, original_dual = bentfn.boolfn._fwht_inplace, bentfn.decomp.dual
+
+    def counted_fwht(a):
+        counts["fwht"] += not in_dual
+        return kernel(a)
+
+    def counted_dual(f):
+        counts["dual"] += 1
+        in_dual.append(f)
+        try:
+            return original_dual(f)
+        finally:
+            in_dual.pop()
+
+    monkeypatch.setattr(bentfn.boolfn, "_fwht_inplace", counted_fwht)
+    monkeypatch.setattr(bentfn.decomp, "dual", counted_dual)
+    ctx = make_field(3)
+    for f in (QUAD, mm(ctx, PermTable.inverse_map(ctx))):
+        _plain_dual.cache_clear()
+        counts.update(fwht=0, dual=0)
+        size = 1 << f.n
+        planes = [(u, v) for u in range(1, size) for v in range(u + 1, size) if u ^ v > v]
+        for u, v in planes:
+            classify_decomposition(f, u, v)
+        assert counts == {"fwht": len(planes), "dual": 1}
+    assert len(planes) == 651
+
+
 def test_classify_small_dimension():
     for n in (2, 3):
         f = BoolFn([1] + [0] * ((1 << n) - 1))

@@ -17,7 +17,6 @@ from bentfn import (
     enumerate_M_subspaces,
     ext_walsh_spectrum,
     has_M_subspace,
-    in_MM_completed,
     is_M_subspace,
     linearity_index,
     load_subspace,
@@ -219,13 +218,6 @@ def test_search_row_counts(monkeypatch):
 
 def test_enumerate_dim_too_large():
     assert enumerate_M_subspaces(QUAD, 3) == []
-
-
-def test_in_MM_completed():
-    ctx = make_field(2)
-    assert in_MM_completed(mm(ctx, PermTable.identity(2)))
-    with pytest.raises(DomainError):
-        in_MM_completed(BoolFn([0] * 16))
 
 
 def test_threaded_search_agrees():
