@@ -20,6 +20,7 @@ of defaulting to the dot product.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -272,28 +273,54 @@ def autocorrelation(f: BoolFn) -> np.ndarray:
 def _autocorrelation(table: np.ndarray) -> np.ndarray:
     # autocorrelation of each bit table along the last axis; squares and
     # shifts in place, so a call allocates three full-size arrays
-    w = _fwht_inplace(_signs(table))
+    return _wiener_khintchine(_fwht_inplace(_signs(table)))
+
+
+def _wiener_khintchine(w: np.ndarray) -> np.ndarray:
+    # autocorrelation FWHT(W^2) / 2^n from the int64 spectra W along the
+    # last axis, overwriting them; returns w
     w *= w
     _fwht_inplace(w)
-    w >>= table.shape[-1].bit_length() - 1
+    w >>= w.shape[-1].bit_length() - 1
     return w
 
 
-def _derivative_autocorrelation(table: np.ndarray, a) -> np.ndarray:
-    """Autocorrelation of D_a t(x) = t(x) + t(x + a) for each bit table t
-    along the last axis, exact in int64.
+@functools.cache
+def _points(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0, ..., 2^n - 1 and the parity of each, read-only."""
+    x = np.arange(1 << n)
+    parity = (np.bitwise_count(x) & 1).astype(np.uint8)
+    x.setflags(write=False)
+    parity.setflags(write=False)
+    return x, parity
+
+
+def _derivative_spectrum(table: np.ndarray, a) -> np.ndarray:
+    """Walsh spectrum of D_a t(x) = t(x) + t(x + a) for each bit table t
+    along the last axis, as a new int64 array.
 
     a is one direction, or a 1-D array of directions, which adds a
-    leading axis.  D_a D_b t is constant 0 (1) exactly when the result
-    at b is 2^n (-2^n): the period test of the M-subspace rows, the
-    plane scan and property P.
+    leading axis.  b is a period of D_a t exactly when b is orthogonal
+    to every point of the spectrum's support.
     """
     a = np.asarray(a)
-    rows = np.take(table, np.arange(table.shape[-1]) ^ a[..., None], axis=-1)
+    x = _points(table.shape[-1].bit_length() - 1)[0]
+    rows = np.take(table, x ^ a[..., None], axis=-1)
     if a.ndim:
         rows = np.ascontiguousarray(np.moveaxis(rows, -2, 0))
     rows ^= table
-    return _autocorrelation(rows)
+    return _fwht_inplace(_signs(rows))
+
+
+def _derivative_autocorrelation(table: np.ndarray, a) -> np.ndarray:
+    """Autocorrelation of D_a t for each bit table t along the last axis
+    (a as in `_derivative_spectrum`), exact in int64.
+
+    D_a D_b t is constant 0 (1) exactly when the result at b is 2^n
+    (-2^n): the period test of the M-subspace rows, the plane scan and
+    property P.
+    """
+    return _wiener_khintchine(_derivative_spectrum(table, a))
 
 
 def _plateau_orders(absw: np.ndarray, n: int) -> np.ndarray:

@@ -30,14 +30,21 @@ if TYPE_CHECKING:
 # function, so a fresh process executes only those (see bentfn/__init__).
 
 
-def _default_threads() -> int:
-    env = os.environ.get("BENT_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ParameterError(f"BENT_THREADS must be an integer, got {env!r}") from None
+def _threads(arg: int | None) -> int:
+    """The worker count: --threads, else BENT_THREADS, else 1."""
+    source, threads = "--threads", arg
+    if threads is None:
+        env = os.environ.get("BENT_THREADS")
+        if not env:
+            return 1
+        source = "BENT_THREADS"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ParameterError(f"BENT_THREADS must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise ParameterError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _plain(val) -> str:
@@ -370,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is None:
-            args.threads = _default_threads()
+        args.threads = _threads(args.threads)
         return args.func(args)
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

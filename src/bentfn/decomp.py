@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BoolFn, Space, _abs_spectrum, _derivative_autocorrelation, dual, is_bent
+from .boolfn import (BoolFn, Space, _abs_spectrum, _derivative_autocorrelation, _points, dual,
+                     is_bent)
 from .derivative import second_derivative
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, validate_gps_params
@@ -33,16 +34,6 @@ def _check_plane(n: int, u: int, v: int) -> None:
         raise ParameterError("u and v must be nonzero n-bit values")
     if u == v:
         raise ParameterError("u and v must be linearly independent")
-
-
-@functools.cache
-def _points(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0, ..., 2^n - 1 and the parity of each, read-only."""
-    x = np.arange(1 << n)
-    parity = (np.bitwise_count(x) & 1).astype(np.uint8)
-    x.setflags(write=False)
-    parity.setflags(write=False)
-    return x, parity
 
 
 def _coset_index(n: int, u, v) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Derivatives, M-subspaces, linearity index, and EA transforms.
 
 The M-subspace search works on the compatibility relation
-compat(a, b) <=> D_a D_b f == 0.  Four structural facts keep it fast:
+compat(a, b) <=> D_a D_b f == 0.  Five structural facts keep it fast:
 
 * compat(a, .) is a linear subspace: D_a D_b f == 0 iff b is an
   XOR-period of D_a f, i.e. iff the autocorrelation of D_a f at b is
@@ -21,6 +21,13 @@ compat(a, b) <=> D_a D_b f == 0.  Four structural facts keep it fast:
   So chains towards dimension t start below 2^(n-t+1), and the vector
   added at depth d is below 2^(n-t+d+1).  With no target dimension,
   t is one more than the best dimension found so far.
+* The row of a is (span supp W_{D_a f})^perp: b is a period of D_a f
+  exactly when b is orthogonal to every point of the Walsh support of
+  D_a f.  So the row has at most 2^n / |supp W_{D_a f}| elements, and a
+  root whose support holds more than 2^(n-t) points cannot start a
+  t-dimensional chain: the search counts the support of the root's
+  spectrum (one FWHT) and skips the root, or finishes its row from the
+  same spectrum.
 
 Rows are computed lazily and cached bit-packed, so a capped search on
 14 variables stays within tens of megabytes.
@@ -34,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (_MAX_N, BoolFn, _derivative_autocorrelation, _hex_values, _linear_image,
-                     _read_records, _write_records)
+from .boolfn import (_MAX_N, BoolFn, _derivative_spectrum, _hex_values, _linear_image,
+                     _read_records, _wiener_khintchine, _write_records)
 from .errors import DomainError, ParameterError, ParseError
 
 
@@ -113,8 +120,23 @@ class _CompatRows:
             self._cache[a] = packed
         return np.unpackbits(packed, bitorder="little")[: self.size]
 
-    def _compute(self, a: int) -> np.ndarray:
-        row = _derivative_autocorrelation(self.f.table, a)
+    def root(self, a: int, goal: int) -> np.ndarray | None:
+        """row(a) for a search root, or None when that row has fewer than
+        2^goal elements.  The row is (span supp W_{D_a f})^perp, so a
+        support of more than 2^(n - goal) points shows this before the
+        row's second transform."""
+        if a not in self._cache:
+            spectrum = _derivative_spectrum(self.f.table, a)
+            if np.count_nonzero(spectrum) << goal > self.size:
+                return None
+            self._cache[a] = self._compute(a, spectrum)
+        return self.row(a)
+
+    def _compute(self, a: int, spectrum: np.ndarray | None = None) -> np.ndarray:
+        # a spectrum of D_a f already taken is finished in place
+        if spectrum is None:
+            spectrum = _derivative_spectrum(self.f.table, a)
+        row = _wiener_khintchine(spectrum)
         return np.packbits(row == self.size, bitorder="little")
 
 
@@ -170,14 +192,17 @@ def _run_search(f: BoolFn, roots, target: int | None, cap: int,
                 find_all: bool) -> _SearchResult:
     rows = _CompatRows(f)
     res = _SearchResult()
-    ones = np.ones(f.table.size, dtype=np.uint8)
     for v1 in roots:
         if res.done or v1 >> (f.n - _goal(target, res) + 1):
             break
         if target is not None and not find_all and res.found:
             break
-        pm = ones & rows.row(v1)
-        _dfs(rows, sorted([0, v1]), [v1], pm, target, cap, find_all, res)
+        # A skipped root's row is too small for _dfs's count check.  The
+        # bound needs goal >= 2, as every row holds 0 and v1; by then an
+        # index search has best >= 1, so skipping moves no best, found or done.
+        pm = rows.root(v1, _goal(target, res))
+        if pm is not None:
+            _dfs(rows, [0, v1], [v1], pm, target, cap, find_all, res)
     return res
 
 

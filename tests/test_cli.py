@@ -136,6 +136,26 @@ def test_bad_thread_environment(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "BENT_THREADS" in err
 
 
+@pytest.mark.parametrize("argv, env, source", [
+    (["--threads", "0"], None, "--threads"),
+    (["--threads", "-2"], None, "--threads"),
+    ([], "-3", "BENT_THREADS"),
+    ([], "0", "BENT_THREADS"),
+], ids=["flag-0", "flag-minus-2", "env-minus-3", "env-0"])
+def test_thread_count_below_one(tmp_path, capsys, monkeypatch, argv, env, source):
+    # from either source, a count below 1 is refused before any work
+    p = tmp_path / "q.tt"
+    save_table(BoolFn(QUAD_TABLE), str(p))
+    if env is not None:
+        monkeypatch.setenv("BENT_THREADS", env)
+    code, out, err = run(capsys, "msubspace", str(p), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and source in err and len(err.splitlines()) == 1
+    # --threads overrides an invalid environment, and 1 is accepted
+    code, _, _ = run(capsys, "msubspace", str(p), "--threads", "1")
+    assert code == 0
+
+
 def test_analyze_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.tt"
     p.write_text("n=4\nzz\n")

@@ -16,6 +16,7 @@ from bentfn import (
     ea_transform,
     enumerate_M_subspaces,
     ext_walsh_spectrum,
+    gf2vec,
     has_M_subspace,
     is_M_subspace,
     linearity_index,
@@ -27,7 +28,7 @@ from bentfn import (
 from bentfn.construct import PermTable, build_cor_ex, mm
 from bentfn.derivative import _CompatRows
 
-from helpers import FILE_EXAMPLES, naive_M_subspaces, random_invertible, with_noise
+from helpers import FILE_EXAMPLES, naive_M_subspaces, naive_walsh, random_invertible, with_noise
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -67,6 +68,19 @@ def test_compat_rows_match_second_derivatives(n):
             row = rows.row(a)
             for b in range(1 << n):
                 assert row[b] == (not second_derivative(f, a, b).table.any())
+            # the row is the orthogonal complement of the span of the
+            # Walsh support of D_a f, and the search's root bound reads
+            # its size off that support
+            supp = [u for u, w in enumerate(naive_walsh(derivative(f, a).table)) if w]
+            span = gf2vec.span(supp)
+            perp = [b for b in range(1 << n) if all((b & u).bit_count() % 2 == 0 for u in span)]
+            assert np.flatnonzero(row).tolist() == perp
+            for goal in range(n + 1):
+                root = _CompatRows(f).root(a, goal)
+                if len(supp) << goal > 1 << n:
+                    assert root is None and len(perp) < 1 << goal
+                else:
+                    assert root.tolist() == row.tolist()
 
 
 def test_subspace_dataclass():
@@ -192,12 +206,20 @@ def test_enumerate_matches_every_subspace_oracle(f):
 
 
 def test_search_row_counts(monkeypatch):
-    # compatibility rows computed by the bounded search: a work counter
-    # that does not depend on the machine
-    computed = []
+    # compatibility rows computed and derivative spectra taken by the
+    # bounded search: work counters that do not depend on the machine
+    computed, spectra, transforms = [], [], []
+    dmod = importlib.import_module("bentfn.derivative")
+    bmod = importlib.import_module("bentfn.boolfn")
     compute = _CompatRows._compute
     monkeypatch.setattr(_CompatRows, "_compute",
-                        lambda self, a: computed.append(a) or compute(self, a))
+                        lambda self, a, *s: computed.append(a) or compute(self, a, *s))
+    spectrum = dmod._derivative_spectrum
+    monkeypatch.setattr(dmod, "_derivative_spectrum",
+                        lambda t, a: spectra.append(a) or spectrum(t, a))
+    fwht = bmod._fwht_inplace
+    monkeypatch.setattr(bmod, "_fwht_inplace",
+                        lambda w: transforms.append(w.size) or fwht(w))
     f10 = build_cor_ex(make_field(4), 4, 1, "inverse")
     f14 = build_cor_ex(make_field(5), 5, 2, "gold", gold_k=1)
     ctx5 = make_field(5)
@@ -211,9 +233,16 @@ def test_search_row_counts(monkeypatch):
                       (lambda: linearity_index(f10, dim_cap=2), 2),
                       (lambda: linearity_index(inv10, dim_cap=2), 2)):
         computed.clear()
+        spectra.clear()
+        transforms.clear()
         assert run() == want
-        counts.append(len(computed))
-    assert counts == [63, 257, 255, 1, 3, 3]
+        counts.append((len(computed), len(spectra)))
+        # one transform per spectrum, one more per row finished from it
+        assert len(transforms) == len(spectra) + len(computed)
+    # a root whose Walsh support shows too small a row costs one
+    # transform and no row
+    assert [c for c, _ in counts] == [0, 32, 0, 1, 3, 3]
+    assert [s for _, s in counts] == [63, 257, 255, 1, 3, 3]
 
 
 def test_enumerate_dim_too_large():
@@ -227,6 +256,11 @@ def test_threaded_search_agrees():
     a = {U.canonical().basis for U in enumerate_M_subspaces(f, 3)}
     b = {U.canonical().basis for U in enumerate_M_subspaces(f, 3, threads=2)}
     assert a == b
+    # cor-ex1 (n = 10): both searches have over 64 roots, so the pool
+    # runs them, and the root bound skips roots inside its workers
+    f10 = build_cor_ex(make_field(4), 4, 1, "inverse")
+    assert linearity_index(f10, threads=2) == linearity_index(f10) == 2
+    assert enumerate_M_subspaces(f10, 2, threads=2) == enumerate_M_subspaces(f10, 2)
 
 
 def test_ea_transform():
