@@ -151,8 +151,7 @@ class BoolFn:
 
     def shift(self, a: int) -> "BoolFn":
         """x -> f(x + a)."""
-        idx = np.arange(self.table.size, dtype=np.int64) ^ int(a)
-        return BoolFn(self.table[idx], self.space)
+        return BoolFn(self.table[_points(self.n)[0] ^ int(a)], self.space)
 
     def with_space(self, space: Space) -> "BoolFn":
         return BoolFn(self.table, space)
@@ -293,6 +292,15 @@ def _points(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.setflags(write=False)
     parity.setflags(write=False)
     return x, parity
+
+
+def _second_derivative(table: np.ndarray, a, b) -> np.ndarray:
+    """D_a D_b t(x) = t(x) + t(x + a) + t(x + b) + t(x + a + b) of a bit
+    table t, for the ints a, b, or for the int64 columns a, b (one row
+    per pair of directions), as a new array."""
+    x = _points(table.size.bit_length() - 1)[0]
+    xa = x ^ a
+    return table ^ table[xa] ^ table[x ^ b] ^ table[xa ^ b]
 
 
 def _derivative_spectrum(table: np.ndarray, a) -> np.ndarray:

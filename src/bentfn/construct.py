@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _fwht_inplace,
-                     _hex_values, _read_records, _write_records, dual, is_bent,
-                     plateaued_order, walsh_transform)
+                     _hex_values, _read_records, _write_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field
 from .rng import XorShift64Star
@@ -156,32 +155,6 @@ def mm(ctx: FieldCtx, pi: PermTable, g=None) -> BoolFn:
     gmask = ctx.dualmask_arr[pi.array()]
     table = (np.bitwise_count(ctx.elements[None, :] & gmask[:, None]) & 1) ^ gt[:, None]
     return BoolFn(table.reshape(-1), Space([ctx, ctx]))
-
-
-def gmm_general(family) -> BoolFn:
-    """Concatenate 2^k same-order plateaued functions with disjoint
-    Walsh supports into a bent function on m + k variables."""
-    family = list(family)
-    count = len(family)
-    if count < 2 or count & (count - 1):
-        raise ParameterError(f"family size must be a power of two >= 2, got {count}")
-    k = count.bit_length() - 1
-    n = family[0].n
-    if any(f.n != n for f in family):
-        raise ParameterError("family members must share one dimension")
-    owner = np.full(family[0].table.size, -1, dtype=np.int64)
-    for z, f in enumerate(family):
-        s = plateaued_order(f)
-        if s != k:
-            raise ParameterError(f"family member z={z} is not {k}-plateaued (order {s})")
-        supp = walsh_transform(f).values != 0
-        clash = (owner >= 0) & supp
-        if clash.any():
-            other = int(owner[np.argmax(clash)])
-            raise ParameterError(f"Walsh supports of z={other} and z={z} overlap")
-        owner[supp] = z
-    space = Space(list(family[0].space.factors) + [k])
-    return BoolFn(np.concatenate([f.table for f in family]), space)
 
 
 def _check_gmm_family(ctx: FieldCtx, k: int, family) -> list[BoolFn]:

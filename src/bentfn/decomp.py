@@ -7,10 +7,11 @@ Restricting f to the cosets gives four functions on n - 2 variables;
 for bent f the four are all bent exactly when D_u D_v f* is constant 1
 and all semibent exactly when it is constant 0, which is what the
 classifier reports from both sides.  One plane takes one transform of
-its four coset tables and one gather of the dual; a batch of planes is
-classified in chunks of a fixed number of table entries, each chunk
-with one transform of all its coset tables.  The scan of every plane
-labels them from the dual side alone and returns its result as arrays.
+its four coset tables and one second derivative of the dual; a batch
+of planes is classified in chunks of a fixed number of table entries,
+each chunk with one transform of all its coset tables.  The scan of
+every plane labels them from the dual side alone and returns its
+result as arrays.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (BoolFn, Space, _abs_spectrum, _derivative_autocorrelation, _points, dual,
-                     is_bent)
+from .boolfn import (BoolFn, Space, _abs_spectrum, _derivative_autocorrelation, _points,
+                     _second_derivative, dual, is_bent)
 from .derivative import second_derivative
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, validate_gps_params
-from .construct import PermTable, SubfieldFn, _check_gps, gpsap_vectorial, spread_labels
+from .construct import (PermTable, SubfieldFn, _check_gps, gpsap_trace_form, gpsap_vectorial,
+                        spread_labels)
 from .vectorial import component
 
 
@@ -99,7 +101,7 @@ def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
     """Classify the coset decomposition of a bent function along u, v.
 
     The four restrictions are classified from one transform of f's own
-    coset tables, and D_u D_v f* from one gather of the cached dual at
+    coset tables, and D_u D_v f* from four gathers of the cached dual at
     x + {0, u, v, u + v}; the two sides are computed independently, and
     they agree with classify_planes on the one plane.
     """
@@ -109,7 +111,7 @@ def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
     peaks = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
     status = [_status(peak, n) for peak in peaks.tolist()]
     cls = _CLASS_OF[status[0] & status[1] & status[2] & status[3]]
-    d2 = np.bitwise_xor.reduce(fstar[_points(n)[0] ^ np.array([[0], [u], [v], [u ^ v]])])
+    d2 = _second_derivative(fstar, u, v)
     return DecompositionReport(u, v, CLASSES[cls], tuple(STATUSES[s] for s in status),
                                CONSTANCY[_constancy_code(d2)])
 
@@ -161,7 +163,6 @@ def _classify(f: BoolFn, us: np.ndarray, vs: np.ndarray):
     # us and vs are int64 columns, one row per plane
     fstar = _fstar(f)
     n = f.n
-    x = _points(n)[0]
     step = max(1, _CHUNK_ENTRIES >> n)
     out = []
     for i in range(0, max(us.shape[0], 1), step):  # no planes: one empty chunk
@@ -169,9 +170,7 @@ def _classify(f: BoolFn, us: np.ndarray, vs: np.ndarray):
         peak = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
         status = _status(peak, n).reshape(-1, 4)
         cls = _CLASS_OF[np.bitwise_and.reduce(status, axis=1)]
-        xu = x ^ u
-        d2 = fstar ^ fstar[xu] ^ fstar[x ^ v] ^ fstar[xu ^ v]
-        out.append((status, cls, _constancy_code(d2)))
+        out.append((status, cls, _constancy_code(_second_derivative(fstar, u, v))))
     if len(out) == 1:
         return out[0]
     return tuple(np.concatenate(part) for part in zip(*out))
@@ -194,8 +193,6 @@ def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
     t~ = t^(2^(m-ell)); fhat is the dual composed with a linear map
     sending (1,0), (0,1) to u, v, so the classes agree identically.
     """
-    from .construct import gpsap_trace_form
-
     if ctx.mul(a, d) ^ ctx.mul(b, c) == 0:
         raise DomainError("ad + bc must be nonzero")
     m = params.m
@@ -257,16 +254,9 @@ def psffff(ctx: FieldCtx, m: int, k: int, P: SubfieldFn,
 
     with e = 2^k + 1 and P a permutation of S_k.
     """
-    import math
-
     if ctx.m != m:
         raise ParameterError(f"context is GF(2^{ctx.m}), requested m={m}")
-    if m % k:
-        raise ParameterError(f"k must divide m, got m={m}, k={k}")
-    e = (1 << k) + 1
-    g = math.gcd(ctx.order, e)
-    if g != 1:
-        raise ParameterError(f"gcd(2^{m}-1, 2^{k}+1) = {g}, need 1")
+    params = validate_gps_params(m, k, (1 << k) + 1)
     elems = set(ctx.subfield(k))
     for name, val in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if val not in elems:
@@ -276,12 +266,10 @@ def psffff(ctx: FieldCtx, m: int, k: int, P: SubfieldFn,
     csum = alpha ^ beta ^ gamma
     if csum == 0:
         raise ParameterError("alpha + beta + gamma must be nonzero")
-    if P.k != k:
-        raise ParameterError(f"P is on S_{P.k}, construction uses k={k}")
     # the (z1, z2) blocks are the components of the vectorial spread
     # function at alpha (0,0), beta (0,1), gamma (1,0) and, complemented,
-    # alpha + beta + gamma (1,1); the checks above make the params valid
-    vec = gpsap_vectorial(ctx, validate_gps_params(m, k, e), P)
+    # alpha + beta + gamma (1,1)
+    vec = gpsap_vectorial(ctx, params, P)
     f_a, f_b, f_c, f_abc = (component(vec, ctx.subfield_index(k, coeff))
                             for coeff in (alpha, beta, gamma, csum))
     return concat4(f_a, f_b, f_c, f_abc ^ 1)
@@ -396,7 +384,7 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
         )
     # the autocorrelation of D_b1 f* at b2 labels the plane (b1, b2);
     # the b1 of a chunk go through one batched call
-    fstar = _plain_dual(f).table
+    fstar = _fstar(f)
     size = 1 << n
     total = (size - 1) * (size - 2) // 6
     basis1 = np.empty(total, dtype=np.int32)

@@ -35,14 +35,15 @@ Rows are computed lazily and cached bit-packed, so a capped search on
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (_MAX_N, BoolFn, _derivative_spectrum, _hex_values, _linear_image,
-                     _read_records, _wiener_khintchine, _write_records)
+from .boolfn import (_MAX_N, BoolFn, _derivative_spectrum, _hex_values, _linear_image, _points,
+                     _read_records, _second_derivative, _wiener_khintchine, _write_records)
 from .errors import DomainError, ParameterError, ParseError
 
 
@@ -53,9 +54,7 @@ def derivative(f: BoolFn, a: int) -> BoolFn:
 
 def second_derivative(f: BoolFn, a: int, b: int) -> BoolFn:
     """D_a D_b f(x) = f(x) + f(x+a) + f(x+b) + f(x+a+b)."""
-    t = f.table
-    idx = np.arange(t.size, dtype=np.int64)
-    return BoolFn(t ^ t[idx ^ a] ^ t[idx ^ b] ^ t[idx ^ (a ^ b)], f.space)
+    return BoolFn(_second_derivative(f.table, a, b), f.space)
 
 
 @dataclass(frozen=True)
@@ -206,15 +205,6 @@ def _run_search(f: BoolFn, roots, target: int | None, cap: int,
     return res
 
 
-_FORK_ARGS: dict = {}
-
-
-def _fork_worker(chunk) -> tuple[int, list[tuple[int, ...]]]:
-    a = _FORK_ARGS
-    out = _run_search(a["f"], chunk, a["target"], a["cap"], a["find_all"])
-    return out.best, out.found
-
-
 def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
             threads: int = 1) -> _SearchResult:
     roots = list(range(1, f.table.size if target is None else 1 << (f.n - target + 1)))
@@ -224,16 +214,13 @@ def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
     import multiprocessing   # only a pooled search pays for this import
 
     chunks = [roots[i::threads] for i in range(threads)]
-    _FORK_ARGS.update(f=f, target=target, cap=cap, find_all=find_all)
-    try:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            parts = pool.map(_fork_worker, chunks)
-    finally:
-        _FORK_ARGS.clear()
+    job = functools.partial(_run_search, f, target=target, cap=cap, find_all=find_all)
+    with multiprocessing.get_context("fork").Pool(threads) as pool:
+        parts = pool.map(job, chunks)
     res = _SearchResult()
-    for best, found in parts:
-        res.best = max(res.best, best)
-        res.found.extend(found)
+    for part in parts:
+        res.best = max(res.best, part.best)
+        res.found.extend(part.found)
     if target is not None and not find_all and res.found:
         res.found = [min(res.found)]
     return res
@@ -275,10 +262,8 @@ def ea_transform(f: BoolFn, L: list[int], a: int = 0, c: int = 0, b: int = 0) ->
     """
     if len(L) != f.n or gf2vec.rank(list(L)) != f.n:
         raise ParameterError("L must be an invertible n x n matrix over GF(2)")
-    img = _linear_image(L)
-    idx = np.arange(f.table.size, dtype=np.int64)
-    lin = (np.bitwise_count((idx & c).astype(np.uint64)) & 1).astype(np.uint8)
-    return BoolFn(f.table[img ^ a] ^ lin ^ (b & 1), f.space)
+    x, parity = _points(f.n)
+    return BoolFn(f.table[_linear_image(L) ^ a] ^ parity[x & c] ^ (b & 1), f.space)
 
 
 def save_subspace(U: Subspace, path: str) -> None:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import (_MAX_N, BoolFn, Space, _hex_values, _linear_image, _read_records,
-                     _write_records, dual, is_bent)
-from .errors import DomainError, ParseError
+from .boolfn import BoolFn, Space, _linear_image, dual, is_bent
+from .errors import DomainError
 from .gf2 import FieldCtx
 
 
@@ -100,21 +99,3 @@ def check_component_dual_linearity(F: VecFn) -> bool:
             if (duals[a] ^ duals[b]) != duals[a ^ b]:
                 return False
     return True
-
-
-def save_vecfn(F: VecFn, path: str) -> None:
-    _write_records(path, {"n": F.n, "k": F.k}, (f"{int(v):x}" for v in F.table))
-
-
-def load_vecfn(path: str) -> VecFn:
-    head, (n, k), records = _read_records(path, "n", "k")
-    if not 1 <= n <= _MAX_N or not 1 <= k <= _MAX_N:
-        raise ParseError(f"dimensions n={n} k={k} out of range", head)
-    want = 1 << n
-    if len(records) != want:
-        raise ParseError(f"expected {want} table lines, found {len(records)}",
-                         records[-1][0] if records else head)
-    try:
-        return VecFn(np.array(_hex_values(records), dtype=np.int64), k)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from None

@@ -222,6 +222,16 @@ def test_decompose_small_dimension(tmp_path, capsys):
     assert text == "" and err.startswith("error:") and "n=2" in err
 
 
+def test_decompose_scan_small_dimension(tmp_path, capsys):
+    p = tmp_path / "mm_n2.tt"
+    code, _, _ = run(capsys, "construct", "--family", "mm", "--m", "1", "--out", str(p))
+    assert code == 0
+    code, text, err = run(capsys, "decompose", str(p), "--scan")
+    assert code == 2
+    assert text == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "mm_n2.scan.csv").exists()
+
+
 def test_decompose_scan(tmp_path, capsys):
     # the README's gpsap n = 8 example, and the CSV of the per-plane loop
     p = tmp_path / "gpsap_n8.tt"

@@ -19,7 +19,6 @@ from bentfn import (
     glambda_nonconstant,
     gmm,
     gmm_dual,
-    gmm_general,
     gpsap,
     gpsap_dual_formula,
     gpsap_trace_form,
@@ -29,14 +28,12 @@ from bentfn import (
     load_subfield_fn,
     make_field,
     mm,
-    plateaued_order,
     psap,
     save_perm,
     save_subfield_fn,
     spread_labels,
     trace_sum_nonconstant,
     validate_gps_params,
-    walsh_transform,
 )
 
 from helpers import FILE_EXAMPLES, SlowField, literal_unique_subspace, two_block_table, with_noise
@@ -138,31 +135,13 @@ def test_gmm_bent_and_dual():
         assert dual(f) == gmm_dual(ck, k, fam)
 
 
-def test_gmm_general_preconditions():
+def test_gmm_preconditions():
     ck = make_field(1)
     fam = seeded_family(1, 4, 9)
-    with pytest.raises(ParameterError) as exc:
-        gmm_general([fam[0], fam[0]])  # identical spectra cannot be disjoint
-    assert "overlap" in str(exc.value) or "plateaued" in str(exc.value)
     with pytest.raises(ParameterError):
         gmm(ck, 1, [fam[0]])  # family size must be 2^k
     with pytest.raises(ParameterError):
         gmm(ck, 1, [fam[0], BoolFn([0, 1, 1, 1])])  # member not bent
-
-
-def test_gmm_general_disjoint_supports():
-    # halves of a 6-variable bent function are 1-plateaued with
-    # complementary spectral supports, so they concatenate back
-    ctx = make_field(3)
-    f = mm(ctx, PermTable.inverse_map(ctx)).with_space(None)
-    left = BoolFn(f.table[:32])
-    right = BoolFn(f.table[32:])
-    wl = walsh_transform(left).values
-    wr = walsh_transform(right).values
-    assert ((wl != 0) ^ (wr != 0)).all()
-    g = gmm_general([left, right])
-    assert is_bent(g)
-    assert np.array_equal(g.table, f.table)
 
 
 def test_psap_bent_balanced_P_required():

@@ -415,6 +415,13 @@ def test_scan_matches_single_plane_classification():
         assert rep.classification == rec.classification
 
 
+def test_scan_small_dimension():
+    # bent, but with n = 2 no plane splits it into restrictions
+    f = BoolFn([0, 0, 0, 1])
+    with pytest.raises(DomainError, match="n=2"):
+        scan_decompositions(f)
+
+
 def test_scan_guard_and_save(tmp_path):
     big = BoolFn(np.zeros(1 << 14, dtype=np.uint8))
     with pytest.raises(ResourceError):

@@ -25,6 +25,7 @@ from bentfn import (
     save_subspace,
     second_derivative,
 )
+from bentfn.boolfn import _second_derivative
 from bentfn.construct import PermTable, build_cor_ex, mm
 from bentfn.derivative import _CompatRows
 
@@ -50,10 +51,21 @@ def test_derivative_definition():
 def test_second_derivative_symmetry():
     rng = XorShift64Star(2)
     f = rand_fn(rng, 4)
+    t = f.table.tolist()
     for a in range(16):
         for b in range(16):
-            assert second_derivative(f, a, b) == second_derivative(f, b, a)
+            d2 = second_derivative(f, a, b)
+            assert d2 == second_derivative(f, b, a)
+            assert d2.table.tolist() == [t[x] ^ t[x ^ a] ^ t[x ^ b] ^ t[x ^ a ^ b]
+                                         for x in range(16)]
     assert not second_derivative(f, 3, 3).table.any()
+    # the batched kernel: one row per pair of int64 columns
+    us = np.array([1, 3, 6, 9, 15], dtype=np.int64)
+    vs = np.array([2, 5, 6, 12, 1], dtype=np.int64)
+    rows = _second_derivative(f.table, us[:, None], vs[:, None])
+    assert rows.shape == (5, 16)
+    for row, u, v in zip(rows, us.tolist(), vs.tolist()):
+        assert np.array_equal(row, second_derivative(f, u, v).table)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

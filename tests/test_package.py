@@ -1,6 +1,7 @@
 """The package entry: its public names, and what a fresh process executes
 on `import bentfn` and on each CLI verb."""
 
+import ast
 import json
 import os
 import subprocess
@@ -38,6 +39,27 @@ def test_public_names_resolve_once():
     assert len(set(bentfn.__all__)) == len(bentfn.__all__)
     missing = [name for name in bentfn.__all__ if not hasattr(bentfn, name)]
     assert missing == []
+
+
+def _imported_and_used(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The names a module's imports bind, and the names it reads,
+    annotations included (unquoted, they parse as names)."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return imported, used
+
+
+@pytest.mark.parametrize("path", sorted(Path(bentfn.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    imported, used = _imported_and_used(ast.parse(path.read_text()))
+    assert sorted(imported - used) == []
 
 
 def test_submodule_attributes():

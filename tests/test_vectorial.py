@@ -1,26 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from bentfn import (
     DomainError,
     OutPairing,
-    ParseError,
     VecFn,
     check_component_dual_linearity,
     component,
     gpsap_vectorial,
     is_bent,
     is_vectorial_bent,
-    load_vecfn,
     make_field,
-    save_vecfn,
     validate_gps_params,
 )
 from bentfn.construct import SubfieldFn
-
-from helpers import FILE_EXAMPLES, with_noise
 
 
 def vec_422():
@@ -91,43 +84,3 @@ def test_subfield_trace_pairing_symmetric():
             lhs = (pairing.dualmask(a) & b).bit_count() & 1 if a else 0
             rhs = (pairing.dualmask(b) & a).bit_count() & 1 if b else 0
             assert lhs == rhs
-
-
-def test_vecfn_file_round_trip(tmp_path):
-    F = vec_422()
-    p = tmp_path / "F.vt"
-    save_vecfn(F, str(p))
-    G = load_vecfn(str(p))
-    assert G.n == F.n and G.k == F.k
-    assert np.array_equal(G.table, F.table)
-    head = p.read_text().splitlines()[0]
-    assert head == "n=8 k=2"
-
-
-@pytest.mark.parametrize("body,lineno", [
-    ("n=2\n0\n0\n0\n0\n", 1),
-    ("n=2 k=2\n0\n0\n0\n", 4),
-    ("n=2 k=2\n0\nq\n0\n0\n", 3),
-    ("n=17 k=1\n0\n", 1),
-    ("# comment\nn=1 k=17\n0\n1\n", 2),
-])
-def test_vecfn_parse_errors(tmp_path, body, lineno):
-    p = tmp_path / "bad.vt"
-    p.write_text(body)
-    with pytest.raises(ParseError) as exc:
-        load_vecfn(str(p))
-    assert f"line {lineno}" in str(exc.value)
-
-
-@FILE_EXAMPLES
-@given(st.data())
-def test_vecfn_file_with_comments(tmp_path, data):
-    n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
-    vals = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1 << n, max_size=1 << n))
-    F = VecFn(np.array(vals), k)
-    p = tmp_path / "F.vtt"
-    save_vecfn(F, str(p))
-    p.write_text(with_noise(data, p.read_text().splitlines()))
-    G = load_vecfn(str(p))
-    assert (G.n, G.k) == (F.n, F.k)
-    assert np.array_equal(G.table, F.table)
