@@ -311,13 +311,45 @@ def _derivative_spectrum(table: np.ndarray, a) -> np.ndarray:
     leading axis.  b is a period of D_a t exactly when b is orthogonal
     to every point of the spectrum's support.
     """
+    return _fwht_inplace(_derivative_signs(table, a))
+
+
+def _derivative_signs(table: np.ndarray, a) -> np.ndarray:
+    # (-1)^(D_a t) for each bit table t, as a new int64 array (a as in
+    # `_derivative_spectrum`)
     a = np.asarray(a)
     x = _points(table.shape[-1].bit_length() - 1)[0]
     rows = np.take(table, x ^ a[..., None], axis=-1)
     if a.ndim:
         rows = np.ascontiguousarray(np.moveaxis(rows, -2, 0))
     rows ^= table
-    return _fwht_inplace(_signs(rows))
+    return _signs(rows)
+
+
+def _quarter_first_spectrum(table: np.ndarray, a: int, limit: int) -> np.ndarray | None:
+    """`_derivative_spectrum(table, a)` of one bit table (n >= 2), or
+    None when its support holds more than `limit` points.
+
+    The support is counted one part at a time.  Two butterfly stages
+    over the top two index bits combine the four contiguous quarters of
+    the sign table, quarter w_top of the result summing them with the
+    signs (-1)^(w_top . x_top).  The quarter with w_top = 00 is
+    transformed and counted first, and only when its count stays within
+    `limit` are the other three transformed (in one batched call) and
+    added.  The quarters then hold the spectrum in natural order, from
+    the butterflies of one full transform.  Exact in int64.
+    """
+    signs = _derivative_signs(table, a)
+    q = signs.reshape(4, -1)
+    half = np.empty_like(q)
+    np.add(q[:2], q[2:], out=half[:2])
+    np.subtract(q[:2], q[2:], out=half[2:])
+    np.add(half[0::2], half[1::2], out=q[0::2])
+    np.subtract(half[0::2], half[1::2], out=q[1::2])
+    support = np.count_nonzero(_fwht_inplace(q[0]))
+    if support <= limit:
+        support += np.count_nonzero(_fwht_inplace(q[1:]))
+    return signs if support <= limit else None
 
 
 def _derivative_autocorrelation(table: np.ndarray, a) -> np.ndarray:

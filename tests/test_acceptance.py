@@ -9,17 +9,12 @@ gate does not rest solely on the library's own fast paths.
 """
 
 import numpy as np
-import pytest
 
 from bentfn import (
     PermTable,
     SubfieldFn,
-    XorShift64Star,
-    anf_degree,
     concat4,
     gmm,
-    gpsap_trace_form,
-    is_bent,
     make_field,
     mm,
     psap,

@@ -25,7 +25,7 @@ from bentfn import (
     save_subspace,
     second_derivative,
 )
-from bentfn.boolfn import _second_derivative
+from bentfn.boolfn import _derivative_spectrum, _quarter_first_spectrum, _second_derivative
 from bentfn.construct import PermTable, build_cor_ex, mm
 from bentfn.derivative import _CompatRows
 
@@ -68,31 +68,59 @@ def test_second_derivative_symmetry():
         assert np.array_equal(row, second_derivative(f, u, v).table)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_compat_rows_match_second_derivatives(n):
     # random functions plus a quadratic one, whose rows are large subspaces
     rng = XorShift64Star(100 + n)
     quad = BoolFn([(i & (i >> 1) & 1) ^ ((i >> 2) & (i >> 3) & 1)
                    for i in range(1 << n)])
+    x = np.arange(1 << n)
+    sign = 1 - 2 * (np.bitwise_count(x[:, None] & x) & 1).astype(np.int64)   # (-1)^(b.x)
     for f in [rand_fn(rng, n) for _ in range(3)] + [quad]:
         rows = _CompatRows(f)
+        # one search per goal; each sees every root once, so each root
+        # call takes its spectrum, quarter first where 2 * goal >= n
+        searches = [_CompatRows(f) for _ in range(n + 1)]
         for a in range(1 << n):
             row = rows.row(a)
-            for b in range(1 << n):
-                assert row[b] == (not second_derivative(f, a, b).table.any())
+            assert np.array_equal(row, ~_second_derivative(f.table, a, x[:, None]).any(axis=1))
             # the row is the orthogonal complement of the span of the
             # Walsh support of D_a f, and the search's root bound reads
-            # its size off that support
-            supp = [u for u, w in enumerate(naive_walsh(derivative(f, a).table)) if w]
-            span = gf2vec.span(supp)
-            perp = [b for b in range(1 << n) if all((b & u).bit_count() % 2 == 0 for u in span)]
-            assert np.flatnonzero(row).tolist() == perp
-            for goal in range(n + 1):
-                root = _CompatRows(f).root(a, goal)
+            # its size off that support (the double sum in Python up to
+            # n = 6, as one product with the sign matrix above)
+            d = derivative(f, a).table
+            walsh = naive_walsh(d) if n <= 6 else sign @ (1 - 2 * d.astype(np.int64))
+            supp = [u for u, w in enumerate(walsh) if w]
+            perp = np.flatnonzero((sign[:, gf2vec.rref(supp)] == 1).all(axis=1))
+            assert np.array_equal(np.flatnonzero(row), perp)
+            for goal, search in enumerate(searches):
+                root = search.root(a, goal)
                 if len(supp) << goal > 1 << n:
                     assert root is None and len(perp) < 1 << goal
                 else:
                     assert root.tolist() == row.tolist()
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_quarter_first_spectrum_matches_whole(n):
+    # seeded functions, a bent one at even n, and an affine image of
+    # each; every direction up to n = 8, and above it every root a
+    # quarter-first search can take (a < 2^(n - goal + 1) with
+    # 2 * goal >= n)
+    rng = XorShift64Star(900 + n)
+    fns = [rand_fn(rng, n)]
+    if n % 2 == 0:
+        ctx = make_field(n // 2)
+        fns.append(mm(ctx, PermTable.inverse_map(ctx)).with_space(None))
+    fns += [ea_transform(f, random_invertible(rng, n), rng.randrange(1 << n),
+                         rng.randrange(1 << n), 1) for f in fns]
+    directions = range(1, 1 << (n if n <= 8 else n // 2 + 1))
+    for f in fns:
+        for a in directions:
+            whole = _derivative_spectrum(f.table, a)
+            support = int(np.count_nonzero(whole))
+            assert np.array_equal(_quarter_first_spectrum(f.table, a, support), whole)
+            assert _quarter_first_spectrum(f.table, a, support - 1) is None
 
 
 def test_subspace_dataclass():
@@ -218,9 +246,10 @@ def test_enumerate_matches_every_subspace_oracle(f):
 
 
 def test_search_row_counts(monkeypatch):
-    # compatibility rows computed and derivative spectra taken by the
+    # compatibility rows computed, derivative spectra taken whole or
+    # quarter first, and roots skipped on their first quarter by the
     # bounded search: work counters that do not depend on the machine
-    computed, spectra, transforms = [], [], []
+    computed, spectra, quarters, transforms = [], [], [], []
     dmod = importlib.import_module("bentfn.derivative")
     bmod = importlib.import_module("bentfn.boolfn")
     compute = _CompatRows._compute
@@ -229,6 +258,9 @@ def test_search_row_counts(monkeypatch):
     spectrum = dmod._derivative_spectrum
     monkeypatch.setattr(dmod, "_derivative_spectrum",
                         lambda t, a: spectra.append(a) or spectrum(t, a))
+    quarter = dmod._quarter_first_spectrum
+    monkeypatch.setattr(dmod, "_quarter_first_spectrum",
+                        lambda t, a, limit: quarters.append(a) or quarter(t, a, limit))
     fwht = bmod._fwht_inplace
     monkeypatch.setattr(bmod, "_fwht_inplace",
                         lambda w: transforms.append(w.size) or fwht(w))
@@ -237,24 +269,32 @@ def test_search_row_counts(monkeypatch):
     ctx5 = make_field(5)
     inv10 = mm(ctx5, PermTable.inverse_map(ctx5))
     counts = []
-    for run, want in ((lambda: has_M_subspace(f10, 5), False),
-                      (lambda: linearity_index(f10), 2),
-                      (lambda: has_M_subspace(f14, 7), False),
-                      # a capped index stops once it reaches its cap
-                      (lambda: linearity_index(f10, dim_cap=1), 1),
-                      (lambda: linearity_index(f10, dim_cap=2), 2),
-                      (lambda: linearity_index(inv10, dim_cap=2), 2)):
-        computed.clear()
-        spectra.clear()
-        transforms.clear()
+    for run, f, want in ((lambda: has_M_subspace(f10, 5), f10, False),
+                         (lambda: linearity_index(f10), f10, 2),
+                         (lambda: has_M_subspace(f14, 7), f14, False),
+                         # a capped index stops once it reaches its cap
+                         (lambda: linearity_index(f10, dim_cap=1), f10, 1),
+                         (lambda: linearity_index(f10, dim_cap=2), f10, 2),
+                         (lambda: linearity_index(inv10, dim_cap=2), inv10, 2)):
+        for log in (computed, spectra, quarters, transforms):
+            log.clear()
         assert run() == want
-        counts.append((len(computed), len(spectra)))
-        # one transform per spectrum, one more per row finished from it
-        assert len(transforms) == len(spectra) + len(computed)
-    # a root whose Walsh support shows too small a row costs one
-    # transform and no row
-    assert [c for c, _ in counts] == [0, 32, 0, 1, 3, 3]
-    assert [s for _, s in counts] == [63, 257, 255, 1, 3, 3]
+        size = f.table.size
+        # a quarter-first root transforms its first quarter, and the
+        # other three in one call only when the first leaves it in play
+        rest = transforms.count(3 * size // 4)
+        counts.append((len(computed), len(spectra), len(quarters), len(quarters) - rest))
+        # one full transform per whole spectrum and one more per row
+        # finished from a spectrum
+        assert sorted(transforms) == sorted([size // 4] * len(quarters) + [3 * size // 4] * rest
+                                            + [size] * (len(spectra) + len(computed)))
+    # a root whose Walsh support shows too small a row costs no row; at
+    # 2 * goal >= n (the first and third searches) nearly every root
+    # shows it on its first quarter
+    assert [c[0] for c in counts] == [0, 32, 0, 1, 3, 3]
+    assert [c[1] for c in counts] == [0, 257, 0, 1, 3, 3]
+    assert [c[2] for c in counts] == [63, 0, 255, 0, 0, 0]
+    assert [c[3] for c in counts] == [63, 0, 254, 0, 0, 0]
 
 
 def test_enumerate_dim_too_large():

@@ -55,8 +55,9 @@ def _imported_and_used(tree: ast.Module) -> tuple[set[str], set[str]]:
     return imported, used
 
 
-@pytest.mark.parametrize("path", sorted(Path(bentfn.__file__).parent.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(Path(bentfn.__file__).parent.glob("*.py"))
+                         + sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name if p.parent.name == "bentfn" else f"tests/{p.name}")
 def test_no_unused_imports(path):
     imported, used = _imported_and_used(ast.parse(path.read_text()))
     assert sorted(imported - used) == []
