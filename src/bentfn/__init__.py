@@ -23,13 +23,12 @@ _PUBLIC = {
     "boolfn": ("BoolFn", "Space", "WalshSpectrum", "anf", "anf_degree",
                "autocorrelation", "dual", "ext_walsh_spectrum", "is_balanced",
                "is_bent", "is_semibent", "load_table", "plateaued_order",
-               "save_spectrum", "save_table", "walsh_transform"),
+               "save_table", "walsh_transform"),
     "vectorial": ("OutPairing", "VecFn", "check_component_dual_linearity",
                   "component", "is_vectorial_bent"),
     "derivative": ("Subspace", "derivative", "ea_transform",
                    "enumerate_M_subspaces", "has_M_subspace",
-                   "is_M_subspace", "linearity_index", "load_subspace",
-                   "save_subspace", "second_derivative"),
+                   "is_M_subspace", "linearity_index", "second_derivative"),
     "construct": ("PermTable", "PropertyPResult", "SubfieldFn", "build_cor_ex",
                   "check_property_P", "g_lambda", "glambda_nonconstant", "gmm",
                   "gmm_dual", "gpsap", "gpsap_dual_formula", "gpsap_trace_form",

@@ -162,17 +162,6 @@ class BoolFn:
     def is_constant(self) -> bool:
         return bool((self.table == self.table[0]).all())
 
-    def bitmask(self) -> int:
-        """The table as one big int, bit i = f(i)."""
-        packed = np.packbits(self.table, bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-
-    @classmethod
-    def from_bitmask(cls, mask: int, n: int, space: Space | None = None) -> "BoolFn":
-        raw = mask.to_bytes((1 << n) // 8 + 1, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return cls(bits[: 1 << n], space)
-
 
 class WalshSpectrum:
     """Exact integer Walsh coefficients W_f(b) over a Space."""
@@ -521,10 +510,3 @@ def load_table(path: str) -> BoolFn:
             raise ParseError("non-hex digit in table", lineno) from None
     bits = (np.array(digits, dtype=np.uint8)[:, None] >> np.arange(4)) & 1
     return BoolFn(bits.reshape(-1)[: 1 << n].astype(np.uint8))
-
-
-def save_spectrum(spec: WalshSpectrum, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("b,W\n")
-        for b, w in enumerate(spec.values):
-            fh.write(f"{b},{int(w)}\n")

@@ -48,10 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (_MAX_N, BoolFn, _derivative_spectrum, _hex_values, _linear_image, _points,
-                     _quarter_first_spectrum, _read_records, _second_derivative,
-                     _wiener_khintchine, _write_records)
-from .errors import DomainError, ParameterError, ParseError
+from .boolfn import (BoolFn, _derivative_spectrum, _linear_image, _points,
+                     _quarter_first_spectrum, _second_derivative, _wiener_khintchine)
+from .errors import DomainError, ParameterError
 
 
 def derivative(f: BoolFn, a: int) -> BoolFn:
@@ -89,12 +88,6 @@ class Subspace:
     def canonical(self) -> "Subspace":
         """Same subspace with the reduced-echelon basis, pivots descending."""
         return Subspace(self.n, gf2vec.rref(list(self.basis)))
-
-    def __contains__(self, v: int) -> bool:
-        return gf2vec.in_span(list(self.basis), v)
-
-    def same_span(self, other: "Subspace") -> bool:
-        return self.n == other.n and self.canonical().basis == other.canonical().basis
 
 
 def is_M_subspace(f: BoolFn, U: Subspace) -> bool:
@@ -232,11 +225,19 @@ def _run_search(f: BoolFn, roots, target: int | None, cap: int,
     return res
 
 
+# A search forks workers only when its roots can touch this many table
+# entries (roots x 2^n).  Below it, starting the pool costs more than the
+# search: on two cores the n = 10 searches of cor-ex1 (2^20) run slower on
+# two workers than on one, while the n = 14 dim-4 and index searches
+# (2^25, 2^28) gain.
+_POOL_MIN_WORK = 1 << 24
+
+
 def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
             threads: int = 1) -> _SearchResult:
     roots = list(range(1, f.table.size if target is None else 1 << (f.n - target + 1)))
     threads = min(threads, os.cpu_count() or 1, len(roots))
-    if threads <= 1 or len(roots) < 64:
+    if threads <= 1 or len(roots) << f.n < _POOL_MIN_WORK:
         return _run_search(f, roots, target, cap, find_all)
     import multiprocessing   # only a pooled search pays for this import
 
@@ -291,20 +292,3 @@ def ea_transform(f: BoolFn, L: list[int], a: int = 0, c: int = 0, b: int = 0) ->
         raise ParameterError("L must be an invertible n x n matrix over GF(2)")
     x, parity = _points(f.n)
     return BoolFn(f.table[_linear_image(L) ^ a] ^ parity[x & c] ^ (b & 1), f.space)
-
-
-def save_subspace(U: Subspace, path: str) -> None:
-    _write_records(path, {"n": U.n, "dim": U.dim}, (f"{v:x}" for v in U.basis))
-
-
-def load_subspace(path: str) -> Subspace:
-    head, (n, dim), records = _read_records(path, "n", "dim")
-    if not 1 <= n <= _MAX_N or not 0 <= dim <= n:
-        raise ParseError(f"dimensions n={n} dim={dim} out of range", head)
-    last = records[-1][0] if records else head
-    if len(records) != dim:
-        raise ParseError(f"expected {dim} basis vectors, found {len(records)}", last)
-    try:
-        return Subspace(n, _hex_values(records))
-    except DomainError as exc:
-        raise ParseError(str(exc), last) from None

@@ -36,13 +36,6 @@ def rank(rows: list[int]) -> int:
     return len(rref(rows))
 
 
-def in_span(basis: list[int], v: int) -> bool:
-    """Is v in the span of basis?  basis need not be reduced."""
-    for b in sorted(basis, reverse=True):
-        v = min(v, v ^ b)
-    return v == 0
-
-
 def span(basis: list[int]) -> list[int]:
     """All 2^k elements spanned by basis, in ascending order.
 

@@ -21,7 +21,6 @@ from bentfn import (
     make_field,
     mm,
     plateaued_order,
-    save_spectrum,
     save_table,
     walsh_transform,
 )
@@ -183,12 +182,6 @@ def test_boolfn_validation():
         f.table[0] = 1  # table is read-only
 
 
-def test_bitmask_round_trip():
-    rng = XorShift64Star(2)
-    f = rand_fn(rng, 5)
-    assert BoolFn.from_bitmask(f.bitmask(), 5) == f
-
-
 def test_shift():
     f = QUAD
     g = f.shift(3)
@@ -276,7 +269,8 @@ def test_table_parse_errors(tmp_path, body, lineno):
 @given(st.data())
 def test_table_file_any_layout(tmp_path, data):
     n = data.draw(st.integers(1, 10))
-    f = BoolFn.from_bitmask(data.draw(st.integers(0, (1 << (1 << n)) - 1)), n)
+    bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+    f = BoolFn([bits >> i & 1 for i in range(1 << n)])
     p = tmp_path / "f.tt"
     save_table(f, str(p))
     header, digits = p.read_text().splitlines()
@@ -318,14 +312,3 @@ def test_table_file_not_utf8(tmp_path):
         with pytest.raises(ParseError) as exc:
             load_table(str(p))
         assert exc.value.line == lineno and "not UTF-8" in str(exc.value)
-
-
-def test_spectrum_file(tmp_path):
-    spec = walsh_transform(QUAD)
-    p = tmp_path / "s.csv"
-    save_spectrum(spec, str(p))
-    lines = p.read_text().splitlines()
-    assert lines[0] == "b,W"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [int(b) for b, _ in rows] == list(range(16))
-    assert [int(w) for _, w in rows] == list(spec.values)

@@ -2,14 +2,11 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from bentfn import (
     BoolFn,
     DomainError,
     ParameterError,
-    ParseError,
     Subspace,
     XorShift64Star,
     derivative,
@@ -20,16 +17,14 @@ from bentfn import (
     has_M_subspace,
     is_M_subspace,
     linearity_index,
-    load_subspace,
     make_field,
-    save_subspace,
     second_derivative,
 )
 from bentfn.boolfn import _derivative_spectrum, _quarter_first_spectrum, _second_derivative
 from bentfn.construct import PermTable, build_cor_ex, mm
 from bentfn.derivative import _CompatRows
 
-from helpers import FILE_EXAMPLES, naive_M_subspaces, naive_walsh, random_invertible, with_noise
+from helpers import naive_M_subspaces, naive_walsh, random_invertible
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -127,8 +122,6 @@ def test_subspace_dataclass():
     U = Subspace(4, (3, 5))
     assert U.dim == 2
     assert sorted(U.span()) == [0, 3, 5, 6]
-    assert 6 in U and 1 not in U
-    assert U.same_span(Subspace(4, (6, 5)))
     assert U.canonical().basis == (5, 3)
     with pytest.raises(DomainError):
         Subspace(4, (3, 5, 6))  # dependent
@@ -158,7 +151,7 @@ def test_is_M_subspace_matches_literal_scan():
         basis = (1 + rng.randrange(15),)
         while True:
             b2 = 1 + rng.randrange(15)
-            if b2 not in Subspace(4, basis):
+            if b2 not in Subspace(4, basis).span():
                 basis = basis + (b2,)
                 break
         U = Subspace(4, basis)
@@ -301,15 +294,16 @@ def test_enumerate_dim_too_large():
     assert enumerate_M_subspaces(QUAD, 3) == []
 
 
-def test_threaded_search_agrees():
+def test_threaded_search_agrees(monkeypatch):
+    # the cutoff lowered to 0 makes these small searches fork a real pool
+    monkeypatch.setattr(importlib.import_module("bentfn.derivative"), "_POOL_MIN_WORK", 0)
     ctx = make_field(3)
     f = mm(ctx, PermTable.inverse_map(ctx))
     assert linearity_index(f, threads=2) == linearity_index(f)
     a = {U.canonical().basis for U in enumerate_M_subspaces(f, 3)}
     b = {U.canonical().basis for U in enumerate_M_subspaces(f, 3, threads=2)}
     assert a == b
-    # cor-ex1 (n = 10): both searches have over 64 roots, so the pool
-    # runs them, and the root bound skips roots inside its workers
+    # cor-ex1 (n = 10): the root bound skips roots inside the workers
     f10 = build_cor_ex(make_field(4), 4, 1, "inverse")
     assert linearity_index(f10, threads=2) == linearity_index(f10) == 2
     assert enumerate_M_subspaces(f10, 2, threads=2) == enumerate_M_subspaces(f10, 2)
@@ -344,45 +338,6 @@ def test_ea_preserves_M_subspace_count():
     assert len(enumerate_M_subspaces(g, 2)) == 15
 
 
-def test_subspace_file_round_trip(tmp_path):
-    U = Subspace(6, (33, 18, 12))
-    p = tmp_path / "u.sub"
-    save_subspace(U, str(p))
-    V = load_subspace(str(p))
-    assert V.n == 6 and V.same_span(U)
-    text = p.read_text().splitlines()
-    assert text[0] == "n=6 dim=3"
-
-
-@pytest.mark.parametrize("body,lineno", [
-    ("n=6\n21\n", 1),
-    ("n=6 dim=2\n21\n", 2),
-    ("n=6 dim=1\nzz\n", 2),
-    ("n=6 dim=2\n21\n21\n", 3),
-])
-def test_subspace_parse_errors(tmp_path, body, lineno):
-    p = tmp_path / "bad.sub"
-    p.write_text(body)
-    with pytest.raises(ParseError) as exc:
-        load_subspace(str(p))
-    assert f"line {lineno}" in str(exc.value)
-
-
-@FILE_EXAMPLES
-@given(st.data())
-def test_subspace_file_with_comments(tmp_path, data):
-    n = data.draw(st.integers(1, 8))
-    basis = []
-    for v in data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=n)):
-        if v not in Subspace(n, tuple(basis)).span():
-            basis.append(v)
-    U = Subspace(n, tuple(basis))
-    p = tmp_path / "u.sub"
-    save_subspace(U, str(p))
-    p.write_text(with_noise(data, p.read_text().splitlines()))
-    assert load_subspace(str(p)) == U
-
-
 def test_search_clamps_threads(monkeypatch):
     sizes = []
 
@@ -405,24 +360,29 @@ def test_search_clamps_threads(monkeypatch):
 
     mod = importlib.import_module("bentfn.derivative")
     monkeypatch.setattr("multiprocessing.get_context", lambda method: FakeContext)
+    monkeypatch.setattr(mod.os, "cpu_count", lambda: 3)
+    # a search forks when its roots touch 2^24 table entries (roots x 2^n):
+    # at n = 8 the 255 roots of an index search touch under 2^16
     ctx = make_field(4)
     f = mm(ctx, PermTable.inverse_map(ctx))
-    want = linearity_index(f)
-    monkeypatch.setattr(mod.os, "cpu_count", lambda: 3)
-    assert linearity_index(f, threads=100_000) == want
-    assert sizes == [3]
+    assert linearity_index(f, threads=100_000) == linearity_index(f)
+    assert sizes == []
+    # at n = 14 an index search has 2^14 - 1 roots and a dim-4 search
+    # 2^11 - 1, so both fork; a dim-5 search has 2^10 - 1, just below
+    ctx7 = make_field(7)
+    h = mm(ctx7, PermTable.inverse_map(ctx7))
+    assert linearity_index(h, dim_cap=2, threads=100_000) == 2
+    assert has_M_subspace(h, 4, threads=100_000)
+    assert sizes == [3, 3]
+    assert has_M_subspace(h, 5, threads=100_000)
+    assert sizes == [3, 3]
     monkeypatch.setattr(mod.os, "cpu_count", lambda: None)
-    assert linearity_index(f, threads=100_000) == want
-    assert sizes == [3]  # an unknown CPU count means one worker and no pool
-    # a target bounds the roots before the clamp: 2^(10-4+1) - 1 = 127 at
-    # n = 10, dim 4, and 2^(10-5+1) - 1 = 63 at dim 5, below the pool cutoff
+    assert linearity_index(h, dim_cap=2, threads=100_000) == 2
+    assert sizes == [3, 3]  # an unknown CPU count means one worker and no pool
+    # the root count clamps the pool too: 2^(10-4+1) - 1 = 127 at n = 10, dim 4
+    monkeypatch.setattr(mod, "_POOL_MIN_WORK", 0)
     monkeypatch.setattr(mod.os, "cpu_count", lambda: 1000)
     ctx5 = make_field(5)
     g = mm(ctx5, PermTable.inverse_map(ctx5))
-    want = enumerate_M_subspaces(g, 4)
-    assert enumerate_M_subspaces(g, 4, threads=100_000) == want
-    assert has_M_subspace(g, 4, threads=100_000) == has_M_subspace(g, 4)
-    assert sizes == [3, 127, 127]
-    h = build_cor_ex(make_field(4), 4, 1, "inverse")
-    assert not has_M_subspace(h, 5, threads=100_000)
-    assert sizes == [3, 127, 127]
+    assert enumerate_M_subspaces(g, 4, threads=100_000) == enumerate_M_subspaces(g, 4)
+    assert sizes == [3, 3, 127]
