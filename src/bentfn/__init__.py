@@ -17,24 +17,21 @@ _PUBLIC = {
     "errors": ("BentError", "DomainError", "ParameterError", "ParseError",
                "ResourceError"),
     "rng": ("XorShift64Star",),
-    "gf2": ("FieldCtx", "GpsParams", "make_field", "mod_inverse_exponent",
-            "validate_gps_params"),
+    "gf2": ("FieldCtx", "GpsParams", "make_field", "validate_gps_params"),
     "gf2vec": (),
     "boolfn": ("BoolFn", "Space", "WalshSpectrum", "anf", "anf_degree",
                "autocorrelation", "dual", "ext_walsh_spectrum", "is_balanced",
-               "is_bent", "is_semibent", "load_table", "plateaued_order",
-               "save_table", "walsh_transform"),
+               "is_bent", "load_table", "plateaued_order", "save_table",
+               "walsh_transform"),
     "vectorial": ("OutPairing", "VecFn", "check_component_dual_linearity",
                   "component", "is_vectorial_bent"),
-    "derivative": ("Subspace", "derivative", "ea_transform",
-                   "enumerate_M_subspaces", "has_M_subspace",
-                   "is_M_subspace", "linearity_index", "second_derivative"),
+    "derivative": ("Subspace", "derivative", "ea_transform", "enumerate_M_subspaces",
+                   "has_M_subspace", "linearity_index", "second_derivative"),
     "construct": ("PermTable", "PropertyPResult", "SubfieldFn", "build_cor_ex",
                   "check_property_P", "g_lambda", "glambda_nonconstant", "gmm",
                   "gmm_dual", "gpsap", "gpsap_dual_formula", "gpsap_trace_form",
                   "gpsap_vectorial", "load_perm", "load_subfield_fn", "mm",
-                  "psap", "save_perm", "save_subfield_fn", "spread_labels",
-                  "trace_sum_nonconstant"),
+                  "psap", "spread_labels", "trace_sum_nonconstant"),
     "decomp": ("DecompositionReport", "PlaneScan", "ScanRecord",
                "check_ftof_equivalence", "classify_decomposition", "concat4",
                "concat_bent_check", "partition_bent", "psffff",

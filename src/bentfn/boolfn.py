@@ -151,6 +151,7 @@ class BoolFn:
 
     def shift(self, a: int) -> "BoolFn":
         """x -> f(x + a)."""
+        _check_vectors(self.n, a)
         return BoolFn(self.table[_points(self.n)[0] ^ int(a)], self.space)
 
     def with_space(self, space: Space) -> "BoolFn":
@@ -273,6 +274,13 @@ def _wiener_khintchine(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_vectors(n: int, *vectors) -> None:
+    """Raise DomainError unless every vector lies in V_n, i.e. in [0, 2^n)."""
+    for v in vectors:
+        if not 0 <= v < 1 << n:
+            raise DomainError(f"{v} is not a vector of V_{n}")
+
+
 @functools.cache
 def _points(n: int) -> tuple[np.ndarray, np.ndarray]:
     """0, ..., 2^n - 1 and the parity of each, read-only."""
@@ -374,11 +382,6 @@ def plateaued_order(f: BoolFn) -> int | None:
     return s if s >= 0 else None
 
 
-def is_semibent(f: BoolFn) -> bool:
-    s = plateaued_order(f)
-    return s == 1 if f.n % 2 else s == 2
-
-
 def is_balanced(f: BoolFn) -> bool:
     return f.weight() == 1 << (f.n - 1)
 
@@ -469,13 +472,6 @@ def _hex_values(records: list[tuple[int, str]]) -> list[int]:
     return out
 
 
-def _write_records(path: str, header: dict[str, int], lines) -> None:
-    """Write the header line, then one line per item of lines."""
-    with open(path, "w") as fh:
-        fh.write(" ".join(f"{k}={v}" for k, v in header.items()) + "\n")
-        fh.writelines(f"{line}\n" for line in lines)
-
-
 def table_to_hex(f: BoolFn) -> str:
     """2^n bits, 4 per char: bit i = bit (i mod 4) of digit i//4."""
     bits = f.table
@@ -488,7 +484,8 @@ def table_to_hex(f: BoolFn) -> str:
 def save_table(f: BoolFn, path: str) -> None:
     if f.n > _MAX_N:
         raise ParameterError(f"a .tt file holds n <= {_MAX_N}, got n={f.n}")
-    _write_records(path, {"n": f.n}, [table_to_hex(f)])
+    with open(path, "w") as fh:
+        fh.write(f"n={f.n}\n{table_to_hex(f)}\n")
 
 
 def load_table(path: str) -> BoolFn:

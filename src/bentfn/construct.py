@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _fwht_inplace,
-                     _hex_values, _read_records, _write_records, dual, is_bent)
+                     _hex_values, _read_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field
 from .rng import XorShift64Star
@@ -459,10 +459,6 @@ def glambda_nonconstant(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> bool:
 
 # -- permutation / subfield-table files ----------------------------------------
 
-def save_perm(pi: PermTable, path: str) -> None:
-    _write_records(path, {"m": pi.m}, (f"{v:x}" for v in pi.table))
-
-
 def load_perm(path: str) -> PermTable:
     head, (m,), records = _read_records(path, "m")
     if not 1 <= m <= _MAX_N:
@@ -471,10 +467,6 @@ def load_perm(path: str) -> PermTable:
         return PermTable(m, _hex_values(records))
     except ParameterError as exc:
         raise ParseError(str(exc)) from None
-
-
-def save_subfield_fn(P: SubfieldFn, path: str) -> None:
-    _write_records(path, {"m": P.m, "k": P.k}, (f"{v:x}" for v in P.values))
 
 
 def load_subfield_fn(ctx: FieldCtx, path: str) -> SubfieldFn:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .boolfn import (BoolFn, Space, _abs_spectrum, _derivative_autocorrelation, _points,
                      _second_derivative, dual, is_bent)
-from .derivative import second_derivative
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, validate_gps_params
 from .construct import (PermTable, SubfieldFn, _check_gps, gpsap_trace_form, gpsap_vectorial,
@@ -200,8 +199,9 @@ def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
     fstar = dual(f)
     u = a + (b << m)
     v = c + (d << m)
-    lhs = _constancy_code(second_derivative(fstar, u, v).table)
-    rhs = _constancy_code(second_derivative(_fhat(ctx, params, Q, a, b, c, d), 1, 1 << m).table)
+    fhat = _fhat(ctx, params, Q, a, b, c, d)
+    lhs = _constancy_code(_second_derivative(fstar.table, u, v))
+    rhs = _constancy_code(_second_derivative(fhat.table, 1, 1 << m))
     return bool(lhs == rhs)
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (BoolFn, _derivative_spectrum, _linear_image, _points,
+from .boolfn import (BoolFn, _check_vectors, _derivative_spectrum, _linear_image, _points,
                      _quarter_first_spectrum, _second_derivative, _wiener_khintchine)
 from .errors import DomainError, ParameterError
 
@@ -60,6 +60,7 @@ def derivative(f: BoolFn, a: int) -> BoolFn:
 
 def second_derivative(f: BoolFn, a: int, b: int) -> BoolFn:
     """D_a D_b f(x) = f(x) + f(x+a) + f(x+b) + f(x+a+b)."""
+    _check_vectors(f.n, a, b)
     return BoolFn(_second_derivative(f.table, a, b), f.space)
 
 
@@ -84,20 +85,6 @@ class Subspace:
 
     def span(self) -> list[int]:
         return gf2vec.span(list(self.basis))
-
-    def canonical(self) -> "Subspace":
-        """Same subspace with the reduced-echelon basis, pivots descending."""
-        return Subspace(self.n, gf2vec.rref(list(self.basis)))
-
-
-def is_M_subspace(f: BoolFn, U: Subspace) -> bool:
-    """Do all second derivatives over U vanish?  Checks every span pair
-    on the compatibility rows of the search."""
-    if U.n != f.n:
-        raise DomainError(f"subspace lives on {U.n} variables, function on {f.n}")
-    elems = [v for v in U.span() if v]
-    rows = _CompatRows(f)
-    return all(rows.row(a)[elems].all() for a in elems)
 
 
 class _CompatRows:
@@ -288,7 +275,9 @@ def ea_transform(f: BoolFn, L: list[int], a: int = 0, c: int = 0, b: int = 0) ->
 
     L is given by columns: L[j] is the image of the j-th unit vector.
     """
-    if len(L) != f.n or gf2vec.rank(list(L)) != f.n:
+    if (len(L) != f.n or any(not 0 <= col < 1 << f.n for col in L)
+            or gf2vec.rank(list(L)) != f.n):
         raise ParameterError("L must be an invertible n x n matrix over GF(2)")
+    _check_vectors(f.n, a, c)
     x, parity = _points(f.n)
     return BoolFn(f.table[_linear_image(L) ^ a] ^ parity[x & c] ^ (b & 1), f.space)

@@ -49,26 +49,3 @@ def span(basis: list[int]) -> list[int]:
         out += [x ^ b for x in out]
     return out
 
-
-def nullspace(rows: list[int], width: int) -> list[int]:
-    """Basis of {v : parity(row & v) = 0 for all rows}.
-
-    Each row acts as a linear functional on GF(2)^width via the dot
-    product parity(row & v).
-    """
-    red = rref(rows)
-    pivots = [r.bit_length() - 1 for r in red]
-    pivot_set = set(pivots)
-    free = [i for i in range(width) if i not in pivot_set]
-    out = []
-    for f in free:
-        v = 1 << f
-        # rows are pivot-descending; fill pivots from the bottom up so
-        # each row sees its final lower coordinates
-        for r, p in zip(reversed(red), reversed(pivots)):
-            if (r & v).bit_count() & 1:
-                v ^= 1 << p
-    # note: pivot of row r is its highest bit, so xoring it cannot
-    # disturb rows already processed (their pivots are even higher)
-        out.append(v)
-    return out

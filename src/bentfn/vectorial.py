@@ -21,14 +21,13 @@ from .gf2 import FieldCtx
 class OutPairing:
     """The bilinear form <alpha, y> on the k-bit output space."""
 
-    def __init__(self, k: int, columns: list[int], name: str):
+    def __init__(self, k: int, columns: list[int]):
         self.k = k
         self._image = _linear_image(columns)
-        self.name = name
 
     @classmethod
     def dot(cls, k: int) -> "OutPairing":
-        return cls(k, [1 << i for i in range(k)], "dot")
+        return cls(k, [1 << i for i in range(k)])
 
     @classmethod
     def subfield_trace(cls, ctx: FieldCtx, k: int) -> "OutPairing":
@@ -41,7 +40,7 @@ class OutPairing:
                 if ctx.subfield_trace(ctx.mul(elems[1 << i], elems[1 << j]), k):
                     mask |= 1 << j
             cols.append(mask)
-        return cls(k, cols, f"subtrace(2^{k} in 2^{ctx.m})")
+        return cls(k, cols)
 
     def dualmask(self, alpha: int) -> int:
         return int(self._image[alpha])

@@ -11,9 +11,10 @@ substitution duality, semibent planes of spread functions, spread
 character sums, and a structural round-trip suite.
 
 Every check is integer-exact with zero tolerance.  The fast level runs
-everything except the 14-variable subspace search of check 3, which
-`level="full"` enables.  Randomized trials draw from the documented
-xorshift generator so a seed pins the whole suite.
+everything except two parts that `level="full"` adds: the 14-variable
+subspace search of check 3 and the plane scan of check 10's m = 5
+function.  Randomized trials draw from the documented xorshift
+generator so a seed pins the whole suite.
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@ a literal quadruple scan for the unique-subspace property and the
 shift-by-shift loop of its fast check, coset
 restrictions through an explicit basis and coset representatives,
 the plane scan as one record per plane, M-subspaces by testing every
-subspace, the builders and the spread partition as loops over every
-point, and the character sums of criterion 11 as a loop over every
-(u, v) and every point of each part.  Slow and obvious on purpose.
+subspace and one subspace by every second derivative over it, the
+builders and the spread partition as loops over every point, and the
+character sums of criterion 11 as a loop over every (u, v) and every
+point of each part.  Slow and obvious on purpose.  `write_hex_records`
+writes the .perm and .sf inputs, which the library reads but never writes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -49,6 +52,25 @@ def naive_autocorrelation(table) -> list[int]:
             for b in range(size)]
 
 
+def nullspace(rows: list[int], width: int) -> list[int]:
+    """Basis of {v : parity(row & v) = 0 for all rows}, one vector per
+    free column of the reduced rows."""
+    from bentfn import gf2vec
+
+    red = gf2vec.rref(rows)  # pivot-descending
+    pivots = [r.bit_length() - 1 for r in red]
+    out = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        v = 1 << free
+        # fill the pivots from the bottom row up: a row's pivot is its
+        # highest bit, so setting it disturbs no row already satisfied
+        for r, p in zip(reversed(red), reversed(pivots)):
+            if (r & v).bit_count() & 1:
+                v ^= 1 << p
+        out.append(v)
+    return out
+
+
 def naive_restrict(table, u: int, v: int) -> list[list[int]]:
     """The four coset restrictions in pattern order (<u,x>, <v,x>) =
     (0,0), (0,1), (1,0), (1,1), each listed as r + span(basis) through
@@ -57,7 +79,7 @@ def naive_restrict(table, u: int, v: int) -> list[list[int]]:
     from bentfn import gf2vec
 
     n = (len(table) - 1).bit_length()
-    basis = sorted(gf2vec.rref(gf2vec.nullspace([u, v], n)))
+    basis = sorted(gf2vec.rref(nullspace([u, v], n)))
     reps = {}
     for x in range(1 << n):
         reps.setdefault(((u & x).bit_count() & 1, (v & x).bit_count() & 1), x)
@@ -124,6 +146,22 @@ def naive_M_subspaces(table, dim: int) -> list[tuple[int, ...]]:
         spans = np.sort(ext[np.unique(key, return_index=True)[1]], axis=1)
     keep = vanish[spans[:, :, None], spans[:, None, :]].all(axis=(1, 2))
     return sorted(tuple(map(int, s)) for s in spans[keep])
+
+
+def is_M_subspace(f, U) -> bool:
+    """Does D_a D_b f vanish for every pair a, b of nonzero elements of
+    U?  One second derivative per pair."""
+    from bentfn import second_derivative
+
+    pts = [v for v in U.span() if v]
+    return not any(second_derivative(f, a, b).table.any()
+                   for a, b in itertools.combinations(pts, 2))
+
+
+def write_hex_records(path, header: str, values) -> None:
+    """A .perm or .sf file: the header line, then one hex value per line."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join(f"{v:x}\n" for v in values))
 
 
 def naive_anf_degree(table) -> int:
@@ -309,7 +347,7 @@ def property_P_loop(ctx, pi):
                     break
         if len(img_basis) < m:
             duals = [ctx.dualmask(b) for b in img_basis]
-            ortho = gf2vec.span(gf2vec.nullspace(duals, m))
+            ortho = gf2vec.span(nullspace(duals, m))
             c = min(v for v in ortho if v)
             return PropertyPResult(False, (c, 0, 0, t))
     return PropertyPResult(True, None)

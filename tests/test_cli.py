@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bentfn import BoolFn, ParameterError, load_table, save_table
+from bentfn import BoolFn, ParameterError, XorShift64Star, load_table, save_table
 from bentfn.cli import main
 from bentfn.verify import CriterionResult
 
@@ -301,3 +301,46 @@ def test_seeded_construct_reproducible(tmp_path, capsys):
     run(capsys, "construct", "--family", "mm", "--m", "3", "--perm", "random",
         "--seed", "8", "--out", str(b))
     assert load_table(str(a)) != load_table(str(b))
+
+
+def _mutate(rng, data: bytes) -> bytes:
+    """data with one to three characters edited, inserted or deleted."""
+    alphabet = b"0123456789abcdefgmnk=-# \t\n\xff"
+    for _ in range(1 + rng.randrange(3)):
+        i = rng.randrange(len(data) + 1)
+        c = bytes([alphabet[rng.randrange(len(alphabet))]])
+        op = rng.randrange(3)
+        if op == 0 and i < len(data):
+            data = data[:i] + c + data[i + 1:]
+        elif op == 1:
+            data = data[:i] + c + data[i:]
+        else:
+            data = data[:i] + data[i + 1:]
+    return data
+
+
+def test_mutated_input_files_exit_cleanly(tmp_path, capsys):
+    """Valid .tt, .perm and .sf files, mutated: every verb that reads one
+    returns 0, 2 or 3, and no exception escapes main."""
+    tt, perm, sf = tmp_path / "f.tt", tmp_path / "q.perm", tmp_path / "p.sf"
+    out = str(tmp_path / "out.tt")
+    verbs = [(tt, ["analyze", str(tt)]),
+             (tt, ["msubspace", str(tt), "--max-dim", "2"]),
+             (tt, ["decompose", str(tt), "--u", "1", "--v", "2"]),
+             (perm, ["construct", "--family", "mm", "--m", "2", "--perm", str(perm),
+                     "--out", out]),
+             (sf, ["construct", "--family", "psap", "--m", "2", "--P", str(sf),
+                   "--out", out])]
+    # x1x2 + x3x4, a permutation and a balanced function of GF(4)
+    valid = {tt: b"n=4\n8887\n", perm: b"m=2\n0\n1\n3\n2\n", sf: b"m=2 k=2\n0\n1\n1\n0\n"}
+    rng = XorShift64Star(23)
+    codes = []
+    for _ in range(80):
+        for path, argv in verbs:
+            data = _mutate(rng, valid[path])
+            path.write_bytes(data)
+            code = main(argv)
+            capsys.readouterr()
+            assert code in (0, 2, 3), (argv[0], data)
+            codes.append(code)
+    assert {0, 2, 3} <= set(codes)

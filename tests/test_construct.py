@@ -29,14 +29,13 @@ from bentfn import (
     make_field,
     mm,
     psap,
-    save_perm,
-    save_subfield_fn,
     spread_labels,
     trace_sum_nonconstant,
     validate_gps_params,
 )
 
-from helpers import FILE_EXAMPLES, SlowField, literal_unique_subspace, two_block_table, with_noise
+from helpers import (FILE_EXAMPLES, SlowField, literal_unique_subspace, two_block_table, with_noise,
+                     write_hex_records)
 
 
 def test_perm_table_validation():
@@ -347,7 +346,7 @@ def test_perm_file_round_trip(tmp_path):
     ctx = make_field(3)
     pi = PermTable.inverse_map(ctx)
     p = tmp_path / "pi.perm"
-    save_perm(pi, str(p))
+    write_hex_records(p, f"m={pi.m}", pi.table)
     qi = load_perm(str(p))
     assert list(qi.table) == list(pi.table)
     assert p.read_text().splitlines()[0] == "m=3"
@@ -360,7 +359,7 @@ def test_subfield_fn_file_round_trip(tmp_path):
     ctx = make_field(6)
     P = SubfieldFn(ctx, 3, [1, 1, 1, 0, 1, 0, 0, 0])
     p = tmp_path / "p.sf"
-    save_subfield_fn(P, str(p))
+    write_hex_records(p, f"m={P.m} k={P.k}", P.values)
     Q = load_subfield_fn(ctx, str(p))
     assert list(Q.values) == list(P.values)
     assert Q.k == 3
@@ -375,7 +374,7 @@ def test_perm_file_with_comments(tmp_path, data):
     m = data.draw(st.integers(1, 6))
     pi = PermTable(m, data.draw(st.permutations(range(1 << m))))
     p = tmp_path / "pi.perm"
-    save_perm(pi, str(p))
+    write_hex_records(p, f"m={pi.m}", pi.table)
     p.write_text(with_noise(data, p.read_text().splitlines()))
     assert load_perm(str(p)).table == pi.table
 
@@ -389,7 +388,7 @@ def test_subfield_fn_file_with_comments(tmp_path, data):
     P = SubfieldFn(ctx, k, data.draw(st.lists(st.integers(0, ctx.order), min_size=1 << k,
                                               max_size=1 << k)))
     p = tmp_path / "p.sf"
-    save_subfield_fn(P, str(p))
+    write_hex_records(p, f"m={P.m} k={P.k}", P.values)
     p.write_text(with_noise(data, p.read_text().splitlines()))
     Q = load_subfield_fn(ctx, str(p))
     assert (Q.k, Q.values) == (P.k, P.values)

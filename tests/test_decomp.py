@@ -20,12 +20,12 @@ from bentfn import (
     concat_bent_check,
     dual,
     is_bent,
-    is_semibent,
     make_field,
     gpsap,
     gpsap_trace_form,
     mm,
     partition_bent,
+    plateaued_order,
     psap,
     psffff,
     restrict_to_cosets,
@@ -134,7 +134,7 @@ def _oracle_report(f, u, v):
     statuses = []
     for part in naive_restrict(f.table, u, v):
         g = BoolFn(part)
-        statuses.append("bent" if is_bent(g) else "semibent" if is_semibent(g) else "other")
+        statuses.append("bent" if is_bent(g) else "semibent" if plateaued_order(g) == 2 else "other")
     cls = ("AllBent" if statuses == ["bent"] * 4
            else "AllSemibent" if statuses == ["semibent"] * 4 else "Mixed")
     fstar = dual(f.with_space(None))
@@ -277,9 +277,9 @@ def test_statuses_match_part_analysis():
             if status == "bent":
                 assert is_bent(part)
             elif status == "semibent":
-                assert is_semibent(part)
+                assert plateaued_order(part) == 2
             else:
-                assert not is_bent(part) and not is_semibent(part)
+                assert plateaued_order(part) not in (0, 2)
 
 
 def test_concat4_block_order():

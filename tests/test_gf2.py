@@ -7,10 +7,9 @@ from bentfn import (
     ParameterError,
     XorShift64Star,
     make_field,
-    mod_inverse_exponent,
     validate_gps_params,
 )
-from bentfn.gf2 import default_modulus, is_irreducible
+from bentfn.gf2 import default_modulus, is_irreducible, mod_inverse_exponent
 
 from helpers import SlowField
 
