@@ -244,8 +244,9 @@ def walsh_transform(f: BoolFn) -> WalshSpectrum:
 
 def _abs_spectrum(table: np.ndarray) -> np.ndarray:
     # pairing-independent |W| multiset of each bit table along the last
-    # axis; skips the index permutation
-    return np.abs(_fwht_inplace(_signs(table)))
+    # axis, as a new array; skips the index permutation
+    w = _fwht_inplace(_signs(table))
+    return np.abs(w, out=w)
 
 
 def autocorrelation(f: BoolFn) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ def _coset_index(n: int, u, v) -> np.ndarray:
     cost less so."""
     x, parity = _points(n)
     pattern = parity[x & u] << 1 | parity[x & v]
-    return np.argsort(pattern, axis=-1, kind="stable").reshape(-1, 1 << (n - 2))
+    return pattern.argsort(kind="stable").reshape(-1, 1 << (n - 2))
 
 
 def restrict_to_cosets(f: BoolFn, u: int, v: int):
@@ -63,8 +64,7 @@ def restrict_to_cosets(f: BoolFn, u: int, v: int):
     return tuple(BoolFn(row) for row in f.table[index])
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     u: int
     v: int
     classification: str            # AllBent | AllSemibent | Mixed
@@ -88,6 +88,7 @@ STATUSES = ("other", "bent", "semibent")
 CLASSES = ("AllBent", "AllSemibent", "Mixed")
 CONSTANCY = ("ConstantOne", "ConstantZero", "NonConstant")
 _CLASS_OF = np.array([2, 0, 1])
+_CLASS_NAME = tuple(CLASSES[c] for c in _CLASS_OF)
 
 # Table entries per chunk (64 rows at n = 8, one at n >= 14): bounds the
 # (planes, 2^n) temporaries of classify_planes and the (b1, 2^n) rows of
@@ -108,11 +109,10 @@ def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
     fstar = _fstar(f)
     n = f.n
     peaks = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
-    status = [_status(peak, n) for peak in peaks.tolist()]
-    cls = _CLASS_OF[status[0] & status[1] & status[2] & status[3]]
-    d2 = _second_derivative(fstar, u, v)
-    return DecompositionReport(u, v, CLASSES[cls], tuple(STATUSES[s] for s in status),
-                               CONSTANCY[_constancy_code(d2)])
+    s0, s1, s2, s3 = (_status(peak, n) for peak in peaks.tolist())
+    return DecompositionReport(u, v, _CLASS_NAME[s0 & s1 & s2 & s3],
+                               (STATUSES[s0], STATUSES[s1], STATUSES[s2], STATUSES[s3]),
+                               CONSTANCY[_constancy(_second_derivative(fstar, u, v))])
 
 
 def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,6 +181,13 @@ def _constancy_code(d2: np.ndarray):
     return 1 + np.bitwise_or.reduce(d2, axis=-1) - 2 * np.bitwise_and.reduce(d2, axis=-1)
 
 
+def _constancy(d2: np.ndarray) -> int:
+    """The code into CONSTANCY of one bit table, from one count (an
+    axis=-1 count or two reductions cost several times more)."""
+    ones = np.count_nonzero(d2)
+    return 0 if ones == d2.size else 2 if ones else 1
+
+
 def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
                            a: int, b: int, c: int, d: int) -> bool:
     """Test the substitution identity behind decomposing the spread
@@ -200,9 +207,9 @@ def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
     u = a + (b << m)
     v = c + (d << m)
     fhat = _fhat(ctx, params, Q, a, b, c, d)
-    lhs = _constancy_code(_second_derivative(fstar.table, u, v))
-    rhs = _constancy_code(_second_derivative(fhat.table, 1, 1 << m))
-    return bool(lhs == rhs)
+    lhs = _constancy(_second_derivative(fstar.table, u, v))
+    rhs = _constancy(_second_derivative(fhat.table, 1, 1 << m))
+    return lhs == rhs
 
 
 def _fhat(ctx: FieldCtx, params: GpsParams, Q: PermTable,
@@ -325,8 +332,7 @@ def partition_bent(ctx: FieldCtx, params: GpsParams, assignment) -> BoolFn:
     return BoolFn(np.moveaxis(values, -1, 0).reshape(-1), Space([ctx, ctx, 2]))
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     basis1: int
     basis2: int
     classification: str
@@ -360,11 +366,13 @@ class PlaneScan:
         return self.codes.size
 
     def __iter__(self):
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        record = functools.partial(tuple.__new__, ScanRecord)
         for i in range(0, len(self), _CHUNK_ENTRIES):
             j = i + _CHUNK_ENTRIES
             names = [CLASSES[c] for c in self.codes[i:j].tolist()]
-            yield from map(ScanRecord, self.basis1[i:j].tolist(),
-                           self.basis2[i:j].tolist(), names)
+            yield from map(record, zip(self.basis1[i:j].tolist(),
+                                       self.basis2[i:j].tolist(), names))
 
 
 def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
@@ -383,7 +391,8 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
             "default budget; pass allow_large to override"
         )
     # the autocorrelation of D_b1 f* at b2 labels the plane (b1, b2);
-    # the b1 of a chunk go through one batched call
+    # the b1 of a chunk go through one batched call.  b1 < b2 < b1 ^ b2
+    # puts the top bit in b2, so only b1 < 2^(n-1) holds a plane
     fstar = _fstar(f)
     size = 1 << n
     total = (size - 1) * (size - 2) // 6
@@ -392,9 +401,10 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
     codes = np.empty(total, dtype=np.uint8)
     step = max(1, _CHUNK_ENTRIES >> n)
     done = 0
-    for lo in range(1, size, step):
-        delta = _derivative_autocorrelation(fstar, np.arange(lo, min(lo + step, size)))
-        u, v = _planes(n, lo, lo + step)
+    for lo in range(1, size >> 1, step):
+        hi = min(lo + step, size >> 1)
+        delta = _derivative_autocorrelation(fstar, np.arange(lo, hi))
+        u, v = _planes(n, lo, hi)
         d = delta[u - lo, v]
         end = done + u.size
         basis1[done:end] = u
@@ -408,14 +418,16 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
 def save_scan(scan: PlaneScan, path: str) -> None:
     """Write a scan as CSV: a header, then one basis1,basis2,class line
     per plane in scan order."""
-    # a line is three looked-up strings, "b1,", "b2," and "class\n",
-    # joined elementwise in object arrays a chunk of planes at a time
-    number = np.array([f"{b}," for b in range(int(scan.basis2.max(initial=0)) + 1)],
-                      dtype=object)
-    name = np.array([f"{c}\n" for c in CLASSES], dtype=object)
+    # a line is "b1," then "b2,class\n", looked up by b2 and the code; a
+    # run of equal b1 is one join of its tails, with "b1," before each
+    tail = np.array([f"{b},{c}\n" for b in range(int(scan.basis2.max(initial=0)) + 1)
+                     for c in CLASSES], dtype=object)
     with open(path, "w") as fh:
         fh.write("span_basis1,span_basis2,class\n")
         for i in range(0, len(scan), _CHUNK_ENTRIES):
             j = i + _CHUNK_ENTRIES
-            fh.write("".join(number[scan.basis1[i:j]] + number[scan.basis2[i:j]]
-                             + name[scan.codes[i:j]]))
+            basis1 = scan.basis1[i:j]
+            tails = tail[scan.basis2[i:j] * len(CLASSES) + scan.codes[i:j]].tolist()
+            starts = np.flatnonzero(np.diff(basis1, prepend=-1)).tolist()
+            for b1, s, e in zip(basis1[starts].tolist(), starts, starts[1:] + [len(tails)]):
+                fh.write(f"{b1},".join(["", *tails[s:e]]))

@@ -202,11 +202,6 @@ class FieldCtx:
             self._trace_tbl = self.trace_arr.tolist()
         return self._trace_tbl[self._check(a)]
 
-    def trace_rel(self, x: int, k: int) -> int:
-        """Relative trace onto the subfield S_k: sum of x^(2^(ki))."""
-        self._check(x)
-        return int(self.trace_rel_arr(k)[x])
-
     def dualmask(self, b: int) -> int:
         """Mask g with Tr(b*x) = parity(g & x) for all x."""
         return int(self.dualmask_arr[self._check(b)])
@@ -291,7 +286,8 @@ class FieldCtx:
         return _frozen(self.trace_rel_arr(1).astype(np.uint8))
 
     def trace_rel_arr(self, k: int) -> np.ndarray:
-        """Relative trace onto S_k of every element (see trace_rel)."""
+        """Relative trace onto the subfield S_k of every element x: the
+        sum of x^(2^(ki)) over i < m/k."""
         cached = self._trace_rel_arrs.get(k)
         if cached is None:
             if k <= 0 or self.m % k:

@@ -178,13 +178,14 @@ def test_gpsap_literal_definitions():
     g = gpsap(ctx, pr, P, 1, "g")
     neg_e = (-pr.e) % ctx.order
     neg_eta = (-pr.eta) % ctx.order
+    trel = ctx.trace_rel_arr(2).tolist()
     for y in range(16):
         for x in range(16):
-            fw = P.at(ctx.trace_rel(ctx.mul(y, ctx.pow(x, neg_e)), 2))
+            fw = P.at(trel[ctx.mul(y, ctx.pow(x, neg_e))])
             if x == 0:
                 fw ^= 1
             assert f.table[x + (y << 4)] == fw
-            gw = P.at(ctx.trace_rel(ctx.mul(x, ctx.pow(y, neg_eta)), 2))
+            gw = P.at(trel[ctx.mul(x, ctx.pow(y, neg_eta))])
             if y == 0:
                 gw ^= 1
             assert g.table[x + (y << 4)] == gw

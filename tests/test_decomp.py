@@ -3,14 +3,17 @@ import hashlib
 import numpy as np
 import pytest
 
+import bentfn.decomp as decomp
 import bentfn.verify as verify
 from bentfn import (
     BoolFn,
+    DecompositionReport,
     DomainError,
     ParameterError,
     PermTable,
     PlaneScan,
     ResourceError,
+    ScanRecord,
     Space,
     SubfieldFn,
     XorShift64Star,
@@ -36,7 +39,7 @@ from bentfn import (
 )
 from bentfn.decomp import CLASSES, _plain_dual
 
-from helpers import naive_restrict
+from helpers import naive_restrict, naive_save_scan
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -413,6 +416,59 @@ def test_scan_matches_single_plane_classification():
     for rec in records:
         rep = classify_decomposition(QUAD, rec.basis1, rec.basis2)
         assert rep.classification == rec.classification
+
+
+def _scan_functions_n4_to_n10():
+    """A bent function at each of n = 4, 6, 8 and 10."""
+    ctx3 = make_field(3)
+    spread = [gpsap_trace_form(make_field(m), validate_gps_params(m, k, e), PermTable.identity(m))
+              for m, k, e in ((4, 2, 2), (5, 1, 3))]
+    return [QUAD, mm(ctx3, PermTable.inverse_map(ctx3))] + spread
+
+
+def test_scan_transforms_only_rows_that_hold_a_plane(monkeypatch):
+    # b1 < b2 < b1 ^ b2 forces b1 < 2^(n-1): the scan asks for exactly
+    # those autocorrelation rows, each once
+    requested = []
+    real = decomp._derivative_autocorrelation
+
+    def counted(table, a):
+        requested.extend(np.atleast_1d(a).tolist())
+        return real(table, a)
+
+    monkeypatch.setattr(decomp, "_derivative_autocorrelation", counted)
+    for f in _scan_functions_n4_to_n10():
+        requested.clear()
+        scan_decompositions(f)
+        assert requested == list(range(1, 1 << (f.n - 1))), f.n
+
+
+def test_save_scan_matches_one_line_per_record_writer(tmp_path):
+    for f in _scan_functions_n4_to_n10():
+        scan = scan_decompositions(f)
+        if f.n == 10:
+            # a run of one b1 crosses a slice boundary of the writer
+            edge = decomp._CHUNK_ENTRIES
+            assert len(scan) > edge and scan.basis1[edge - 1] == scan.basis1[edge]
+        records = [ScanRecord(b1, b2, CLASSES[c]) for b1, b2, c in
+                   zip(scan.basis1.tolist(), scan.basis2.tolist(), scan.codes.tolist())]
+        save_scan(scan, str(tmp_path / "scan.csv"))
+        naive_save_scan(records, str(tmp_path / "records.csv"))
+        assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def test_records_and_reports_are_named_tuples():
+    assert ScanRecord._fields == ("basis1", "basis2", "classification")
+    assert DecompositionReport._fields == (
+        "u", "v", "classification", "statuses", "dual_second_derivative")
+    b1, b2, cls = record = next(iter(scan_decompositions(QUAD)))
+    assert type(record) is ScanRecord and record == (1, 2, "AllBent")
+    assert (b1, b2, cls) == (record.basis1, record.basis2, record.classification)
+    u, v, cls, statuses, d2 = rep = classify_decomposition(QUAD, 1, 2)
+    assert type(rep) is DecompositionReport
+    assert rep == (1, 2, "AllBent", ("bent",) * 4, "ConstantOne")
+    assert (u, v, cls, statuses, d2) == (rep.u, rep.v, rep.classification, rep.statuses,
+                                         rep.dual_second_derivative)
 
 
 def test_scan_small_dimension():

@@ -106,7 +106,7 @@ def test_field_arrays_match_schoolbook():
                 for z in sample:
                     want = functools.reduce(int.__xor__, (slow.pow(z, 1 << (k * i))
                                                           for i in range(m // k)))
-                    assert ctx.trace_rel(z, k) == rel[z] == want
+                    assert rel[z] == want
                 index = ctx.subfield_index_arr(k)
                 assert np.flatnonzero(index >= 0).tolist() == ctx.subfield(k)
                 assert [int(index[z]) for z in ctx.subfield(k)] == list(range(1 << k))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,26 @@ def test_public_names_have_library_callers():
     assert sorted(unreached - ALLOWED.keys()) == []
     # stale entries: names no longer public, or now referred to
     assert sorted(ALLOWED.keys() - unreached) == []
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read or taken as an attribute in a tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_public_members_have_library_callers():
+    # a public method or property of a library class must be referred to
+    # somewhere in the library outside its own def
+    trees = [ast.parse(p.read_text()) for p in Path(bentfn.__file__).parent.glob("*.py")]
+    reads = sum(map(_reads, trees), Counter())
+    unreached = [f"{cls.name}.{member.name}"
+                 for tree in trees for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for member in cls.body
+                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not member.name.startswith("_")
+                 and reads[member.name] == _reads(member)[member.name]]
+    assert unreached == []
 
 
 def test_submodule_attributes():
