@@ -181,22 +181,50 @@ class WalshSpectrum:
         return int((self.values.astype(np.int64) ** 2).sum()) == 1 << (2 * self.n)
 
 
+_SMALL = 1 << 8  # the most entries `_fwht_inplace` transforms by matrix products
+
+
+@functools.cache
+def _sylvester(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester-Hadamard matrix H[b, x] = (-1)^(b.x),
+    int64, read-only: it is shared by every small transform."""
+    x = np.arange(1 << k)
+    h = _SIGN.take(np.bitwise_count(x[:, None] & x) & 1)
+    h.setflags(write=False)
+    return h
+
+
 def _fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Butterfly transform along the last axis:
+    """Walsh-Hadamard transform along the last axis:
     a[..., b] <- sum_x (-1)^(b.x) a[..., x], in place.
 
-    Every stage works on the whole buffer flattened to one dimension:
+    Two kernels, chosen by the number of entries.  On small arrays
+    numpy's per-call cost dominates, not the arithmetic, so the kernel
+    with the fewest calls wins even though it does more multiply-adds.
+
+    Up to `_SMALL` entries: two matrix products.  H_(2^k) = H_hi (x) H_lo
+    with the high k // 2 index bits in the Sylvester factor H_hi, so
+    each row, viewed as a (2^(k//2), 2^(k - k//2)) matrix R, becomes
+    H_hi R H_lo in natural order.  numpy's integer matmul runs its own
+    integer loops (no BLAS, no floats), so the result is exact.
+
+    Above that: butterflies, which take k 2^k additions and subtractions
+    a row in 2k ufunc calls, against the 2^k (2^(k//2) + 2^(k - k//2))
+    multiply-adds of the products.  Timed, the products win at every
+    shape of up to 256 entries, win or lose by shape at 512, and lose
+    from 1,024 up.
+
+    Every butterfly stage works on the whole buffer flattened to one dimension:
     it reads the even and the odd entries of one buffer (stride 2) and
     writes their sums to the first and their differences to the second
     contiguous half of the other.  A stage thus transforms the lowest
     index bit and moves it to the top, so 1-D ufunc calls do all the
-    work, whatever the number of rows; on small arrays numpy's per-call
-    cost dominates, and a 1-D call costs a fraction of a 2-D one.
-    After log2(row length) stages the transformed bits sit on top in
-    natural order and the row index lowest: the buffer holds the
-    (2^n, rows) transpose of the result.  A single row is then already
-    in order; a batch takes one transposing copy back into `a`.  The
-    buffers are `a` and one scratch array, swapped after each stage.
+    work, whatever the number of rows.  After k stages the transformed
+    bits sit on top in natural order and the row index lowest: the
+    buffer holds the (2^k, rows) transpose of the result.  A single row
+    is then already in order; a batch takes one transposing copy back
+    into `a`.  The buffers are `a` and one scratch array, swapped after
+    each stage.
 
     `a` must be C-contiguous (its rows may have any leading shape), as
     a flattened copy would drop the result.  Returns `a`.
@@ -206,6 +234,11 @@ def _fwht_inplace(a: np.ndarray) -> np.ndarray:
     size = a.shape[-1]
     stages = size.bit_length() - 1
     if not stages:
+        return a
+    if a.size <= _SMALL:
+        hi = stages // 2
+        rows = a.reshape(-1, 1 << hi, size >> hi)
+        np.matmul(_sylvester(hi) @ rows, _sylvester(stages - hi), out=rows)
         return a
     bufs = (a.reshape(-1), np.empty(a.size, dtype=a.dtype))
     half = a.size // 2

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bentfn.boolfn
 from bentfn import (
     BoolFn,
     DomainError,
@@ -71,6 +72,38 @@ def test_fwht_kernel_rejects_non_contiguous():
         with pytest.raises(ValueError, match="C-contiguous"):
             _fwht_inplace(view)
         assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("shape, small", [
+    ((4, 64), True), ((1, 256), True), ((64, 4), True), ((3, 2), True), ((0, 16), True),
+    ((4, 128), False), ((1, 512), False), ((1, 4096), False),
+], ids=str)
+def test_fwht_kernel_dispatch(monkeypatch, shape, small):
+    # up to 2^8 entries the kernel reads two Sylvester factors a call;
+    # above, the butterflies run and read none
+    factors = []
+    sylvester = bentfn.boolfn._sylvester
+    monkeypatch.setattr(bentfn.boolfn, "_sylvester",
+                        lambda k: factors.append(k) or sylvester(k))
+    values = np.ones(shape, dtype=np.int64)
+    expected = np.zeros(shape, dtype=np.int64)
+    expected[..., 0] = shape[-1]
+    assert _fwht_inplace(values) is values
+    assert len(factors) == (2 if small else 0)
+    assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_sylvester_factor_matches_double_sum(k):
+    # column x is the transform of the unit vector e_x; the matrix is
+    # shared by every small transform, so it must refuse writes
+    h = bentfn.boolfn._sylvester(k)
+    columns = [naive_hadamard(unit) for unit in np.eye(1 << k, dtype=np.int64)]
+    assert h.dtype == np.int64
+    assert h.tolist() == np.array(columns).T.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        h[0, 0] = -1
+    assert h[0, 0] == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
