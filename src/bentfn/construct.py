@@ -96,18 +96,9 @@ class SubfieldFn:
         self.k = k
         self.values = values
         self._elems = elems
-        self._index = {z: i for i, z in enumerate(elems)}
-
-    def at(self, z: int) -> int:
-        """Value at a subfield element (not at a table index)."""
-        try:
-            return self.values[self._index[z]]
-        except KeyError:
-            raise DomainError(f"{z:#x} is not in S_{self.k}") from None
 
     def gather(self, z: np.ndarray) -> np.ndarray:
-        """Values at an array of elements, all of them in S_k (the array
-        form of at)."""
+        """Values at an array of elements, all of them in S_k."""
         values = np.asarray(self.values, dtype=np.int64)
         return values[self.ctx.subfield_index_arr(self.k)[z]]
 

@@ -79,13 +79,6 @@ class Subspace:
         if gf2vec.rank(list(basis)) != len(basis):
             raise DomainError("basis vectors are linearly dependent")
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def span(self) -> list[int]:
-        return gf2vec.span(list(self.basis))
-
 
 class _CompatRows:
     """Lazy bit-packed rows of the compatibility relation of f."""
@@ -184,9 +177,8 @@ def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray
             continue
         if any(v > (v ^ s) for s in span if s):
             continue  # not the coset minimum; another chain owns this subspace
+        # pmask is an intersection of rows, each a subspace holding span, so v + span lies in it
         shifted = [v ^ s for s in span]
-        if not pmask[shifted].all():
-            continue  # v + span leaves the compatible set: not an M-subspace
         new_pm = pmask
         for w in shifted:
             new_pm = new_pm & rows.row(w)

@@ -5,6 +5,8 @@ x^i in the polynomial basis {1, x, ..., x^(m-1)} modulo a fixed
 irreducible polynomial.  A FieldCtx holds that modulus together with
 discrete-log tables for a multiplicative generator, found by search
 (x itself is not always primitive, e.g. the degree-8 default 0x11b).
+Those tables are numpy arrays built once, on first use, and they are
+the only multiplication there is.
 
 The subfield GF(2^k), k | m, is represented inside GF(2^m) as
 S_k = {z : z^(2^k) = z}; tables over GF(2^k) are keyed by the elements
@@ -13,10 +15,11 @@ index of z1 + z2 is index(z1) XOR index(z2), because the ascending
 enumeration of any GF(2)-subspace is the XOR-counter order over its
 reduced basis.
 
-Besides the scalar operations, a context offers read-only numpy arrays
-over the whole field (products through log/exp tables, power tables,
-absolute and relative traces, dual masks, subfield indices), built on
-first use, so that a loop over field elements becomes one gather.
+Besides the scalar operations, which index those arrays, a context
+offers read-only numpy arrays over the whole field (products, power
+tables, absolute and relative traces, dual masks, subfield indices),
+built on first use, so that a loop over field elements becomes one
+gather.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .rng import XorShift64Star
 
 _MAX_DEGREE = 16
 
@@ -40,17 +42,6 @@ def _poly_mod(a: int, b: int) -> int:
     while a.bit_length() >= db:
         a ^= b << (a.bit_length() - db)
     return a
-
-
-def _poly_mulmod(a: int, b: int, mod: int) -> int:
-    """Schoolbook carry-less multiply, reduced mod an irreducible."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-    return _poly_mod(acc, mod)
 
 
 def is_irreducible(poly: int, m: int) -> bool:
@@ -64,18 +55,32 @@ def is_irreducible(poly: int, m: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _generator_powers(m: int, irred: int) -> list[int]:
+    """g^0, g^1, ..., g^(2^m - 2) for the smallest generator g of GF(2^m)*.
+
+    For each candidate g the multiply-by-g map of every element comes
+    from one carry-less multiply by Horner's rule over the bits of g.  Its
+    cycle through 1 is the subgroup <g>, so g generates exactly when that
+    cycle holds all 2^m - 1 nonzero elements; GF(2^m)* is cyclic, so some
+    g does and the loop returns.
+    """
+    if m == 1:
+        return [1]   # GF(2)* = {1}
+    elements = np.arange(1 << m, dtype=np.int64)
+    for g in range(2, 1 << m):
+        times_g = elements   # the top bit of g
+        for bit in reversed(range(g.bit_length() - 1)):
+            times_g = times_g << 1
+            times_g ^= (times_g >> m) * irred
+            if g >> bit & 1:
+                times_g ^= elements
+        step = times_g.tolist()
+        powers, x = [1], step[1]
+        while x != 1:
+            powers.append(x)
+            x = step[x]
+        if len(powers) == (1 << m) - 1:
+            return powers
 
 
 class FieldCtx:
@@ -89,65 +94,14 @@ class FieldCtx:
         if not 1 <= m <= _MAX_DEGREE:
             raise ParameterError(f"extension degree must be in 1..{_MAX_DEGREE}, got {m}")
         if not is_irreducible(irred, m):
-            raise ParameterError(
-                f"0x{irred:x} is not an irreducible polynomial of degree {m}"
-            )
+            raise ParameterError(f"0x{irred:x} is not an irreducible polynomial of degree {m}")
         self.m = m
         self.irred = irred
         self.size = 1 << m
         self.order = self.size - 1
-        self._build_tables()
-        self._trace_tbl: list[int] | None = None
         self._subfields: dict[int, list[int]] = {}
         self._trace_rel_arrs: dict[int, np.ndarray] = {}
         self._subfield_index_arrs: dict[int, np.ndarray] = {}
-
-    # -- construction helpers -------------------------------------------------
-
-    def _mul_schoolbook(self, a: int, b: int) -> int:
-        return _poly_mulmod(a, b, self.irred)
-
-    def _pow_schoolbook(self, a: int, e: int) -> int:
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self._mul_schoolbook(acc, a)
-            a = self._mul_schoolbook(a, a)
-            e >>= 1
-        return acc
-
-    def _build_tables(self) -> None:
-        order = self.order
-        if order == 1:
-            self.generator = 1
-            self._exp = [1]
-            self._log = [0, 0]
-            return
-        primes = _prime_factors(order)
-        gen = 0
-        for g in range(2, self.size):
-            if all(self._pow_schoolbook(g, order // q) != 1 for q in primes):
-                gen = g
-                break
-        if not gen:
-            raise ParameterError(f"no generator found; 0x{self.irred:x} is not a valid modulus")
-        exp = [1] * order
-        for i in range(1, order):
-            exp[i] = self._mul_schoolbook(exp[i - 1], gen)
-        log = [0] * self.size
-        for i, v in enumerate(exp):
-            log[v] = i
-        if len(set(exp)) != order:
-            raise ParameterError(f"generator {gen} has order below {order}; bad modulus")
-        # independent spot check of the group order
-        rng = XorShift64Star(0x67F2)
-        for _ in range(10):
-            a = rng.randint_nonzero(self.size)
-            if self._pow_schoolbook(a, order) != 1:
-                raise ParameterError(f"x^(2^m-1) != 1 for x={a:#x}; bad modulus 0x{self.irred:x}")
-        self.generator = gen
-        self._exp = exp
-        self._log = log
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -156,40 +110,12 @@ class FieldCtx:
             raise DomainError(f"{a:#x} is not an element of GF(2^{self.m})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return self._check(a) ^ self._check(b)
-
     def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % self.order]
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise DomainError("0 has no multiplicative inverse")
-        return self._exp[(-self._log[a]) % self.order]
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e with exponents reduced mod 2^m - 1 on nonzero a.
-
-        pow(0, e) = 0 for e > 0 and pow(0, 0) = 1, so that x^(2^m-2)
-        realizes "1/x with 0 mapped to 0" and x^(2^m-1) the indicator
-        of x != 0.
-        """
-        self._check(a)
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise DomainError("0 cannot be raised to a negative power")
-            return 0
-        return self._exp[(self._log[a] * e) % self.order]
+        return int(self._exp_arr[self._log_arr[self._check(a)] + self._log_arr[self._check(b)]])
 
     def neg_exp(self, e: int) -> int:
-        """(-e) mod (2^m - 1), so that pow(x, neg_exp(e)) = x^(-e) on x != 0.
+        """(-e) mod (2^m - 1), so that pow_table(neg_exp(e)) maps x to x^(-e)
+        on x != 0.
 
         On GF(2) that residue is 0, which would send 0 to 1; 1 is returned
         instead, so 0 maps to 0 as it does for every e prime to 2^m - 1.
@@ -198,9 +124,7 @@ class FieldCtx:
 
     def trace(self, a: int) -> int:
         """Absolute trace to GF(2)."""
-        if self._trace_tbl is None:
-            self._trace_tbl = self.trace_arr.tolist()
-        return self._trace_tbl[self._check(a)]
+        return int(self.trace_arr[self._check(a)])
 
     def dualmask(self, b: int) -> int:
         """Mask g with Tr(b*x) = parity(g & x) for all x."""
@@ -242,25 +166,27 @@ class FieldCtx:
         return _frozen(np.arange(self.size, dtype=np.int64))
 
     @functools.cached_property
+    def _exp_arr(self) -> np.ndarray:
+        # exp over [0, 2 * order - 2], then zeros up to twice the sentinel
+        powers = _generator_powers(self.m, self.irred)
+        return _frozen(np.array(powers + powers[:-1] + [0] * (2 * self.order), dtype=np.int64))
+
+    @functools.cached_property
     def _log_arr(self) -> np.ndarray:
         # log(0) is the sentinel 2^(m+1) - 3 = 2 * order - 1: any sum of
         # two logs that involves it lands in the zero tail of _exp_arr
-        log = np.array(self._log, dtype=np.int64)
+        log = np.empty(self.size, dtype=np.int64)
         log[0] = 2 * self.order - 1
+        log[self._exp_arr[:self.order]] = np.arange(self.order)
         return _frozen(log)
-
-    @functools.cached_property
-    def _exp_arr(self) -> np.ndarray:
-        # exp over [0, 2 * order - 2], then zeros up to twice the sentinel
-        exp = np.array(self._exp, dtype=np.int64)
-        return _frozen(np.concatenate([exp, exp[:-1], np.zeros(2 * self.order, np.int64)]))
 
     def mul_arr(self, a, b) -> np.ndarray:
         """Elementwise product of element arrays, with numpy broadcasting."""
         return self._exp_arr[self._log_arr[a] + self._log_arr[b]]
 
     def pow_table(self, e: int) -> np.ndarray:
-        """x^e for every element x, by the rules of pow; needs e >= 0."""
+        """x^e for every element x, with 0^0 = 1 and 0^e = 0 for e > 0, so
+        that x^(2^m - 2) is "1/x with 0 mapped to 0"; needs e >= 0."""
         if e < 0:
             raise DomainError("0 cannot be raised to a negative power")
         out = np.zeros(self.size, dtype=np.int64)

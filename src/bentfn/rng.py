@@ -41,10 +41,6 @@ class XorShift64Star:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
-    def randint_nonzero(self, bound: int) -> int:
-        """Integer in [1, bound)."""
-        return 1 + self.randrange(bound - 1)
-
     def bits(self, k: int) -> int:
         """k pseudo random bits as an int."""
         out = 0

@@ -151,9 +151,9 @@ def naive_M_subspaces(table, dim: int) -> list[tuple[int, ...]]:
 def is_M_subspace(f, U) -> bool:
     """Does D_a D_b f vanish for every pair a, b of nonzero elements of
     U?  One second derivative per pair."""
-    from bentfn import second_derivative
+    from bentfn import gf2vec, second_derivative
 
-    pts = [v for v in U.span() if v]
+    pts = [v for v in gf2vec.span(list(U.basis)) if v]
     return not any(second_derivative(f, a, b).table.any()
                    for a, b in itertools.combinations(pts, 2))
 

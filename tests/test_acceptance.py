@@ -120,7 +120,7 @@ def test_criterion_11_character_sums():
                 acc += 1 - 2 * (slow.trace(slow.mul(u, x))
                                 ^ slow.trace(slow.mul(v, y)))
         first = slow.pow(gamma, 1 << pr.ell) == ctx.trace_rel_arr(2)[
-            ctx.mul(v, ctx.pow(u, (-pr.e) % ctx.order))]
+            slow.mul(v, slow.pow(u, (-pr.e) % ctx.order))]
         assert acc == (12 if first else -4)
 
 

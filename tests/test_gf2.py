@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bentfn import (
@@ -36,26 +37,55 @@ def test_field_axioms_sampled(m):
         assert ctx.mul(a, 1) == a
 
 
+FIELDS = [(m, None) for m in range(1, 17)] + [(8, 0x11d)]
+
+
+@pytest.mark.parametrize("m, irred", FIELDS,
+                         ids=[f"m{m}" if irred is None else f"m{m}-{irred:#x}" for m, irred in FIELDS])
+def test_field_tables_match_schoolbook(m, irred):
+    ctx = make_field(m, irred)
+    slow = SlowField(m, ctx.irred)
+    if m <= 8:
+        a, b = np.divmod(np.arange(ctx.size ** 2), ctx.size)
+    else:
+        rng = np.random.default_rng(m)
+        a, b = rng.integers(ctx.size, size=(2, 4000))
+    assert ctx.mul_arr(a, b).tolist() == [slow.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert not ctx.mul_arr(ctx.elements, 0).any() and not ctx.mul_arr(0, ctx.elements).any()
+    # the exp table lists the powers of one element, each nonzero element once
+    powers = ctx._exp_arr[:ctx.order].tolist()
+    assert sorted(powers) == list(range(1, ctx.size))
+    g = powers[1] if m > 1 else 1
+    assert all(slow.mul(p, g) == q for p, q in zip(powers, powers[1:] + powers[:1]))
+    inv = ctx.pow_table(ctx.neg_exp(1))
+    assert inv[0] == 0
+    assert ctx.mul_arr(ctx.elements[1:], inv[1:]).tolist() == [1] * ctx.order
+
+
 def test_inverse_everywhere():
     ctx = make_field(6)
+    slow = SlowField(6, ctx.irred)
+    inv = ctx.pow_table(ctx.neg_exp(1))
     for a in range(1, ctx.size):
-        assert ctx.mul(a, ctx.inv(a)) == 1
-    with pytest.raises(DomainError):
-        ctx.inv(0)
+        assert ctx.mul(a, int(inv[a])) == 1
+        assert inv[a] == slow.inv(a)
+    assert inv[0] == 0
 
 
 def test_pow_edges():
     ctx = make_field(4)
-    assert ctx.pow(0, 0) == 1
-    assert ctx.pow(0, 7) == 0
-    assert ctx.pow(5, 0) == 1
+    slow = SlowField(4, ctx.irred)
+    assert ctx.pow_table(0)[0] == 1
+    assert ctx.pow_table(7)[0] == 0
+    assert ctx.pow_table(0)[5] == 1
     # exponents act mod 2^m - 1 on nonzero elements
-    for a in range(1, ctx.size):
-        assert ctx.pow(a, ctx.order) == 1
-        assert ctx.pow(a, -1) == ctx.inv(a)
-        assert ctx.pow(a, ctx.size - 2) == ctx.inv(a)
+    inv = ctx.pow_table(ctx.neg_exp(1))
+    assert ctx.pow_table(ctx.order)[1:].tolist() == [1] * ctx.order
+    assert ctx.pow_table(ctx.size - 2).tolist() == inv.tolist()
+    for e in range(3 * ctx.size):
+        assert ctx.pow_table(e)[1:].tolist() == [slow.pow(a, e) for a in range(1, ctx.size)]
     with pytest.raises(DomainError):
-        ctx.pow(0, -2)
+        ctx.pow_table(-2)
     with pytest.raises(DomainError):
         ctx.mul(ctx.size, 1)
 
@@ -64,7 +94,8 @@ def test_known_values_m4():
     ctx = make_field(4)
     assert ctx.irred == 0b10011
     assert ctx.mul(2, 8) == 0x3
-    assert ctx.inv(2) == 0x9
+    assert ctx.pow_table(ctx.neg_exp(1))[2] == 0x9
+    assert SlowField(4, ctx.irred).inv(2) == 0x9
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])
@@ -183,6 +214,6 @@ def test_neg_exp_inverts_powers(m):
     ctx = make_field(m)
     for e in range(1, 2 * ctx.size):
         d = ctx.neg_exp(e)
-        assert all(ctx.mul(ctx.pow(x, d), ctx.pow(x, e)) == 1 for x in range(1, ctx.size))
+        assert ctx.mul_arr(ctx.pow_table(d), ctx.pow_table(e))[1:].tolist() == [1] * ctx.order
         if math.gcd(e, ctx.order) == 1:
-            assert ctx.pow(0, d) == 0
+            assert ctx.pow_table(d)[0] == 0
