@@ -19,10 +19,9 @@ _PUBLIC = {
     "rng": ("XorShift64Star",),
     "gf2": ("FieldCtx", "GpsParams", "make_field", "validate_gps_params"),
     "gf2vec": (),
-    "boolfn": ("BoolFn", "Space", "WalshSpectrum", "anf", "anf_degree",
-               "autocorrelation", "dual", "ext_walsh_spectrum", "is_balanced",
-               "is_bent", "load_table", "plateaued_order", "save_table",
-               "walsh_transform"),
+    "boolfn": ("BoolFn", "Space", "anf", "anf_degree", "autocorrelation", "dual",
+               "ext_walsh_spectrum", "is_balanced", "is_bent", "load_table",
+               "plateaued_order", "save_table", "walsh_transform"),
     "vectorial": ("OutPairing", "VecFn", "check_component_dual_linearity",
                   "component", "is_vectorial_bent"),
     "derivative": ("Subspace", "derivative", "ea_transform", "enumerate_M_subspaces",

@@ -164,23 +164,6 @@ class BoolFn:
         return bool((self.table == self.table[0]).all())
 
 
-class WalshSpectrum:
-    """Exact integer Walsh coefficients W_f(b) over a Space."""
-
-    __slots__ = ("n", "values", "space")
-
-    def __init__(self, values: np.ndarray, space: Space):
-        self.values = values
-        self.n = space.n
-        self.space = space
-
-    def __getitem__(self, b: int) -> int:
-        return int(self.values[b])
-
-    def parseval_holds(self) -> bool:
-        return int((self.values.astype(np.int64) ** 2).sum()) == 1 << (2 * self.n)
-
-
 _SMALL = 1 << 8  # the most entries `_fwht_inplace` transforms by matrix products
 
 
@@ -266,13 +249,14 @@ def _signs(table: np.ndarray) -> np.ndarray:
     return _SIGN.take(table)
 
 
-def walsh_transform(f: BoolFn) -> WalshSpectrum:
-    """Exact spectrum W_f(b) = sum_x (-1)^(f(x) + <b,x>)."""
+def walsh_transform(f: BoolFn) -> np.ndarray:
+    """Exact spectrum W_f(b) = sum_x (-1)^(f(x) + <b,x>) in f's pairing,
+    as a read-only int64 array indexed by b."""
     w = _fwht_inplace(_signs(f.table))
     if not f.space.is_plain:
         w = w[f.space.perm()]
     w.setflags(write=False)
-    return WalshSpectrum(w, f.space)
+    return w
 
 
 def _abs_spectrum(table: np.ndarray) -> np.ndarray:
@@ -431,7 +415,7 @@ def dual(f: BoolFn) -> BoolFn:
     if f.n % 2:
         raise DomainError("odd dimension admits no bent function")
     half = 1 << (f.n // 2)
-    w = walsh_transform(f).values
+    w = walsh_transform(f)
     if not bool((np.abs(w) == half).all()):
         raise DomainError("dual is defined only for bent functions")
     return BoolFn((w == -half).astype(np.uint8), f.space)

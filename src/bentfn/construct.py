@@ -13,7 +13,7 @@ Conventions shared by every builder here:
 * The spread builders are G(y x^(-e)) for a function G on the field:
   G is composed as a table over the field from the trace,
   relative-trace and subfield-index arrays, and one gather through
-  FieldCtx.spread_table evaluates it over the whole grid.
+  the oriented grid of `_spread_grid` evaluates it over F_{2^m}^2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _fwht_inplace,
                      _hex_values, _read_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
-from .gf2 import FieldCtx, GpsParams, make_field
+from .gf2 import FieldCtx, GpsParams, make_field, validate_gps_params
 from .rng import XorShift64Star
 from .vectorial import OutPairing, VecFn
 
@@ -44,9 +44,6 @@ class PermTable:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
-
-    def __len__(self):
-        return len(self.table)
 
     def array(self) -> np.ndarray:
         return np.asarray(self.table, dtype=np.int64)
@@ -196,14 +193,13 @@ def _seeded_mm(n: int, rng: XorShift64Star) -> BoolFn:
 
 
 def psap(ctx: FieldCtx, P) -> BoolFn:
-    """P(y * x^(-1)) on F_{2^m} x F_{2^m} for balanced P, 0^(-1) = 0."""
+    """P(y * x^(-1)) on F_{2^m} x F_{2^m} for balanced P, 0^(-1) = 0:
+    gpsap at (m, k, e) = (m, m, 1)."""
     if not isinstance(P, SubfieldFn):
         P = SubfieldFn(ctx, ctx.m, P)
     if P.k != ctx.m:
         raise ParameterError("psap needs P on the whole field (k = m)")
-    P.require_balanced()
-    table = P.gather(ctx.elements)[ctx.spread_table(ctx.neg_exp(1))]
-    return BoolFn(table.reshape(-1), Space([ctx, ctx]))
+    return gpsap(ctx, validate_gps_params(ctx.m, ctx.m, 1), P)
 
 
 def _check_gps(ctx: FieldCtx, params: GpsParams) -> None:
@@ -213,11 +209,17 @@ def _check_gps(ctx: FieldCtx, params: GpsParams) -> None:
         )
 
 
-def _orientation_exp(params: GpsParams, orientation: str) -> int:
-    """The exponent of the outer variable: e for "f", eta for "g"."""
-    if orientation not in ("f", "g"):
-        raise ParameterError(f"orientation must be 'f' or 'g', got {orientation!r}")
-    return params.e if orientation == "f" else params.eta
+def _spread_grid(ctx: FieldCtx, params: GpsParams, orientation: str) -> np.ndarray:
+    """The (2^m, 2^m) grid indexed [y, x] of y x^(-e) ("f") or x y^(-eta)
+    ("g"), so that its flat index is x + 2^m y.  Indexing a table over
+    the field with it evaluates G(y x^(-e)) or G(x y^(-eta)) at every
+    point in one gather.  The line x = 0 ("f") or y = 0 ("g") maps to 0.
+    """
+    if orientation == "f":
+        return ctx.spread_table(ctx.neg_exp(params.e))
+    if orientation == "g":
+        return ctx.spread_table(ctx.neg_exp(params.eta)).T
+    raise ParameterError(f"orientation must be 'f' or 'g', got {orientation!r}")
 
 
 def spread_labels(ctx: FieldCtx, params: GpsParams, orientation: str = "f") -> np.ndarray:
@@ -231,10 +233,7 @@ def spread_labels(ctx: FieldCtx, params: GpsParams, orientation: str = "f") -> n
     0: callers recognise the line by its coordinate.
     """
     _check_gps(ctx, params)
-    exp = _orientation_exp(params, orientation)
-    labels = ctx.trace_rel_arr(params.k)[ctx.spread_table(ctx.neg_exp(exp))]
-    if orientation == "g":
-        labels = labels.T
+    labels = ctx.trace_rel_arr(params.k)[_spread_grid(ctx, params, orientation)]
     labels.setflags(write=False)
     return labels
 
@@ -252,12 +251,12 @@ def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
     P.require_balanced()
     if c0 not in (0, 1):
         raise ParameterError("c0 must be a bit")
-    exp = _orientation_exp(params, orientation)
-    # rows the inner variable, columns the outer one: (y, x) for "f"
-    table = P.gather(ctx.trace_rel_arr(params.k))[ctx.spread_table(ctx.neg_exp(exp))]
-    table[:, 0] ^= c0
-    if orientation == "g":
-        table = table.T  # outer = y, inner = x
+    table = P.gather(ctx.trace_rel_arr(params.k))[_spread_grid(ctx, params, orientation)]
+    # c0 on the special line: the column x = 0 for "f", the row y = 0 for "g"
+    if orientation == "f":
+        table[:, 0] ^= c0
+    else:
+        table[0] ^= c0
     return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
 
@@ -289,9 +288,8 @@ def gpsap_trace_form(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
             f"Tr(Q(.)) is not constant on the fibers of Tr_{params.k}^{params.m}; "
             "the spread function would not be bent"
         )
-    # the spread table has rows x and columns y here
-    table = ctx.trace_arr[Q.array()][ctx.spread_table(ctx.neg_exp(params.eta))]
-    return BoolFn(table.T.reshape(-1), Space([ctx, ctx]))
+    table = ctx.trace_arr[Q.array()][_spread_grid(ctx, params, "g")]
+    return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
 
 def gpsap_dual_formula(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
@@ -320,10 +318,18 @@ def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
     elems = ctx.subfield(k)
     if c0 not in elems:
         raise DomainError(f"c0 = {c0:#x} is not in S_{k}")
-    values = P.gather(ctx.trace_rel_arr(k))[ctx.spread_table(ctx.neg_exp(params.e))]
+    values = P.gather(ctx.trace_rel_arr(k))[_spread_grid(ctx, params, "f")]
     values[:, 0] ^= c0
     table = ctx.subfield_index_arr(k)[values].reshape(-1)
     return VecFn(table, k, Space([ctx, ctx]), OutPairing.subfield_trace(ctx, k))
+
+
+def _trace_sums(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
+    """sum over i of (-1)^Tr(c values[i]) for every c in the field, as an
+    int64 array indexed by c.  Tr(c v) = parity(dualmask(c) & v), so the
+    sums are the Walsh transform of the histogram of the values, read
+    at dualmask(c)."""
+    return _fwht_inplace(np.bincount(values, minlength=ctx.size))[ctx.dualmask_arr]
 
 
 @dataclass(frozen=True)
@@ -356,11 +362,9 @@ def check_property_P(ctx: FieldCtx, pi: PermTable) -> PropertyPResult:
         if periods.size > 2:
             b2 = int(periods[(periods != 0) & (periods != t)][0])
             return PropertyPResult(False, (0, t, 0, b2))
-        # (ii) Tr(c D_t pi) vanishes everywhere exactly when the Walsh sum
-        # of the values of D_t pi at dualmask(c) is 2^m; c = 0 always is
-        d = tbl ^ tbl[ctx.elements ^ t]
-        walsh = _fwht_inplace(np.bincount(d, minlength=size))
-        zero = np.flatnonzero(walsh[ctx.dualmask_arr] == size)
+        # (ii) Tr(c D_t pi) vanishes everywhere exactly when its character
+        # sum is 2^m; c = 0 always is
+        zero = np.flatnonzero(_trace_sums(ctx, tbl ^ tbl[ctx.elements ^ t]) == size)
         if zero.size > 1:
             return PropertyPResult(False, (int(zero[1]), 0, 0, t))
     return PropertyPResult(True, None)
@@ -409,9 +413,8 @@ def trace_sum_nonconstant(ctx: FieldCtx, c: int, d: int | None = None):
     """Does x -> Tr(d (1/x + 1/(x+c))) take both values off {0, c}?
 
     With d omitted, the answer for every d at once: a bool array indexed
-    by d (False at d = 0).  Tr(d s) = parity(dualmask(d) & s), so the
-    map is constant exactly when the Walsh sum of s(x) over the 2^m - 2
-    points x, taken at dualmask(d), has absolute value 2^m - 2.
+    by d (False at d = 0).  The map is constant exactly when its
+    character sum over the 2^m - 2 points x has absolute value 2^m - 2.
     """
     if c == 0 or d == 0:
         raise DomainError("c and d must be nonzero")
@@ -419,9 +422,7 @@ def trace_sum_nonconstant(ctx: FieldCtx, c: int, d: int | None = None):
         raise DomainError(f"c and d must be elements of GF(2^{ctx.m})")
     x = ctx.elements[(ctx.elements != 0) & (ctx.elements != c)]
     inv = ctx.pow_table(ctx.neg_exp(1))
-    s = inv[x] ^ inv[x ^ c]
-    walsh = _fwht_inplace(np.bincount(s, minlength=ctx.size))
-    row = np.abs(walsh[ctx.dualmask_arr]) != x.size
+    row = np.abs(_trace_sums(ctx, inv[x] ^ inv[x ^ c])) != x.size
     return row if d is None else bool(row[d])
 
 

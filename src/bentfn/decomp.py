@@ -5,13 +5,13 @@ A pair of independent directions u, v splits V_n into the four cosets
 of S = {x : <u,x> = <v,x> = 0} (plain dot products on index bits).
 Restricting f to the cosets gives four functions on n - 2 variables;
 for bent f the four are all bent exactly when D_u D_v f* is constant 1
-and all semibent exactly when it is constant 0, which is what the
-classifier reports from both sides.  One plane takes one transform of
-its four coset tables and one second derivative of the dual; a batch
-of planes is classified in chunks of a fixed number of table entries,
-each chunk with one transform of all its coset tables.  The scan of
-every plane labels them from the dual side alone and returns its
-result as arrays.
+and all semibent exactly when it is constant 0.  One plane is
+classified from both sides: one transform of its four coset tables and
+one second derivative of the dual.  A batch of planes is classified
+from the restrictions alone, in chunks of a fixed number of table
+entries, each chunk with one transform of all its coset tables.  The
+scan of every plane labels them from the dual side alone and returns
+its result as arrays.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ def _plain_dual(f: BoolFn) -> BoolFn:
     return dual(f.with_space(None))
 
 
-# Codes of classify_planes.  The status codes are bits, so the AND over
-# the four restrictions of a plane keeps the status they share, which
-# _CLASS_OF maps to its class.  Code i of CLASSES goes with code i of
-# CONSTANCY: that pairing is the trichotomy.
+# Codes of classify_planes and of the scan.  The status codes are bits,
+# so the AND over the four restrictions of a plane keeps the status they
+# share, which _CLASS_OF maps to its class.  Code i of CLASSES goes with
+# code i of CONSTANCY: that pairing is the trichotomy.
 STATUSES = ("other", "bent", "semibent")
 CLASSES = ("AllBent", "AllSemibent", "Mixed")
 CONSTANCY = ("ConstantOne", "ConstantZero", "NonConstant")
@@ -102,8 +102,9 @@ def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
 
     The four restrictions are classified from one transform of f's own
     coset tables, and D_u D_v f* from four gathers of the cached dual at
-    x + {0, u, v, u + v}; the two sides are computed independently, and
-    they agree with classify_planes on the one plane.
+    x + {0, u, v, u + v}.  The two sides are computed independently:
+    the restrictions agree with classify_planes on the one plane, and
+    the dual side with the plane's scan label.
     """
     _check_plane(f.n, u, v)
     fstar = _fstar(f)
@@ -115,16 +116,14 @@ def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
                                CONSTANCY[_constancy(_second_derivative(fstar, u, v))])
 
 
-def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray]:
     """Classify the coset decompositions of a bent function along the
-    planes (us[i], vs[i]).
+    planes (us[i], vs[i]) from their restrictions.
 
     Returns the (planes, 4) codes into STATUSES of the four
-    restrictions, the codes into CLASSES of the planes, and the codes
-    into CONSTANCY of the dual second derivative D_u D_v f*, the
-    closed-form witness of the same trichotomy.  Each chunk of
-    planes takes one transform of all its coset tables and one batched
-    second derivative of the dual of f (computed once per function).
+    restrictions and the codes into CLASSES of the planes.  Each chunk
+    of planes takes one transform of all its coset tables.  The dual
+    side of the trichotomy is the scan's (`scan_decompositions`).
     """
     try:
         us = np.asarray(us, dtype=np.int64).reshape(-1)
@@ -137,7 +136,18 @@ def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray, np.ndarr
         raise ParameterError("u and v must be nonzero n-bit values")
     if (us == vs).any():
         raise ParameterError("u and v must be linearly independent")
-    return _classify(f, us[:, None], vs[:, None])
+    _fstar(f)   # the domain of classify_decomposition: bent, n >= 4
+    n = f.n
+    us, vs = us[:, None], vs[:, None]   # int64 columns, one row per plane
+    step = max(1, _CHUNK_ENTRIES >> n)
+    statuses, classes = [], []
+    for i in range(0, max(us.shape[0], 1), step):  # no planes: one empty chunk
+        u, v = us[i:i + step], vs[i:i + step]
+        peak = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
+        status = _status(peak, n).reshape(-1, 4)
+        statuses.append(status)
+        classes.append(_CLASS_OF[np.bitwise_and.reduce(status, axis=1)])
+    return np.concatenate(statuses), np.concatenate(classes)
 
 
 def _fstar(f: BoolFn) -> np.ndarray:
@@ -156,29 +166,6 @@ def _status(peak, n: int):
     # and Parseval rules out the zeros in the bent case.
     h = 1 << (n - 2) // 2
     return (peak == h) | (peak == 2 * h) << 1
-
-
-def _classify(f: BoolFn, us: np.ndarray, vs: np.ndarray):
-    # us and vs are int64 columns, one row per plane
-    fstar = _fstar(f)
-    n = f.n
-    step = max(1, _CHUNK_ENTRIES >> n)
-    out = []
-    for i in range(0, max(us.shape[0], 1), step):  # no planes: one empty chunk
-        u, v = us[i:i + step], vs[i:i + step]
-        peak = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
-        status = _status(peak, n).reshape(-1, 4)
-        cls = _CLASS_OF[np.bitwise_and.reduce(status, axis=1)]
-        out.append((status, cls, _constancy_code(_second_derivative(fstar, u, v))))
-    if len(out) == 1:
-        return out[0]
-    return tuple(np.concatenate(part) for part in zip(*out))
-
-
-def _constancy_code(d2: np.ndarray):
-    """Codes into CONSTANCY of the bit tables along the last axis:
-    ConstantOne (all 1) 0, ConstantZero (all 0) 1, NonConstant 2."""
-    return 1 + np.bitwise_or.reduce(d2, axis=-1) - 2 * np.bitwise_and.reduce(d2, axis=-1)
 
 
 def _constancy(d2: np.ndarray) -> int:

@@ -87,12 +87,9 @@ class _CompatRows:
         self.f = f
         self.size = f.table.size
         self._cache: dict[int, np.ndarray] = {}
-        self._ones = np.ones(self.size, dtype=np.uint8)
 
     def row(self, a: int) -> np.ndarray:
-        """Unpacked 0/1 mask over b of compat(a, b)."""
-        if a == 0:
-            return self._ones
+        """Unpacked 0/1 mask over b of compat(a, b), for a != 0."""
         packed = self._cache.get(a)
         if packed is None:
             packed = self._compute(a)

@@ -34,18 +34,3 @@ def rref(rows: list[int]) -> list[int]:
 
 def rank(rows: list[int]) -> int:
     return len(rref(rows))
-
-
-def span(basis: list[int]) -> list[int]:
-    """All 2^k elements spanned by basis, in ascending order.
-
-    With a reduced basis ordered smallest-pivot-first, the doubling
-    construction emits the span as an increasing sequence.
-    """
-    red = rref(basis)
-    red.reverse()
-    out = [0]
-    for b in red:
-        out += [x ^ b for x in out]
-    return out
-

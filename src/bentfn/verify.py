@@ -296,14 +296,16 @@ def _c07_trichotomy(level, threads, seed):
     ]
     planes = 0
     for label, f in cases:
-        us, vs = _planes(f.n)
-        _, cls, const = classify_planes(f, us, vs)
-        bad = np.flatnonzero(cls != const)
+        # the restriction side per plane, against the scan's dual side
+        scan = scan_decompositions(f)
+        us, vs = scan.basis1, scan.basis2
+        _, cls = classify_planes(f, us, vs)
+        bad = np.flatnonzero(cls != scan.codes)
         if bad.size:
             i = bad[0]
             return False, (f"{label}: plane ({us[i]},{vs[i]}) classifies "
                            f"{CLASSES[cls[i]]} but the dual "
-                           f"derivative is {CONSTANCY[const[i]]}")
+                           f"derivative is {CONSTANCY[scan.codes[i]]}")
         planes += us.size
     return True, f"restriction and dual-derivative labels agree on {planes} planes"
 
@@ -349,7 +351,7 @@ def _c10_semibent_planes(level, threads, seed):
         pr = validate_gps_params(m, k, e)
         f = gpsap_trace_form(ctx, pr, PermTable.identity(m))
         us, vs = _planes(m)
-        _, cls, _ = classify_planes(f, us << m, vs << m)
+        _, cls = classify_planes(f, us << m, vs << m)
         bad = np.flatnonzero(cls != CLASSES.index("AllSemibent"))
         if bad.size:
             i = bad[0]
@@ -419,14 +421,15 @@ def _naive_walsh(f: BoolFn) -> np.ndarray:
 def _c12_structural(level, threads, seed):
     fns = corpus(seed)
     for label, f in fns:
-        if not walsh_transform(f).parseval_holds():
+        w = walsh_transform(f)
+        if int((w * w).sum()) != 1 << (2 * f.n):
             return False, f"Parseval fails on {label}"
     rng = XorShift64Star(seed ^ 0x570)
     for t in range(100):
         n = 1 + rng.randrange(6)
         tbl = np.array([rng.bits(1) for _ in range(1 << n)], dtype=np.uint8)
         f = BoolFn(tbl)
-        if not (walsh_transform(f).values == _naive_walsh(f)).all():
+        if not (walsh_transform(f) == _naive_walsh(f)).all():
             return False, f"butterfly disagrees with the double sum (trial {t}, n={n})"
     fs = [_seeded_mm(6, rng) for _ in range(4)]
     cat = concat4(*fs)

@@ -71,6 +71,20 @@ def nullspace(rows: list[int], width: int) -> list[int]:
     return out
 
 
+def span(basis) -> list[int]:
+    """All 2^k elements spanned by basis, in ascending order.
+
+    With a reduced basis ordered smallest-pivot-first, the doubling
+    construction emits the span as an increasing sequence.
+    """
+    from bentfn import gf2vec
+
+    out = [0]
+    for b in reversed(gf2vec.rref(list(basis))):
+        out += [x ^ b for x in out]
+    return out
+
+
 def naive_restrict(table, u: int, v: int) -> list[list[int]]:
     """The four coset restrictions in pattern order (<u,x>, <v,x>) =
     (0,0), (0,1), (1,0), (1,1), each listed as r + span(basis) through
@@ -151,9 +165,9 @@ def naive_M_subspaces(table, dim: int) -> list[tuple[int, ...]]:
 def is_M_subspace(f, U) -> bool:
     """Does D_a D_b f vanish for every pair a, b of nonzero elements of
     U?  One second derivative per pair."""
-    from bentfn import gf2vec, second_derivative
+    from bentfn import second_derivative
 
-    pts = [v for v in gf2vec.span(list(U.basis)) if v]
+    pts = [v for v in span(U.basis) if v]
     return not any(second_derivative(f, a, b).table.any()
                    for a, b in itertools.combinations(pts, 2))
 
@@ -323,7 +337,7 @@ def property_P_loop(ctx, pi):
     autocorrelations of its m component functions, (ii) an XOR basis of
     the image of D_t pi, and the smallest nonzero c orthogonal to it
     under Tr(c .) from the nullspace of its dual masks."""
-    from bentfn import PropertyPResult, gf2vec
+    from bentfn import PropertyPResult
     from bentfn.boolfn import _autocorrelation
 
     m, size = ctx.m, ctx.size
@@ -347,7 +361,7 @@ def property_P_loop(ctx, pi):
                     break
         if len(img_basis) < m:
             duals = [ctx.dualmask(b) for b in img_basis]
-            ortho = gf2vec.span(nullspace(duals, m))
+            ortho = span(nullspace(duals, m))
             c = min(v for v in ortho if v)
             return PropertyPResult(False, (c, 0, 0, t))
     return PropertyPResult(True, None)

@@ -23,7 +23,7 @@ from bentfn.boolfn import _derivative_spectrum, _quarter_first_spectrum, _second
 from bentfn.construct import PermTable, build_cor_ex, mm
 from bentfn.derivative import _CompatRows
 
-from helpers import is_M_subspace, naive_M_subspaces, naive_walsh, random_invertible
+from helpers import is_M_subspace, naive_M_subspaces, naive_walsh, random_invertible, span
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -91,7 +91,7 @@ def test_compat_rows_match_second_derivatives(n):
         # one search per goal; each sees every root once, so each root
         # call takes its spectrum, quarter first where 2 * goal >= n
         searches = [_CompatRows(f) for _ in range(n + 1)]
-        for a in range(1 << n):
+        for a in range(1, 1 << n):
             row = rows.row(a)
             assert np.array_equal(row, ~_second_derivative(f.table, a, x[:, None]).any(axis=1))
             # the row is the orthogonal complement of the span of the
@@ -136,7 +136,7 @@ def test_quarter_first_spectrum_matches_whole(n):
 def test_subspace_dataclass():
     U = Subspace(4, (3, 5))
     assert len(U.basis) == 2
-    assert sorted(gf2vec.span(list(U.basis))) == [0, 3, 5, 6]
+    assert sorted(span(U.basis)) == [0, 3, 5, 6]
     with pytest.raises(DomainError):
         Subspace(4, (3, 5, 6))  # dependent
     with pytest.raises(DomainError):
@@ -218,7 +218,7 @@ def test_enumerate_matches_every_subspace_oracle(f):
     nonempty = 0
     for dim in range(1, f.n + 1):
         want = naive_M_subspaces(f.table, dim)
-        got = sorted(tuple(gf2vec.span(list(U.basis))) for U in enumerate_M_subspaces(f, dim))
+        got = sorted(tuple(span(U.basis)) for U in enumerate_M_subspaces(f, dim))
         assert got == want, dim
         assert has_M_subspace(f, dim) == bool(want)
         if want:

@@ -325,13 +325,16 @@ def _naive_coset_index(n, us, vs):
 def test_batched_classifier_matches_planes_one_by_one(which):
     f = _classifier_functions()[which]
     us, vs = _planes(f.n)
-    status, cls, const = classify_planes(f, us, vs)
-    assert status.shape == (us.size, 4) and cls.shape == const.shape == (us.size,)
+    status, cls = classify_planes(f, us, vs)
+    assert status.shape == (us.size, 4) and cls.shape == (us.size,)
+    # the scan labels the same planes in the same order from the dual side
+    scan = scan_decompositions(f)
+    assert np.array_equal(scan.basis1, us) and np.array_equal(scan.basis2, vs)
     for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
         rep = classify_decomposition(f, u, v)
         assert rep.statuses == tuple(STATUSES[s] for s in status[i].tolist())
         assert (rep.classification, rep.dual_second_derivative) == (
-            CLASSES[cls[i]], CONSTANCY[const[i]]), (u, v)
+            CLASSES[cls[i]], CONSTANCY[scan.codes[i]]), (u, v)
     # the restrictions behind the statuses are the basis-oracle ones
     index = _coset_index(f.n, us[:, None], vs[:, None]).reshape(us.size, 4, -1)
     assert np.array_equal(index, _naive_coset_index(f.n, us, vs))
@@ -339,8 +342,8 @@ def test_batched_classifier_matches_planes_one_by_one(which):
 
 def test_classify_planes_edges():
     f = _classifier_functions()[1]
-    status, cls, const = classify_planes(f, [], [])
-    assert status.shape == (0, 4) and cls.size == const.size == 0
+    status, cls = classify_planes(f, [], [])
+    assert status.shape == (0, 4) and cls.size == 0
     for us, vs in (([0], [1]), ([3], [3]), ([64], [1]), ([-1], [2]), ([1 << 70], [1]),
                    ([1, 2], [3])):
         with pytest.raises(ParameterError):
@@ -440,20 +443,20 @@ def test_criterion_11_matches_loop():
 
 
 def test_criterion_07_reports_first_disagreeing_plane(monkeypatch):
-    real = verify.classify_planes
+    real = verify.scan_decompositions
     ctx3 = make_field(3)
     inverse_mm = mm(ctx3, PermTable.inverse_map(ctx3))
     flip = {(6, 5, 40), (6, 3, 12), (8, 1, 2)}
 
-    def fake(f, us, vs):
-        status, cls, const = real(f, us, vs)
-        const = const.copy()
-        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+    def fake(f):
+        scan = real(f)
+        codes = scan.codes.copy()
+        for i, (u, v) in enumerate(zip(scan.basis1.tolist(), scan.basis2.tolist())):
             if (f.n, u, v) in flip and (f.n != 6 or f == inverse_mm):
-                const[i] = (const[i] + 1) % 3
-        return status, cls, const
+                codes[i] = (codes[i] + 1) % 3
+        return decomp.PlaneScan(scan.basis1, scan.basis2, codes)
 
-    monkeypatch.setattr(verify, "classify_planes", fake)
+    monkeypatch.setattr(verify, "scan_decompositions", fake)
     res = verify.run_criterion(7)
     assert not res.passed
     rep = classify_decomposition(inverse_mm, 3, 12)

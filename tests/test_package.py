@@ -69,7 +69,6 @@ def test_no_unused_imports(path):
 # stops being public.
 ALLOWED = {
     "BentError": "base class for callers that catch every library error",
-    "WalshSpectrum": "the result type of walsh_transform",
     "Subspace": "the result type of enumerate_M_subspaces",
     "PropertyPResult": "the result type of check_property_P",
     "DecompositionReport": "the result type of classify_decomposition",
@@ -146,6 +145,44 @@ def test_public_members_have_library_callers():
     assert unreached == []
 
 
+def _function_reads(tree: ast.AST, modules: set[str]) -> tuple[Counter, Counter]:
+    """How often each name is read in a tree as a function is: imported
+    by name or taken as `module.name` of an imported module, and loaded
+    as a bare name."""
+    named, bare = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                named[node.attr] += 1
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            bare[node.id] += 1
+    return named, bare
+
+
+def test_library_functions_have_library_readers():
+    # every top-level function of a library module must be read by the
+    # library outside its own def, a bare name counting in its own module
+    # only; `__init__` and `cli.main` are entry points, and the public
+    # names of ALLOWED keep their reasons above
+    package = Path(bentfn.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")
+             if p.stem != "__init__"}
+    modules = {mod: _imported_modules(tree) for mod, tree in trees.items()}
+    reads = {mod: _function_reads(tree, modules[mod]) for mod, tree in trees.items()}
+    named = sum((r[0] for r in reads.values()), Counter())
+    unread = []
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (mod, fn.name) != ("cli", "main") and fn.name not in ALLOWED):
+                inside = sum(_function_reads(fn, modules[mod]), Counter())
+                if named[fn.name] + reads[mod][1][fn.name] == inside[fn.name]:
+                    unread.append(f"{mod}.{fn.name}")
+    assert unread == []
+
+
 def test_submodule_attributes():
     assert bentfn.derivative is sys.modules["bentfn.derivative"].derivative
     assert bentfn.gf2vec is sys.modules["bentfn.gf2vec"]
@@ -188,6 +225,7 @@ PLANES = BUILD | {"decomp"}
     (["construct", "--family", "mm", "--m", "3", "--out", "{out}"], BUILD),
     (["construct", "--family", "gmm", "--m", "2", "--out", "{out}"], BUILD),
     (["verify"], PLANES | SEARCH | {"verify"}),
+    (["construct", "--family", "psffff", "--m", "3", "--k", "1", "--out", "{out}"], PLANES),
 ])
 def test_verb_executes_only_its_modules(argv, executed, two_block_table, tmp_path):
     argv = [a.format(f=two_block_table, out=tmp_path / "out.tt") for a in argv]
