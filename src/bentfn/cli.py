@@ -268,7 +268,7 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    results = run_suite(args.level, threads=args.threads, seed=args.seed)
+    results = run_suite(args.level, seed=args.seed)
     ok = all(r.passed for r in results)
     if args.json:
         print(json.dumps({
@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_int_arg, default=0,
                         help="seed for the documented xorshift generator")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker count for searches "
+                        help="worker count for the msubspace search; other "
+                             "verbs accept it and ignore it "
                              "(default: BENT_THREADS or 1)")
         sp.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of key: value lines")

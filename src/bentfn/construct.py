@@ -409,21 +409,19 @@ def build_cor_ex(ctx: FieldCtx, m: int, k: int, variant: str = "inverse",
     return gmm(ctx_k, k, family)
 
 
-def trace_sum_nonconstant(ctx: FieldCtx, c: int, d: int | None = None):
-    """Does x -> Tr(d (1/x + 1/(x+c))) take both values off {0, c}?
+def trace_sum_nonconstant(ctx: FieldCtx) -> np.ndarray:
+    """Does x -> Tr(d (1/x + 1/(x+1))) take both values off {0, 1}?
 
-    With d omitted, the answer for every d at once: a bool array indexed
-    by d (False at d = 0).  The map is constant exactly when its
-    character sum over the 2^m - 2 points x has absolute value 2^m - 2.
+    The answer for every d at once: a bool array indexed by d (False at
+    d = 0).  The map is constant exactly when its character sum over the
+    2^m - 2 points x has absolute value 2^m - 2.  This row decides every
+    nonzero c: x = c t turns d (1/x + 1/(x+c)) into (d/c)(1/t + 1/(t+1)),
+    so the map at (c, d) takes both values off {0, c} exactly when the
+    map at (1, d/c) does off {0, 1}.
     """
-    if c == 0 or d == 0:
-        raise DomainError("c and d must be nonzero")
-    if not 0 < c < ctx.size or d is not None and not 0 < d < ctx.size:
-        raise DomainError(f"c and d must be elements of GF(2^{ctx.m})")
-    x = ctx.elements[(ctx.elements != 0) & (ctx.elements != c)]
+    x = ctx.elements[2:]
     inv = ctx.pow_table(ctx.neg_exp(1))
-    row = np.abs(_trace_sums(ctx, inv[x] ^ inv[x ^ c])) != x.size
-    return row if d is None else bool(row[d])
+    return np.abs(_trace_sums(ctx, inv[x] ^ inv[x ^ 1])) != x.size
 
 
 def g_lambda(ctx: FieldCtx, params: GpsParams, Q: PermTable, lam: int) -> BoolFn:

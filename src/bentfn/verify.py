@@ -167,7 +167,7 @@ def corpus(seed: int = 0):
 # -- the twelve checks ----------------------------------------------------------
 
 
-def _c01_bentness(level, threads, seed):
+def _c01_bentness(level, seed):
     fns = corpus(seed)
     bad = [label for label, f in fns if not is_bent(f)]
     if bad:
@@ -175,7 +175,7 @@ def _c01_bentness(level, threads, seed):
     return True, f"{len(fns)} builder outputs, all bent"
 
 
-def _c02_degree(level, threads, seed):
+def _c02_degree(level, seed):
     bad = []
     count = 0
     for m in (2, 3, 4, 5):
@@ -193,21 +193,21 @@ def _c02_degree(level, threads, seed):
     return True, f"{count} functions at the extremal degree"
 
 
-def _c03_outside_mm(level, threads, seed):
+def _c03_outside_mm(level, seed):
     f = build_cor_ex(make_field(4), 4, 1, "inverse")
-    found5 = has_M_subspace(f, 5, threads=threads)
-    li = linearity_index(f, threads=threads)
+    found5 = has_M_subspace(f, 5)
+    li = linearity_index(f)
     ok = (not found5) and li <= 4
     detail = f"(4,1) dim-10: dim-5 subspace {'found' if found5 else 'absent'}, index {li}"
     if level == "full":
         g = build_cor_ex(make_field(5), 5, 2, "gold", gold_k=1)
-        found7 = has_M_subspace(g, 7, threads=threads)
+        found7 = has_M_subspace(g, 7)
         ok = ok and not found7
         detail += f"; (5,2) dim-14: dim-7 subspace {'found' if found7 else 'absent'}"
     return ok, detail
 
 
-def _c04_property_P(level, threads, seed):
+def _c04_property_P(level, seed):
     checks = 0
     for m in range(4, 9):
         ctx = make_field(m)
@@ -251,20 +251,21 @@ def _quadruple_is_witness(ctx, pi, quad) -> bool:
     return True
 
 
-def _c05_trace_sum(level, threads, seed):
+def _c05_trace_sum(level, seed):
+    # x = c t carries the pair (c, d) to (1, d/c), so the c = 1 row
+    # decides all (2^m - 1)^2 pairs
     pairs = 0
     for m in range(4, 9):
         ctx = make_field(m)
-        for c in range(1, ctx.size):
-            vanishing = np.flatnonzero(~trace_sum_nonconstant(ctx, c)[1:])
-            if vanishing.size:
-                d = int(vanishing[0]) + 1
-                return False, f"vanishing trace sum at m={m}, c={c:#x}, d={d:#x}"
-            pairs += ctx.size - 1
+        vanishing = np.flatnonzero(~trace_sum_nonconstant(ctx)[1:])
+        if vanishing.size:
+            d = int(vanishing[0]) + 1
+            return False, f"vanishing trace sum at m={m}, c=0x1, d={d:#x}"
+        pairs += (ctx.size - 1) ** 2
     return True, f"{pairs} (c, d) pairs, every sum takes both values"
 
 
-def _c06_duals(level, threads, seed):
+def _c06_duals(level, seed):
     for k, n, fam in _gmm_cases(seed):
         ck = make_field(k)
         if dual(gmm(ck, k, fam)) != gmm_dual(ck, k, fam):
@@ -283,7 +284,7 @@ def _c06_duals(level, threads, seed):
                   f"dual of dual restores all {len(fns)} corpus functions")
 
 
-def _c07_trichotomy(level, threads, seed):
+def _c07_trichotomy(level, seed):
     quad = [((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1) for i in range(16)]
     ctx3 = make_field(3)
     ctx4 = make_field(4)
@@ -310,7 +311,7 @@ def _c07_trichotomy(level, threads, seed):
     return True, f"restriction and dual-derivative labels agree on {planes} planes"
 
 
-def _c08_concat_rule(level, threads, seed):
+def _c08_concat_rule(level, seed):
     rng = XorShift64Star(seed ^ 0xC8)
     agree = 0
     for _ in range(50):
@@ -328,7 +329,7 @@ def _c08_concat_rule(level, threads, seed):
     return True, f"{agree} seeded quadruples plus both designed cases agree"
 
 
-def _c09_substitution(level, threads, seed):
+def _c09_substitution(level, seed):
     ctx = make_field(4)
     pr = validate_gps_params(4, 2, 2)
     Q = PermTable.identity(4)
@@ -344,7 +345,7 @@ def _c09_substitution(level, threads, seed):
     return True, "50 admissible substitutions, both constancy tests agree"
 
 
-def _c10_semibent_planes(level, threads, seed):
+def _c10_semibent_planes(level, seed):
     details = []
     for m, k, e in ((4, 2, 2), (5, 1, 3)):
         ctx = make_field(m)
@@ -371,7 +372,7 @@ def _c10_semibent_planes(level, threads, seed):
     return True, "; ".join(details)
 
 
-def _c11_character_sums(level, threads, seed):
+def _c11_character_sums(level, seed):
     m, k, e = 4, 2, 2
     ctx = make_field(m)
     pr = validate_gps_params(m, k, e)
@@ -407,30 +408,13 @@ def _c11_character_sums(level, threads, seed):
     return True, f"{checked} character sums match the two-branch closed form"
 
 
-def _naive_walsh(f: BoolFn) -> np.ndarray:
-    n = f.n
-    out = np.zeros(1 << n, dtype=np.int64)
-    for b in range(1 << n):
-        acc = 0
-        for x in range(1 << n):
-            acc += 1 - 2 * (int(f.table[x]) ^ ((b & x).bit_count() & 1))
-        out[b] = acc
-    return out
-
-
-def _c12_structural(level, threads, seed):
+def _c12_structural(level, seed):
     fns = corpus(seed)
     for label, f in fns:
         w = walsh_transform(f)
         if int((w * w).sum()) != 1 << (2 * f.n):
             return False, f"Parseval fails on {label}"
     rng = XorShift64Star(seed ^ 0x570)
-    for t in range(100):
-        n = 1 + rng.randrange(6)
-        tbl = np.array([rng.bits(1) for _ in range(1 << n)], dtype=np.uint8)
-        f = BoolFn(tbl)
-        if not (walsh_transform(f) == _naive_walsh(f)).all():
-            return False, f"butterfly disagrees with the double sum (trial {t}, n={n})"
     fs = [_seeded_mm(6, rng) for _ in range(4)]
     cat = concat4(*fs)
     back = restrict_to_cosets(cat, 1 << 6, 1 << 7)
@@ -459,9 +443,8 @@ def _c12_structural(level, threads, seed):
         off = gammas[(A[gammas] != want) | (B[gammas] != want)]
         if off.size:
             return False, f"partition class size off at ({m},{k},{e}), gamma={int(off[0]):#x}"
-    return True, ("Parseval on the corpus, 100 transform cross-checks, "
-                  "restriction round trip, 20 affine invariance trials, "
-                  "partition class sizes")
+    return True, ("Parseval on the corpus, restriction round trip, "
+                  "20 affine invariance trials, partition class sizes")
 
 
 CRITERIA = (
@@ -480,16 +463,14 @@ CRITERIA = (
 )
 
 
-def run_criterion(cid: int, level: str = "fast", threads: int = 1,
-                  seed: int = 0) -> CriterionResult:
+def run_criterion(cid: int, level: str = "fast", seed: int = 0) -> CriterionResult:
     for num, name, fn in CRITERIA:
         if num == cid:
-            t0 = time.time()
-            passed, detail = fn(level, threads, seed)
-            return CriterionResult(num, name, passed, time.time() - t0, detail)
+            t0 = time.perf_counter()
+            passed, detail = fn(level, seed)
+            return CriterionResult(num, name, passed, time.perf_counter() - t0, detail)
     raise ValueError(f"no criterion {cid}")
 
 
-def run_suite(level: str = "fast", threads: int = 1,
-              seed: int = 0) -> list[CriterionResult]:
-    return [run_criterion(cid, level, threads, seed) for cid, _, _ in CRITERIA]
+def run_suite(level: str = "fast", seed: int = 0) -> list[CriterionResult]:
+    return [run_criterion(cid, level, seed) for cid, _, _ in CRITERIA]

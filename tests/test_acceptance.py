@@ -144,7 +144,7 @@ FAST_DETAILS = {
     10: ("(4,2,2): 35 second-block planes all semibent, 0 semibent planes elsewhere "
          "(recorded only); (5,1,3): 155 second-block planes all semibent"),
     11: "1020 character sums match the two-branch closed form",
-    12: ("Parseval on the corpus, 100 transform cross-checks, restriction round trip, "
+    12: ("Parseval on the corpus, restriction round trip, "
          "20 affine invariance trials, partition class sizes"),
 }
 FULL_DETAILS = {

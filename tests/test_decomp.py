@@ -514,6 +514,6 @@ def test_criterion_10_counts_semibent_planes_outside_the_second_block(monkeypatc
     scan = PlaneScan(np.array([16, 17], np.int32), np.array([32, 34], np.int32),
                      np.array([1, 1], np.uint8))
     monkeypatch.setattr(verify, "scan_decompositions", lambda f: scan)
-    passed, detail = verify._c10_semibent_planes("fast", 1, 0)
+    passed, detail = verify._c10_semibent_planes("fast", 0)
     assert passed
     assert "(4,2,2): 35 second-block planes all semibent, 1 semibent planes elsewhere" in detail

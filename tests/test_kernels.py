@@ -289,14 +289,15 @@ def test_fhat_matches_loop():
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_trace_sum_rows_match_loop(m):
+    # x = c t carries (c, d) to (1, d/c): the c = 1 row decides every pair
     ctx = make_field(m)
+    T = slow_tables(m, ctx.irred)
+    row = trace_sum_nonconstant(ctx)
+    assert row.shape == (ctx.size,) and not row[0]
     for c in range(1, ctx.size):
-        row = trace_sum_nonconstant(ctx, c)
-        assert row.shape == (ctx.size,) and not row[0]
         want = [trace_sum_loop(ctx, c, d) for d in range(1, ctx.size)]
-        assert row[1:].tolist() == want, c
-        d = 1 + c % (ctx.size - 1)
-        assert trace_sum_nonconstant(ctx, c, d) is want[d - 1]
+        got = [bool(row[T.mul[d][T.inv[c]]]) for d in range(1, ctx.size)]
+        assert got == want, c
 
 
 def _classifier_functions():
@@ -396,18 +397,26 @@ def test_scan_matches_per_plane_loop(which, chunk, tmp_path, monkeypatch):
 
 def test_criterion_05_reports_first_vanishing_pair(monkeypatch):
     real = verify.trace_sum_nonconstant
-    vanish = {(5, 7): (3, 2), (5, 9): (1,), (6, 1): (1,)}
+    vanish = {5: (3, 2), 6: (1,)}
+    calls = []
 
-    def fake(ctx, c, d=None):
-        row = real(ctx, c, d).copy()
-        for dd in vanish.get((ctx.m, c), ()):
-            row[dd] = False
+    def fake(ctx):
+        calls.append(ctx.m)
+        row = real(ctx).copy()
+        for d in vanish.get(ctx.m, ()):
+            row[d] = False
         return row
 
     monkeypatch.setattr(verify, "trace_sum_nonconstant", fake)
     res = verify.run_criterion(5)
     assert not res.passed
-    assert res.detail == "vanishing trace sum at m=5, c=0x7, d=0x2"
+    assert res.detail == "vanishing trace sum at m=5, c=0x1, d=0x2"
+    assert calls == [4, 5]
+    # one c = 1 row per field, m = 4..8
+    vanish.clear()
+    calls.clear()
+    assert verify.run_criterion(5).passed
+    assert calls == [4, 5, 6, 7, 8]
 
 
 @pytest.mark.parametrize("a, b", [((1, 1), (7, 2)), ((3, 1), (3, 2))])
