@@ -22,8 +22,8 @@ _PUBLIC = {
     "boolfn": ("BoolFn", "Space", "anf", "anf_degree", "autocorrelation", "dual",
                "ext_walsh_spectrum", "is_balanced", "is_bent", "load_table",
                "plateaued_order", "save_table", "walsh_transform"),
-    "vectorial": ("OutPairing", "VecFn", "check_component_dual_linearity",
-                  "component", "is_vectorial_bent"),
+    "vectorial": ("VecFn", "check_component_dual_linearity", "component",
+                  "is_vectorial_bent"),
     "derivative": ("Subspace", "derivative", "ea_transform", "enumerate_M_subspaces",
                    "has_M_subspace", "linearity_index", "second_derivative"),
     "construct": ("PermTable", "PropertyPResult", "SubfieldFn", "build_cor_ex",

@@ -8,8 +8,9 @@ four-argument domain F_{2^m}^2 x F_{2^k}^2 it is
 bits(x1) + 2^m bits(x2) + 2^(2m) bits(y) + 2^(2m+k) bits(z).
 
 The inner product <b, x> that the Walsh transform correlates against
-is the dot product on plain bit blocks and the trace form Tr(bx) on
-field blocks (summed across blocks).  A Space records that choice.
+is the dot product on plain bit blocks and the trace form Tr_1^k(bx)
+on blocks that encode a field or a subfield S_k (summed across
+blocks).  A Space records that choice.
 Whether a function is bent, plateaued or balanced does not depend on
 it, but the *labeling* of the spectrum does, and with it the truth
 table of the dual; duals computed here agree pointwise with the
@@ -42,11 +43,24 @@ def _linear_image(cols) -> np.ndarray:
     return img
 
 
+@functools.cache
+def _trace_columns(ctx: FieldCtx, k: int) -> tuple[int, ...]:
+    """Column i of the pairing Tr_1^k(bx) on S_k: bit j is
+    Tr_1^k(e_i e_j) for the basis e_i = subfield(k)[2^i] of the
+    ascending encoding, from one k x k product table."""
+    elems = ctx.subfield(k)
+    basis = np.array([elems[1 << i] for i in range(k)])
+    gram = ctx._frobenius_sum(ctx.mul_arr(basis[:, None], basis[None, :]), 1, k)
+    return tuple((gram << np.arange(k)).sum(axis=1).tolist())
+
+
 class Space:
     """An n-dimensional binary space split into pairing blocks.
 
-    factors: each entry is either an int w (a plain V_w block with the
-    dot product) or a FieldCtx (an m-bit block paired by Tr(bx)).
+    factors: each entry is an int w (a plain V_w block with the dot
+    product), a pair (ctx, k) (the subfield S_k of a FieldCtx in its
+    ascending encoding, a k-bit block paired by Tr_1^k(bx)), or a bare
+    FieldCtx, which means (ctx, ctx.m).
     """
 
     def __init__(self, factors):
@@ -55,10 +69,12 @@ class Space:
         offset = 0
         for fac in factors:
             if isinstance(fac, FieldCtx):
-                for i in range(fac.m):
-                    cols.append(fac.dualmask(1 << i) << offset)
-                sig.append(("field", fac.m, fac.irred))
-                offset += fac.m
+                fac = (fac, fac.m)
+            if isinstance(fac, tuple):
+                ctx, k = fac
+                cols += [c << offset for c in _trace_columns(ctx, k)]
+                sig.append(("field", ctx.m, ctx.irred, k))
+                offset += k
             else:
                 w = int(fac)
                 if w < 1:

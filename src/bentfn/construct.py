@@ -27,7 +27,7 @@ from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _fwht_i
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field, validate_gps_params
 from .rng import XorShift64Star
-from .vectorial import OutPairing, VecFn
+from .vectorial import VecFn
 
 
 class PermTable:
@@ -117,7 +117,7 @@ class SubfieldFn:
     @classmethod
     def trace_form(cls, ctx: FieldCtx, k: int) -> "SubfieldFn":
         """The balanced function z -> Tr_1^k(z) on S_k."""
-        return cls(ctx, k, [ctx.subfield_trace(z, k) for z in ctx.subfield(k)])
+        return cls(ctx, k, ctx._frobenius_sum(np.array(ctx.subfield(k)), 1, k).tolist())
 
     @classmethod
     def identity_perm(cls, ctx: FieldCtx, k: int) -> "SubfieldFn":
@@ -321,7 +321,7 @@ def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
     values = P.gather(ctx.trace_rel_arr(k))[_spread_grid(ctx, params, "f")]
     values[:, 0] ^= c0
     table = ctx.subfield_index_arr(k)[values].reshape(-1)
-    return VecFn(table, k, Space([ctx, ctx]), OutPairing.subfield_trace(ctx, k))
+    return VecFn(table, k, Space([ctx, ctx]), Space([(ctx, k)]))
 
 
 def _trace_sums(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:

@@ -126,10 +126,6 @@ class FieldCtx:
         """Absolute trace to GF(2)."""
         return int(self.trace_arr[self._check(a)])
 
-    def dualmask(self, b: int) -> int:
-        """Mask g with Tr(b*x) = parity(g & x) for all x."""
-        return int(self.dualmask_arr[self._check(b)])
-
     # -- subfield plumbing ----------------------------------------------------
 
     def subfield(self, k: int) -> list[int]:
@@ -147,16 +143,6 @@ class FieldCtx:
         if i < 0:
             raise DomainError(f"{z:#x} is not in the subfield S_{k}")
         return i
-
-    def subfield_trace(self, z: int, k: int) -> int:
-        """Absolute trace of the subfield: Tr_1^k on S_k, valued in F_2."""
-        self.subfield_index(k, z)  # membership check
-        out, s = 0, z
-        for _ in range(k):
-            out ^= s
-            s = self.mul(s, s)
-        assert out in (0, 1)
-        return out
 
     # -- whole-field arrays ---------------------------------------------------
 
@@ -206,6 +192,17 @@ class FieldCtx:
             a = self.mul_arr(a, a)
         return a
 
+    def _frobenius_sum(self, a: np.ndarray, s: int, t: int) -> np.ndarray:
+        """The sum of a^(2^(s i)) over i < t, elementwise: on elements
+        of S_(st), the relative trace from S_(st) onto S_s.  With s = k and
+        t = m/k it is Tr_k^m on the whole field, with s = 1 and t = k it
+        is Tr_1^k on S_k."""
+        out = a
+        for _ in range(t - 1):
+            a = self._frobenius(a, s)
+            out = out ^ a
+        return out
+
     @functools.cached_property
     def trace_arr(self) -> np.ndarray:
         """Absolute trace of every element, as uint8 bits."""
@@ -218,16 +215,14 @@ class FieldCtx:
         if cached is None:
             if k <= 0 or self.m % k:
                 raise ParameterError(f"relative trace needs k | m, got k={k}, m={self.m}")
-            out = s = self.elements
-            for _ in range(self.m // k - 1):
-                s = self._frobenius(s, k)
-                out = out ^ s
-            cached = self._trace_rel_arrs[k] = _frozen(out)
+            cached = self._trace_rel_arrs[k] = _frozen(
+                self._frobenius_sum(self.elements, k, self.m // k))
         return cached
 
     @functools.cached_property
     def dualmask_arr(self) -> np.ndarray:
-        """dualmask of every element."""
+        """The mask g(b) with Tr(b x) = parity(g(b) & x) for all x, for
+        every element b."""
         out = np.zeros(self.size, dtype=np.int64)
         for j in range(self.m):
             out |= self.trace_arr[self.mul_arr(self.elements, 1 << j)].astype(np.int64) << j

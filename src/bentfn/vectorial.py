@@ -1,49 +1,20 @@
 """Vectorial functions V_n -> V_k and componentwise bentness.
 
 A VecFn stores 2^n entries of k bits each.  Component functions are
-F_alpha(x) = <alpha, F(x)>_k for nonzero alpha; the output pairing is
-the plain dot product for generic bit-valued outputs and a trace form
-when the output space is a field GF(2^k) (or a subfield S_k embedded
-in a larger field, reached through its ascending-order encoding).
-Builders pick the pairing; it changes which Boolean functions the
-components are, not whether all of them are bent.
+F_alpha(x) = <alpha, F(x)>_k for nonzero alpha, where the output
+pairing is a k-bit Space: the plain dot product for generic bit-valued
+outputs, or the trace form of a field GF(2^k), or of a subfield S_k
+embedded in a larger field and reached through its ascending-order
+encoding.  Builders pick the pairing; it changes which Boolean
+functions the components are, not whether all of them are bent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import BoolFn, Space, _linear_image, dual, is_bent
+from .boolfn import BoolFn, Space, dual, is_bent
 from .errors import DomainError
-from .gf2 import FieldCtx
-
-
-class OutPairing:
-    """The bilinear form <alpha, y> on the k-bit output space."""
-
-    def __init__(self, k: int, columns: list[int]):
-        self.k = k
-        self._image = _linear_image(columns)
-
-    @classmethod
-    def dot(cls, k: int) -> "OutPairing":
-        return cls(k, [1 << i for i in range(k)])
-
-    @classmethod
-    def subfield_trace(cls, ctx: FieldCtx, k: int) -> "OutPairing":
-        """Tr_1^k(a*b) on S_k inside GF(2^m), via the ascending encoding."""
-        elems = ctx.subfield(k)
-        cols = []
-        for i in range(k):
-            mask = 0
-            for j in range(k):
-                if ctx.subfield_trace(ctx.mul(elems[1 << i], elems[1 << j]), k):
-                    mask |= 1 << j
-            cols.append(mask)
-        return cls(k, cols)
-
-    def dualmask(self, alpha: int) -> int:
-        return int(self._image[alpha])
 
 
 class VecFn:
@@ -52,7 +23,7 @@ class VecFn:
     __slots__ = ("n", "k", "table", "space", "pairing")
 
     def __init__(self, table, k: int, space: Space | None = None,
-                 pairing: OutPairing | None = None):
+                 pairing: Space | None = None):
         tbl = np.asarray(table, dtype=np.int64)
         if tbl.ndim != 1 or tbl.size < 2 or tbl.size & (tbl.size - 1):
             raise DomainError(f"table length must be a power of two, got {tbl.size}")
@@ -67,7 +38,9 @@ class VecFn:
         self.space = space if space is not None else Space.bits(self.n)
         if self.space.n != self.n:
             raise DomainError("space dimension does not match table size")
-        self.pairing = pairing if pairing is not None else OutPairing.dot(k)
+        self.pairing = pairing if pairing is not None else Space.bits(k)
+        if self.pairing.n != k:
+            raise DomainError("pairing dimension does not match the output dimension")
 
     def __getitem__(self, i: int) -> int:
         return int(self.table[i])

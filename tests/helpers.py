@@ -237,6 +237,31 @@ class SlowField:
         return acc & 1
 
 
+def subfield_trace_loop(slow: SlowField, k: int) -> tuple[list[int], list[int]]:
+    """S_k = {z : z^(2^k) = z} in ascending order, and Tr_1^k(z), the
+    sum of z^(2^i) over i < k, for each of its elements."""
+    elems = [z for z in range(slow.size) if slow.pow(z, 1 << k) == z]
+    traces = []
+    for z in elems:
+        acc, s = 0, z
+        for _ in range(k):
+            acc ^= s
+            s = slow.mul(s, s)
+        assert acc in (0, 1)
+        traces.append(acc)
+    return elems, traces
+
+
+def subfield_pairing_loop(slow: SlowField, k: int) -> list[int]:
+    """Columns of the pairing Tr_1^k(b x) on the ascending encoding of
+    S_k: bit j of column i is Tr_1^k(e_i e_j), a Gram loop over the basis
+    e_i = S_k[2^i]."""
+    elems, traces = subfield_trace_loop(slow, k)
+    trace = dict(zip(elems, traces))
+    basis = [elems[1 << i] for i in range(k)]
+    return [sum(trace[slow.mul(a, b)] << j for j, b in enumerate(basis)) for a in basis]
+
+
 class SlowTables:
     """Lookup lists of one SlowField, every entry from schoolbook
     arithmetic: the whole multiplication table, inverses, the absolute
@@ -360,7 +385,7 @@ def property_P_loop(ctx, pi):
                 if len(img_basis) == m:
                     break
         if len(img_basis) < m:
-            duals = [ctx.dualmask(b) for b in img_basis]
+            duals = [int(ctx.dualmask_arr[b]) for b in img_basis]
             ortho = span(nullspace(duals, m))
             c = min(v for v in ortho if v)
             return PropertyPResult(False, (c, 0, 0, t))

@@ -118,11 +118,11 @@ def test_relative_trace_tower():
     for k in (1, 2, 3, 6):
         sub = set(ctx.subfield(k))
         assert set(ctx.trace_rel_arr(k).tolist()) <= sub
-    # transitivity through the middle field
+    # transitivity through the middle field: Tr_1^k(Tr_k^m(x)) = Tr(x)
+    slow = SlowField(6, ctx.irred)
     for k in (2, 3):
-        rel = ctx.trace_rel_arr(k).tolist()
-        for x in range(ctx.size):
-            assert ctx.subfield_trace(rel[x], k) == ctx.trace(x)
+        absolute = ctx._frobenius_sum(ctx.trace_rel_arr(k), 1, k)
+        assert absolute.tolist() == [slow.trace(x) for x in range(ctx.size)]
     with pytest.raises(ParameterError):
         ctx.trace_rel_arr(4)
     with pytest.raises(ParameterError):
@@ -146,10 +146,11 @@ def test_subfield_structure():
 
 def test_dualmask_identity():
     ctx = make_field(5)
+    slow = SlowField(5, ctx.irred)
     for b in range(ctx.size):
-        g = ctx.dualmask(b)
+        g = int(ctx.dualmask_arr[b])
         for x in range(ctx.size):
-            assert ctx.trace(ctx.mul(b, x)) == (g & x).bit_count() & 1
+            assert slow.trace(slow.mul(b, x)) == (g & x).bit_count() & 1
 
 
 def test_make_field_validation():

@@ -23,6 +23,7 @@ from bentfn import (
     BoolFn,
     ParameterError,
     PermTable,
+    Space,
     SubfieldFn,
     XorShift64Star,
     check_property_P,
@@ -59,8 +60,8 @@ from helpers import (SlowField, character_sums_loop, factors_through_subfield_tr
                      gpsap_loop, gpsap_trace_form_loop, gpsap_vectorial_loop,
                      naive_autocorrelation, naive_planes, naive_restrict, naive_save_scan,
                      naive_scan, partition_loop, property_P_loop, psap_loop, psffff_loop,
-                     random_invertible, slow_tables, spread_sets_loop, trace_sum_loop,
-                     two_block_table)
+                     random_invertible, slow_tables, spread_sets_loop, subfield_pairing_loop,
+                     subfield_trace_loop, trace_sum_loop, two_block_table)
 
 
 def valid_params(m):
@@ -112,7 +113,30 @@ def test_field_arrays_match_schoolbook():
                 assert [int(index[z]) for z in ctx.subfield(k)] == list(range(1 << k))
         for b in sample:
             want = sum(slow.trace(slow.mul(b, 1 << j)) << j for j in range(m))
-            assert ctx.dualmask(b) == ctx.dualmask_arr[b] == want
+            assert ctx.dualmask_arr[b] == want
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_subfield_pairing_and_trace_match_schoolbook(m):
+    """Space([(ctx, k)]) against the schoolbook Gram loop of Tr_1^k over
+    the ascending S_k basis, and SubfieldFn.trace_form against Tr_1^k,
+    for every k | m; any other k raises."""
+    ctx = make_field(m)
+    slow = SlowField(m, ctx.irred)
+    for k in range(m + 2):
+        if k == 0 or m % k:
+            with pytest.raises(ParameterError):
+                Space([(ctx, k)])
+            continue
+        sp = Space([(ctx, k)])
+        assert sp.n == k
+        assert [sp.dualmask(1 << i) for i in range(k)] == subfield_pairing_loop(slow, k)
+        perm = sp.perm()
+        pairs = np.bitwise_count(perm[:, None] & np.arange(1 << k)) & 1
+        assert (pairs == pairs.T).all()
+        assert SubfieldFn.trace_form(ctx, k).values == subfield_trace_loop(slow, k)[1]
+    assert Space([(ctx, m)]) == Space([ctx])
+    assert Space([(ctx, m)]).perm().tolist() == Space([ctx]).perm().tolist()
 
 
 @pytest.mark.parametrize("m", range(1, 9))

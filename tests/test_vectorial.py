@@ -3,7 +3,7 @@ import pytest
 
 from bentfn import (
     DomainError,
-    OutPairing,
+    Space,
     VecFn,
     check_component_dual_linearity,
     component,
@@ -40,6 +40,8 @@ def test_vecfn_validation():
         VecFn([0, 4], 2)  # entry needs 3 bits
     with pytest.raises(DomainError):
         VecFn([0, 1, 2, 3], 0)
+    with pytest.raises(DomainError):
+        VecFn([0, 1, 2, 3], 2, pairing=Space.bits(3))
 
 
 def test_spread_vectorial_is_bent():
@@ -47,7 +49,7 @@ def test_spread_vectorial_is_bent():
     assert F.n == 8 and F.k == 2
     assert is_vectorial_bent(F)
     # pairing-independent: all dot components bent too
-    G = VecFn(F.table, F.k, F.space, OutPairing.dot(F.k))
+    G = VecFn(F.table, F.k, F.space, Space.bits(F.k))
     assert is_vectorial_bent(G)
 
 
@@ -78,7 +80,7 @@ def test_dual_linearity_can_fail():
 
 def test_subfield_trace_pairing_symmetric():
     ctx = make_field(4)
-    pairing = OutPairing.subfield_trace(ctx, 2)
+    pairing = Space([(ctx, 2)])
     for a in range(4):
         for b in range(4):
             lhs = (pairing.dualmask(a) & b).bit_count() & 1 if a else 0
