@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _fwht_inplace,
-                     _hex_values, _read_records, dual, is_bent)
+from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _field_pairing,
+                     _fwht_inplace, _hex_values, _read_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import FieldCtx, GpsParams, make_field, validate_gps_params
 from .rng import XorShift64Star
@@ -140,7 +140,7 @@ def mm(ctx: FieldCtx, pi: PermTable, g=None) -> BoolFn:
     if pi.m != ctx.m:
         raise ParameterError("permutation degree does not match the field")
     gt = np.array(_as_bit_table(g, ctx.size), dtype=np.uint8)
-    gmask = ctx.dualmask_arr[pi.array()]
+    gmask = _field_pairing(ctx)[pi.array()]
     table = (np.bitwise_count(ctx.elements[None, :] & gmask[:, None]) & 1) ^ gt[:, None]
     return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
@@ -326,10 +326,10 @@ def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
 
 def _trace_sums(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     """sum over i of (-1)^Tr(c values[i]) for every c in the field, as an
-    int64 array indexed by c.  Tr(c v) = parity(dualmask(c) & v), so the
-    sums are the Walsh transform of the histogram of the values, read
-    at dualmask(c)."""
-    return _fwht_inplace(np.bincount(values, minlength=ctx.size))[ctx.dualmask_arr]
+    int64 array indexed by c.  Tr(c v) = parity(g(c) & v) for the field
+    pairing g (`_field_pairing`), so the sums are the Walsh transform of
+    the histogram of the values, read at g(c)."""
+    return _fwht_inplace(np.bincount(values, minlength=ctx.size))[_field_pairing(ctx)]
 
 
 @dataclass(frozen=True)

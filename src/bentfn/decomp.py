@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfn import (BoolFn, Space, _abs_spectrum, _derivative_autocorrelation, _points,
-                     _second_derivative, dual, is_bent)
+from .boolfn import (_CHUNK_ENTRIES, BoolFn, Space, _abs_spectrum, _derivative_autocorrelation,
+                     _points, _second_derivative, dual, is_bent)
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, validate_gps_params
 from .construct import (PermTable, SubfieldFn, _check_gps, gpsap_trace_form, gpsap_vectorial,
@@ -89,12 +89,6 @@ CLASSES = ("AllBent", "AllSemibent", "Mixed")
 CONSTANCY = ("ConstantOne", "ConstantZero", "NonConstant")
 _CLASS_OF = np.array([2, 0, 1])
 _CLASS_NAME = tuple(CLASSES[c] for c in _CLASS_OF)
-
-# Table entries per chunk (64 rows at n = 8, one at n >= 14): bounds the
-# (planes, 2^n) temporaries of classify_planes and the (b1, 2^n) rows of
-# scan_decompositions.  A PlaneScan builds records and CSV lines this
-# many planes at a time.
-_CHUNK_ENTRIES = 1 << 14
 
 
 def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:

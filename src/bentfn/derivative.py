@@ -25,15 +25,17 @@ compat(a, b) <=> D_a D_b f == 0.  Five structural facts keep it fast:
   exactly when b is orthogonal to every point of the Walsh support of
   D_a f.  So the row has at most 2^n / |supp W_{D_a f}| elements, and a
   root whose support holds more than 2^(n-t) points cannot start a
-  t-dimensional chain.  Any part of the support can show that, so the
-  search skips a root as soon as its running count exceeds 2^(n-t).
-  Where a part can decide (t >= n/2, see `_CompatRows.root`) it combines
-  the four quarters of the sign table over the top two index bits, and
-  transforms and counts the quarter with w's top bits 00 first: at
-  n = 14, t = 7 that stops 254 of 255 roots of cor-ex2 at a
-  2^12-point transform.  A root that passes gets the rest of its
-  spectrum from the same butterflies, and its row is finished from
-  that spectrum.
+  t-dimensional chain.  Any part of the support can show that.  The
+  search screens its roots a chunk at a time (`_CompatRows._screen`),
+  with one transform of up to 2^14 entries per chunk: of the whole
+  spectra, or, where a part can decide (t >= n/2), of the quarter of
+  each spectrum with w's top two bits 00, the transform of the sum of
+  the four quarters of (-1)^(D_a f) over the top two index bits.  At
+  n = 14, t = 7 that screens the 255 roots of cor-ex2 in 64 transforms
+  of four 2^12-point quarters and stops 254 of them; the index search
+  of cor-ex1 (n = 10) screens 256 roots in 16 transforms of 16 whole
+  spectra.  A root that passes a quarter takes its whole spectrum, and
+  its row is finished from the whole spectrum.
 
 Rows are computed lazily and cached bit-packed, so a capped search on
 14 variables stays within tens of megabytes.
@@ -48,8 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (BoolFn, _check_vectors, _derivative_spectrum, _linear_image, _points,
-                     _quarter_first_spectrum, _second_derivative, _wiener_khintchine)
+from .boolfn import (_CHUNK_ENTRIES, BoolFn, _check_vectors, _derivative_spectrum, _fwht_inplace,
+                     _linear_image, _points, _second_derivative, _wiener_khintchine)
 from .errors import DomainError, ParameterError
 
 
@@ -81,12 +83,17 @@ class Subspace:
 
 
 class _CompatRows:
-    """Lazy bit-packed rows of the compatibility relation of f."""
+    """Lazy bit-packed rows of the compatibility relation of f, and the
+    screen of the search roots (any sequence of nonzero vectors)."""
 
-    def __init__(self, f: BoolFn):
+    def __init__(self, f: BoolFn, roots):
         self.f = f
         self.size = f.table.size
         self._cache: dict[int, np.ndarray] = {}
+        self._roots = roots
+        self._next = 0                              # position of the next unscreened root
+        self._counts: dict[int, int] = {}           # root -> screened support count
+        self._spectra: dict[int, np.ndarray] = {}   # root -> whole spectrum of a survivor
 
     def row(self, a: int) -> np.ndarray:
         """Unpacked 0/1 mask over b of compat(a, b), for a != 0."""
@@ -102,31 +109,67 @@ class _CompatRows:
         support of more than 2^(n - goal) points shows this before the
         row's second transform.
 
-        When 2 * goal >= n (and goal >= 3, as a quarter of 2^(n-2)
-        points can hold more than 2^(n - goal) only then) the support is
-        counted quarter first (`_quarter_first_spectrum`); otherwise in
-        one transform.  Both ways skip the same roots and give the same
-        rows.  The gate is a cost rule read off n and goal alone.  The
-        derivatives of the designed bent functions have supports of
-        about 2^(n/2) to 2^(n/2+2) points (cor-ex1, n = 10: 112 to 144;
-        cor-ex2, n = 14: 256 to 640), and a quarter holds about a
-        quarter of them.  So the first quarter exceeds 2^(n - goal) for
-        nearly every root once goal >= n/2, and rarely below (cor-ex1 at
-        goal 3: for none of its roots), where its extra butterfly calls
-        and copy cost more than they save.
+        `_screen` counts the support exactly, or from one quarter as a
+        lower bound; a root within the limit then takes its whole
+        spectrum and is decided exactly.  A goal that rose after the
+        screen only lowers the limit.
         """
         if a not in self._cache:
+            if a not in self._counts:
+                self._screen(a, goal)
             limit = self.size >> goal
-            if 2 < goal and self.f.n <= 2 * goal:
-                spectrum = _quarter_first_spectrum(self.f.table, a, limit)
-            else:
+            spectrum = self._spectra.pop(a, None)
+            if self._counts.pop(a) > limit:
+                return None
+            if spectrum is None:
                 spectrum = _derivative_spectrum(self.f.table, a)
                 if np.count_nonzero(spectrum) > limit:
-                    spectrum = None
-            if spectrum is None:
-                return None
+                    return None
             self._cache[a] = self._compute(a, spectrum)
         return self.row(a)
+
+    def _screen(self, a: int, goal: int) -> None:
+        """Count the Walsh support of D_r f for the roots r of the chunk
+        that starts at a, in one transform of up to `_CHUNK_ENTRIES`
+        entries; keep the whole spectra of the roots within the limit.
+
+        When 2 * goal >= n (and goal >= 3, as a quarter of 2^(n-2)
+        points can hold more than 2^(n - goal) only then) only the
+        quarter with w's top two bits 00 is counted: the transform of
+        the sum over the top two index bits of (-1)^(D_r f), as
+        (-1)^(w . x) does not depend on them there.  The derivatives of
+        the designed functions have supports of about 2^(n/2) to
+        2^(n/2+2) points (cor-ex1, n = 10: 112 to 144; cor-ex2, n = 14:
+        256 to 640), so a quarter exceeds 2^(n - goal) for nearly every
+        root once goal >= n/2 but rarely below (cor-ex1 at goal 3: for
+        none), where the whole spectrum, which a row needs anyway, is
+        the cheaper count.
+        """
+        n = self.f.n
+        quarter = 2 < goal and n <= 2 * goal
+        width = n - 2 if quarter else n
+        roots = self._roots
+        if self._next >= len(roots) or roots[self._next] != a:
+            self._next = roots.index(a)   # a root taken out of order starts a chunk
+        chunk = roots[self._next:self._next + max(1, _CHUNK_ENTRIES >> width)]
+        self._next += len(chunk)
+        r = np.array(chunk, dtype=np.int64)
+        table = self.f.table
+        if quarter:
+            # the ones of D_r f at (top, low), summed over top: with top
+            # shifted by r_top, f(top + r_top, low) + f(top, low + r_low),
+            # so the gather runs over the low bits only
+            t = table.reshape(4, -1)
+            ones = np.take(t, _points(width)[0] ^ (r[:, None] & (t.shape[1] - 1)), axis=1)
+            ones ^= t[np.arange(4)[:, None] ^ (r >> width)]
+            w = _fwht_inplace(_QUARTER_SUM.take(ones.sum(axis=0, dtype=np.uint8)))
+        else:
+            w = _derivative_spectrum(table, r)
+        limit = self.size >> goal
+        for root, spectrum, count in zip(chunk, w, np.count_nonzero(w, axis=1).tolist()):
+            self._counts[root] = count
+            if not quarter and count <= limit:
+                self._spectra[root] = spectrum
 
     def _compute(self, a: int, spectrum: np.ndarray | None = None) -> np.ndarray:
         # a spectrum of D_a f already taken is finished in place
@@ -134,6 +177,13 @@ class _CompatRows:
             spectrum = _derivative_spectrum(self.f.table, a)
         row = _wiener_khintchine(spectrum)
         return np.packbits(row == self.size, bitorder="little")
+
+
+# The sum of (-1)^d over the four quarters, by the number of ones among
+# them.  int32 is exact (a quarter transform is at most 2^n <= 2^16 in
+# absolute value, and the small-array kernel casts its int64 product
+# back) and runs criterion 3's quarter searches about 6 % faster.
+_QUARTER_SUM = np.array([4, 2, 0, -2, -4], dtype=np.int32)
 
 
 @dataclass
@@ -185,7 +235,7 @@ def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray
 
 def _run_search(f: BoolFn, roots, target: int | None, cap: int,
                 find_all: bool) -> _SearchResult:
-    rows = _CompatRows(f)
+    rows = _CompatRows(f, roots)
     res = _SearchResult()
     for v1 in roots:
         if res.done or v1 >> (f.n - _goal(target, res) + 1):
@@ -203,9 +253,11 @@ def _run_search(f: BoolFn, roots, target: int | None, cap: int,
 
 # A search forks workers only when its roots can touch this many table
 # entries (roots x 2^n).  Below it, starting the pool costs more than the
-# search: on two cores the n = 10 searches of cor-ex1 (2^20) run slower on
-# two workers than on one, while the n = 14 dim-4 and index searches
-# (2^25, 2^28) gain.
+# search: on two cores (medians of seven alternating fresh processes, one
+# worker against a pool of two forced below this cutoff) the index of
+# cor-ex1 (n = 10, 2^20) takes 4.3 against 14 ms and the dim-7 test of
+# cor-ex2 (n = 14, 2^22) 18 against 23 ms, while the n = 14 dim-4 and
+# index searches (2^25, 2^28) gain.
 _POOL_MIN_WORK = 1 << 24
 
 

@@ -219,15 +219,6 @@ class FieldCtx:
                 self._frobenius_sum(self.elements, k, self.m // k))
         return cached
 
-    @functools.cached_property
-    def dualmask_arr(self) -> np.ndarray:
-        """The mask g(b) with Tr(b x) = parity(g(b) & x) for all x, for
-        every element b."""
-        out = np.zeros(self.size, dtype=np.int64)
-        for j in range(self.m):
-            out |= self.trace_arr[self.mul_arr(self.elements, 1 << j)].astype(np.int64) << j
-        return _frozen(out)
-
     def subfield_index_arr(self, k: int) -> np.ndarray:
         """Position of every element in the ascending ordering of S_k,
         or -1 for the elements outside S_k."""

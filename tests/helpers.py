@@ -363,7 +363,7 @@ def property_P_loop(ctx, pi):
     the image of D_t pi, and the smallest nonzero c orthogonal to it
     under Tr(c .) from the nullspace of its dual masks."""
     from bentfn import PropertyPResult
-    from bentfn.boolfn import _autocorrelation
+    from bentfn.boolfn import _autocorrelation, _field_pairing
 
     m, size = ctx.m, ctx.size
     tbl = pi.array()
@@ -385,7 +385,7 @@ def property_P_loop(ctx, pi):
                 if len(img_basis) == m:
                     break
         if len(img_basis) < m:
-            duals = [int(ctx.dualmask_arr[b]) for b in img_basis]
+            duals = [int(_field_pairing(ctx)[b]) for b in img_basis]
             ortho = span(nullspace(duals, m))
             c = min(v for v in ortho if v)
             return PropertyPResult(False, (c, 0, 0, t))

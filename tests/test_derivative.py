@@ -19,9 +19,10 @@ from bentfn import (
     make_field,
     second_derivative,
 )
-from bentfn.boolfn import _derivative_spectrum, _quarter_first_spectrum, _second_derivative
+from bentfn.boolfn import _CHUNK_ENTRIES, _derivative_spectrum, _second_derivative
 from bentfn.construct import PermTable, build_cor_ex, mm
 from bentfn.derivative import _CompatRows
+from bentfn.verify import corpus
 
 from helpers import is_M_subspace, naive_M_subspaces, naive_walsh, random_invertible, span
 
@@ -86,11 +87,12 @@ def test_compat_rows_match_second_derivatives(n):
                    for i in range(1 << n)])
     x = np.arange(1 << n)
     sign = 1 - 2 * (np.bitwise_count(x[:, None] & x) & 1).astype(np.int64)   # (-1)^(b.x)
+    roots = list(range(1, 1 << n))
     for f in [rand_fn(rng, n) for _ in range(3)] + [quad]:
-        rows = _CompatRows(f)
+        rows = _CompatRows(f, roots)
         # one search per goal; each sees every root once, so each root
-        # call takes its spectrum, quarter first where 2 * goal >= n
-        searches = [_CompatRows(f) for _ in range(n + 1)]
+        # call is screened, by its quarter where 2 * goal >= n
+        searches = [_CompatRows(f, roots) for _ in range(n + 1)]
         for a in range(1, 1 << n):
             row = rows.row(a)
             assert np.array_equal(row, ~_second_derivative(f.table, a, x[:, None]).any(axis=1))
@@ -111,26 +113,79 @@ def test_compat_rows_match_second_derivatives(n):
                     assert root.tolist() == row.tolist()
 
 
-@pytest.mark.parametrize("n", range(4, 13))
-def test_quarter_first_spectrum_matches_whole(n):
-    # seeded functions, a bent one at even n, and an affine image of
-    # each; every direction up to n = 8, and above it every root a
-    # quarter-first search can take (a < 2^(n - goal + 1) with
-    # 2 * goal >= n)
+def _screen_all(f, roots, goal):
+    """_CompatRows over roots with every root screened, chunk by chunk,
+    as a search with this goal screens them; and the number of chunks."""
+    rows = _CompatRows(f, roots)
+    chunks = 0
+    for a in roots:
+        if a not in rows._counts:
+            rows._screen(a, goal)
+            chunks += 1
+    return rows, chunks
+
+
+def _check_screen(f, roots, spectra):
+    # spectra[i] is the whole spectrum of D_roots[i] f: the full screen
+    # (goal 2) counts its support, and the quarter screen (the least
+    # goal with 2 * goal >= n, at least 3) the support of its first
+    # quarter, the points w with top two bits 00
+    n = f.n
+    support = np.count_nonzero(spectra, axis=1).tolist()
+    first = np.count_nonzero(spectra[:, : 1 << (n - 2)], axis=1).tolist()
+    for goal, want, width in ((2, support, n), (max(3, (n + 1) // 2), first, n - 2)):
+        rows, chunks = _screen_all(f, roots, goal)
+        assert [rows._counts[a] for a in roots] == want
+        step = max(1, _CHUNK_ENTRIES >> width)
+        assert chunks == -(-len(roots) // step)
+        if width == n:
+            # a full screen keeps the spectra of the roots within its limit
+            keep = [i for i, c in enumerate(support) if c <= 1 << (n - goal)]
+            assert sorted(rows._spectra) == sorted(roots[i] for i in keep)
+            for i in keep:
+                assert np.array_equal(rows._spectra[roots[i]], spectra[i])
+        else:
+            assert not rows._spectra
+        # a root taken out of order starts its own chunk
+        rows = _CompatRows(f, roots)
+        rows._screen(roots[-1], goal)
+        rows._screen(roots[0], goal)
+        assert sorted(rows._counts) == sorted({roots[-1], *roots[:step]})
+        assert all(rows._counts[a] == want[roots.index(a)] for a in rows._counts)
+
+
+@pytest.mark.parametrize("n", [*range(4, 13), 14, 16])
+def test_root_screen_matches_spectra(n):
+    # the corpus functions on n variables and a seeded one, and an affine
+    # image of each; every root up to n = 10 (2^n - 1 of them, a multiple
+    # of no chunk) and 64 seeded roots above, and the odd-indexed half
+    # of the list as a pool of two workers takes it
     rng = XorShift64Star(900 + n)
-    fns = [rand_fn(rng, n)]
-    if n % 2 == 0:
-        ctx = make_field(n // 2)
-        fns.append(mm(ctx, PermTable.inverse_map(ctx)).with_space(None))
+    if n == 16:
+        # a quadratic: every D_a f is affine, so its spectrum is +-2^16
+        # at one point, which the quarter holds for some of these roots
+        ctx = make_field(8)
+        f = mm(ctx, PermTable.identity(8))
+        roots = [1, 2, 3, 257, 4096, 65535, 1 << 14, 3 << 14]
+        spectra = _derivative_spectrum(f.table, np.array(roots))
+        assert (np.abs(spectra).max(axis=1) == 1 << 16).all()
+        assert np.abs(spectra[:, : 1 << 14]).max() == 1 << 16
+        _check_screen(f, roots, spectra)
+        return
+    fns = [f for _, f in corpus() if f.n == n] + [rand_fn(rng, n)]
     fns += [ea_transform(f, random_invertible(rng, n), rng.randrange(1 << n),
                          rng.randrange(1 << n), 1) for f in fns]
-    directions = range(1, 1 << (n if n <= 8 else n // 2 + 1))
+    if n <= 10:
+        roots = list(range(1, 1 << n))
+    else:
+        pool: set[int] = set()
+        while len(pool) < 64:
+            pool.add(1 + rng.randrange((1 << n) - 1))
+        roots = sorted(pool)
     for f in fns:
-        for a in directions:
-            whole = _derivative_spectrum(f.table, a)
-            support = int(np.count_nonzero(whole))
-            assert np.array_equal(_quarter_first_spectrum(f.table, a, support), whole)
-            assert _quarter_first_spectrum(f.table, a, support - 1) is None
+        spectra = _derivative_spectrum(f.table, np.array(roots))
+        _check_screen(f, roots, spectra)
+        _check_screen(f, roots[1::2], spectra[1::2])
 
 
 def test_subspace_dataclass():
@@ -227,55 +282,66 @@ def test_enumerate_matches_every_subspace_oracle(f):
 
 
 def test_search_row_counts(monkeypatch):
-    # compatibility rows computed, derivative spectra taken whole or
-    # quarter first, and roots skipped on their first quarter by the
+    # compatibility rows computed, roots screened, screen chunks, and
+    # whole spectra of the roots that pass a quarter screen, for the
     # bounded search: work counters that do not depend on the machine
-    computed, spectra, quarters, transforms = [], [], [], []
+    computed, fresh, chunks, spectra, transforms = [], [], [], [], []
     dmod = importlib.import_module("bentfn.derivative")
     bmod = importlib.import_module("bentfn.boolfn")
     compute = _CompatRows._compute
-    monkeypatch.setattr(_CompatRows, "_compute",
-                        lambda self, a, *s: computed.append(a) or compute(self, a, *s))
+
+    def counted_compute(self, a, *s):
+        computed.append(a)
+        fresh.append(not s)   # a row of the DFS, which takes its own spectrum
+        return compute(self, a, *s)
+
+    screen = _CompatRows._screen
+
+    def counted_screen(self, a, goal):
+        before = len(self._counts)
+        screen(self, a, goal)
+        chunks.append(len(self._counts) - before)
+
+    monkeypatch.setattr(_CompatRows, "_compute", counted_compute)
+    monkeypatch.setattr(_CompatRows, "_screen", counted_screen)
     spectrum = dmod._derivative_spectrum
     monkeypatch.setattr(dmod, "_derivative_spectrum",
-                        lambda t, a: spectra.append(a) or spectrum(t, a))
-    quarter = dmod._quarter_first_spectrum
-    monkeypatch.setattr(dmod, "_quarter_first_spectrum",
-                        lambda t, a, limit: quarters.append(a) or quarter(t, a, limit))
+                        lambda t, a: spectra.append(np.ndim(a)) or spectrum(t, a))
     fwht = bmod._fwht_inplace
-    monkeypatch.setattr(bmod, "_fwht_inplace",
-                        lambda w: transforms.append(w.size) or fwht(w))
+    for mod in (bmod, dmod):
+        monkeypatch.setattr(mod, "_fwht_inplace", lambda w: transforms.append(w.shape) or fwht(w))
     f10 = build_cor_ex(make_field(4), 4, 1, "inverse")
     f14 = build_cor_ex(make_field(5), 5, 2, "gold", gold_k=1)
     ctx5 = make_field(5)
     inv10 = mm(ctx5, PermTable.inverse_map(ctx5))
     counts = []
-    for run, f, want in ((lambda: has_M_subspace(f10, 5), f10, False),
-                         (lambda: linearity_index(f10), f10, 2),
-                         (lambda: has_M_subspace(f14, 7), f14, False),
-                         # a capped index stops once it reaches its cap
-                         (lambda: linearity_index(f10, dim_cap=1), f10, 1),
-                         (lambda: linearity_index(f10, dim_cap=2), f10, 2),
-                         (lambda: linearity_index(inv10, dim_cap=2), inv10, 2)):
-        for log in (computed, spectra, quarters, transforms):
+    for run, want in ((lambda: has_M_subspace(f10, 5), False),
+                      (lambda: linearity_index(f10), 2),
+                      (lambda: has_M_subspace(f14, 7), False),
+                      # a capped index stops once it reaches its cap
+                      (lambda: linearity_index(f10, dim_cap=1), 1),
+                      (lambda: linearity_index(f10, dim_cap=2), 2),
+                      (lambda: linearity_index(inv10, dim_cap=2), 2)):
+        for log in (computed, fresh, chunks, spectra, transforms):
             log.clear()
         assert run() == want
-        size = f.table.size
-        # a quarter-first root transforms its first quarter, and the
-        # other three in one call only when the first leaves it in play
-        rest = transforms.count(3 * size // 4)
-        counts.append((len(computed), len(spectra), len(quarters), len(quarters) - rest))
-        # one full transform per whole spectrum and one more per row
-        # finished from a spectrum
-        assert sorted(transforms) == sorted([size // 4] * len(quarters) + [3 * size // 4] * rest
-                                            + [size] * (len(spectra) + len(computed)))
+        # a full screen takes one batched spectrum; a root that passes a
+        # quarter screen and each DFS row take one spectrum each
+        survivors = spectra.count(0) - sum(fresh)
+        counts.append((len(computed), sum(chunks), len(chunks), survivors))
+        # one transform of at most _CHUNK_ENTRIES entries per chunk, one
+        # per whole spectrum and one more per row
+        blocks = [shape for shape in transforms if len(shape) == 2]
+        assert len(blocks) == len(chunks)
+        assert all(rows * size <= _CHUNK_ENTRIES for rows, size in blocks)
+        assert len(transforms) - len(blocks) == spectra.count(0) + len(computed)
     # a root whose Walsh support shows too small a row costs no row; at
-    # 2 * goal >= n (the first and third searches) nearly every root
-    # shows it on its first quarter
+    # 2 * goal >= n (the first and third searches) its quarter shows it
+    # for all but one root of cor-ex2
     assert [c[0] for c in counts] == [0, 32, 0, 1, 3, 3]
-    assert [c[1] for c in counts] == [0, 257, 0, 1, 3, 3]
-    assert [c[2] for c in counts] == [63, 0, 255, 0, 0, 0]
-    assert [c[3] for c in counts] == [63, 0, 254, 0, 0, 0]
+    assert [c[1] for c in counts] == [63, 256, 255, 16, 16, 16]
+    assert [c[2] for c in counts] == [1, 16, 64, 1, 1, 1]
+    assert [c[3] for c in counts] == [0, 0, 1, 0, 0, 0]
 
 
 def test_enumerate_dim_too_large():

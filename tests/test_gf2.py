@@ -10,6 +10,7 @@ from bentfn import (
     make_field,
     validate_gps_params,
 )
+from bentfn.boolfn import _field_pairing
 from bentfn.gf2 import default_modulus, is_irreducible, mod_inverse_exponent
 
 from helpers import SlowField
@@ -148,7 +149,7 @@ def test_dualmask_identity():
     ctx = make_field(5)
     slow = SlowField(5, ctx.irred)
     for b in range(ctx.size):
-        g = int(ctx.dualmask_arr[b])
+        g = int(_field_pairing(ctx)[b])
         for x in range(ctx.size):
             assert slow.trace(slow.mul(b, x)) == (g & x).bit_count() & 1
 
