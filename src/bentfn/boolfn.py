@@ -27,7 +27,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import DomainError, ParameterError, ParseError
-from .gf2 import FieldCtx
+from .gf2 import FieldCtx, _frozen
 
 _HEX = "0123456789abcdef"
 
@@ -48,8 +48,7 @@ def _trace_columns(ctx: FieldCtx, k: int) -> tuple[int, ...]:
     """Column i of the pairing Tr_1^k(bx) on S_k: bit j is
     Tr_1^k(e_i e_j) for the basis e_i = subfield(k)[2^i] of the
     ascending encoding, from one k x k product table."""
-    elems = ctx.subfield(k)
-    basis = np.array([elems[1 << i] for i in range(k)])
+    basis = ctx.subfield(k)[1 << np.arange(k)]
     gram = ctx._frobenius_sum(ctx.mul_arr(basis[:, None], basis[None, :]), 1, k)
     return tuple((gram << np.arange(k)).sum(axis=1).tolist())
 
@@ -104,9 +103,9 @@ class Space:
         return int(self.perm()[b])
 
     def perm(self) -> np.ndarray:
-        """dualmask as an index array over the whole space (cached)."""
+        """dualmask as a read-only index array over the whole space (cached)."""
         if self._perm is None:
-            self._perm = _linear_image(self._cols)
+            self._perm = _frozen(_linear_image(self._cols))
         return self._perm
 
     def __eq__(self, other) -> bool:
@@ -121,11 +120,9 @@ class Space:
 
 @functools.cache
 def _field_pairing(ctx: FieldCtx) -> np.ndarray:
-    """`Space([ctx]).perm()`, built once per field and read-only: the
-    mask g(b) with Tr(bx) = parity(g(b) & x) for every element b."""
-    perm = Space([ctx]).perm()
-    perm.setflags(write=False)
-    return perm
+    """`Space([ctx]).perm()`, built once per field: the mask g(b) with
+    Tr(bx) = parity(g(b) & x) for every element b."""
+    return Space([ctx]).perm()
 
 
 class BoolFn:
@@ -383,12 +380,13 @@ def _plateau_orders(absw: np.ndarray, n: int) -> np.ndarray:
     """Per row of |W| (last axis) of an n-variable function: the s with
     every value in {0, 2^((n+s)/2)}, or -1 when there is no such s.
 
-    By Parseval the peak is at least 2^(n/2), so s >= 0 whenever it
-    exists; s = 0 is bent, and then no value is 0.
+    That holds exactly when the OR of the row is one bit p, and then
+    s = 2 log2(p) - n; by Parseval p >= 2^(n/2), so s >= 0, and s = 0
+    is bent, where no value is 0.
     """
-    peak = absw.max(axis=-1)
-    flat = ((absw == 0) | (absw == peak[..., None])).all(axis=-1) & (peak & (peak - 1) == 0)
-    return np.where(flat, 2 * np.bitwise_count(peak - 1).astype(np.int64) - n, -1)
+    peak = np.bitwise_or.reduce(absw, axis=-1)
+    s = 2 * np.bitwise_count(peak - 1).astype(np.int64) - n
+    return np.where(peak & (peak - 1) == 0, s, -1)
 
 
 def is_bent(f: BoolFn) -> bool:

@@ -25,28 +25,25 @@ import numpy as np
 from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _field_pairing,
                      _fwht_inplace, _hex_values, _read_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
-from .gf2 import FieldCtx, GpsParams, make_field, validate_gps_params
+from .gf2 import FieldCtx, GpsParams, _frozen, make_field, validate_gps_params
 from .rng import XorShift64Star
 from .vectorial import VecFn
 
 
 class PermTable:
-    """A permutation of F_{2^m} as an explicit table."""
+    """A permutation of F_{2^m} as a read-only int64 table."""
 
     def __init__(self, m: int, table):
-        table = [int(v) for v in table]
-        if len(table) != 1 << m:
-            raise ParameterError(f"permutation table needs 2^{m} entries, got {len(table)}")
-        if sorted(table) != list(range(1 << m)):
+        table = _int64_table(table)
+        if table.size != 1 << m:
+            raise ParameterError(f"permutation table needs 2^{m} entries, got {table.size}")
+        if not np.array_equal(np.sort(table), np.arange(1 << m)):
             raise ParameterError("table is not a bijection")
         self.m = m
         self.table = table
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
+        return int(self.table[x])
 
     @classmethod
     def identity(cls, m: int) -> "PermTable":
@@ -79,49 +76,57 @@ class PermTable:
 class SubfieldFn:
     """A table over the subfield S_k of GF(2^m), ascending key order.
 
-    Values are bits for balanced-function form, or S_k elements for
-    permutation form.
+    Values, a read-only int64 array, are bits for balanced-function
+    form, or S_k elements for permutation form.
     """
 
     def __init__(self, ctx: FieldCtx, k: int, values):
         elems = ctx.subfield(k)
-        values = [int(v) for v in values]
-        if len(values) != len(elems):
-            raise ParameterError(f"subfield table needs 2^{k} entries, got {len(values)}")
+        values = _int64_table(values)
+        if values.size != elems.size:
+            raise ParameterError(f"subfield table needs 2^{k} entries, got {values.size}")
         self.ctx = ctx
         self.m = ctx.m
         self.k = k
         self.values = values
-        self._elems = elems
 
     def gather(self, z: np.ndarray) -> np.ndarray:
         """Values at an array of elements, all of them in S_k."""
-        values = np.asarray(self.values, dtype=np.int64)
-        return values[self.ctx.subfield_index_arr(self.k)[z]]
+        return self.values[self.ctx.subfield_index_arr(self.k)[z]]
 
     def require_balanced(self) -> "SubfieldFn":
-        if any(v not in (0, 1) for v in self.values):
+        if not np.isin(self.values, (0, 1)).all():
             raise ParameterError("balanced-form table must contain bits")
-        ones = sum(self.values)
+        ones = int(self.values.sum())
         if ones != 1 << (self.k - 1):
             raise ParameterError(
-                f"P is not balanced: {ones} ones out of {len(self.values)}"
+                f"P is not balanced: {ones} ones out of {self.values.size}"
             )
         return self
 
     def require_permutation(self) -> "SubfieldFn":
-        if sorted(self.values) != self._elems:
+        if not np.array_equal(np.sort(self.values), self.ctx.subfield(self.k)):
             raise ParameterError("permutation-form table must be a bijection on S_k")
         return self
 
     @classmethod
     def trace_form(cls, ctx: FieldCtx, k: int) -> "SubfieldFn":
         """The balanced function z -> Tr_1^k(z) on S_k."""
-        return cls(ctx, k, ctx._frobenius_sum(np.array(ctx.subfield(k)), 1, k).tolist())
+        return cls(ctx, k, ctx._frobenius_sum(ctx.subfield(k), 1, k))
 
     @classmethod
     def identity_perm(cls, ctx: FieldCtx, k: int) -> "SubfieldFn":
         return cls(ctx, k, ctx.subfield(k))
+
+
+def _int64_table(values) -> np.ndarray:
+    """A new read-only int64 array of the values.  An entry outside int64
+    reads as -1, so that it fails the same check (bijection, bits or
+    S_k) as any other value off range."""
+    try:
+        return _frozen(np.array(values, dtype=np.int64))
+    except OverflowError:
+        return _int64_table([v if -1 << 63 <= v < 1 << 63 else -1 for v in map(int, values)])
 
 
 def _as_bit_table(g, size: int):
@@ -140,7 +145,7 @@ def mm(ctx: FieldCtx, pi: PermTable, g=None) -> BoolFn:
     if pi.m != ctx.m:
         raise ParameterError("permutation degree does not match the field")
     gt = np.array(_as_bit_table(g, ctx.size), dtype=np.uint8)
-    gmask = _field_pairing(ctx)[pi.array()]
+    gmask = _field_pairing(ctx)[pi.table]
     table = (np.bitwise_count(ctx.elements[None, :] & gmask[:, None]) & 1) ^ gt[:, None]
     return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
@@ -233,9 +238,7 @@ def spread_labels(ctx: FieldCtx, params: GpsParams, orientation: str = "f") -> n
     0: callers recognise the line by its coordinate.
     """
     _check_gps(ctx, params)
-    labels = ctx.trace_rel_arr(params.k)[_spread_grid(ctx, params, orientation)]
-    labels.setflags(write=False)
-    return labels
+    return _frozen(ctx.trace_rel_arr(params.k)[_spread_grid(ctx, params, orientation)])
 
 
 def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
@@ -263,7 +266,7 @@ def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
 def _factors_through_subfield_trace(ctx: FieldCtx, k: int, Q: PermTable) -> bool:
     """Is z -> Tr(Q(z)) constant on every fiber of Tr_k^m?"""
     gamma = ctx.trace_rel_arr(k)
-    bit = ctx.trace_arr[Q.array()]
+    bit = ctx.trace_arr[Q.table]
     # one bit of each fiber lands in fiber_bit; a constant fiber agrees with it
     fiber_bit = np.zeros(ctx.size, dtype=np.uint8)
     fiber_bit[gamma] = bit
@@ -288,7 +291,7 @@ def gpsap_trace_form(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
             f"Tr(Q(.)) is not constant on the fibers of Tr_{params.k}^{params.m}; "
             "the spread function would not be bent"
         )
-    table = ctx.trace_arr[Q.array()][_spread_grid(ctx, params, "g")]
+    table = ctx.trace_arr[Q.table][_spread_grid(ctx, params, "g")]
     return BoolFn(table.reshape(-1), Space([ctx, ctx]))
 
 
@@ -300,7 +303,7 @@ def gpsap_dual_formula(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn
         raise ParameterError("Q degree does not match the field")
     tilde = ctx.pow_table(1 << (params.m - params.ell))
     args = ctx.spread_table(ctx.neg_exp(params.e))[np.ix_(tilde, tilde)]
-    return BoolFn(ctx.trace_arr[Q.array()][args].reshape(-1), Space([ctx, ctx]))
+    return BoolFn(ctx.trace_arr[Q.table][args].reshape(-1), Space([ctx, ctx]))
 
 
 def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
@@ -352,7 +355,7 @@ def check_property_P(ctx: FieldCtx, pi: PermTable) -> PropertyPResult:
     if pi.m != ctx.m:
         raise ParameterError("permutation degree does not match the field")
     size = ctx.size
-    tbl = pi.array()
+    tbl = pi.table
     # the m component functions of pi, one row each
     comps = (tbl >> np.arange(ctx.m)[:, None]) & 1
     for t in range(1, size):
@@ -431,7 +434,7 @@ def g_lambda(ctx: FieldCtx, params: GpsParams, Q: PermTable, lam: int) -> BoolFn
         raise DomainError("lambda must lie outside F_2")
     if not 0 <= lam < ctx.size:
         raise DomainError(f"{lam:#x} is not an element of GF(2^{ctx.m})")
-    q = Q.array()
+    q = Q.table
     xe = ctx.pow_table(ctx.neg_exp(params.e))
     acc = q[ctx.mul_arr(1 ^ lam, xe)] ^ q[xe] ^ q[ctx.mul_arr(lam, xe)]
     return BoolFn(ctx.trace_arr[acc], Space([ctx]))

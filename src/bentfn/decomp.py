@@ -203,7 +203,7 @@ def _fhat(ctx: FieldCtx, params: GpsParams, Q: PermTable,
     num = ctx.mul_arr(bt, x) ^ ctx.mul_arr(dt, y)
     den = ctx.mul_arr(at, x) ^ ctx.mul_arr(ct, y)
     arg = ctx.mul_arr(num, ctx.pow_table(ctx.neg_exp(params.e))[den])
-    return BoolFn(ctx.trace_arr[Q.array()[arg]].reshape(-1))
+    return BoolFn(ctx.trace_arr[Q.table[arg]].reshape(-1))
 
 
 def concat4(f1: BoolFn, f2: BoolFn, f3: BoolFn, f4: BoolFn) -> BoolFn:
@@ -245,9 +245,8 @@ def psffff(ctx: FieldCtx, m: int, k: int, P: SubfieldFn,
     if ctx.m != m:
         raise ParameterError(f"context is GF(2^{ctx.m}), requested m={m}")
     params = validate_gps_params(m, k, (1 << k) + 1)
-    elems = set(ctx.subfield(k))
     for name, val in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if val not in elems:
+        if val not in ctx.subfield(k):
             raise ParameterError(f"{name} = {val:#x} is not in S_{k}")
         if val == 0:
             raise ParameterError(f"{name} must be nonzero")

@@ -33,9 +33,10 @@ compat(a, b) <=> D_a D_b f == 0.  Five structural facts keep it fast:
   the four quarters of (-1)^(D_a f) over the top two index bits.  At
   n = 14, t = 7 that screens the 255 roots of cor-ex2 in 64 transforms
   of four 2^12-point quarters and stops 254 of them; the index search
-  of cor-ex1 (n = 10) screens 256 roots in 16 transforms of 16 whole
-  spectra.  A root that passes a quarter takes its whole spectrum, and
-  its row is finished from the whole spectrum.
+  of cor-ex1 (n = 10) screens the 255 roots below its bound in 16
+  transforms of up to 16 whole spectra.  A root that passes a quarter
+  takes its whole spectrum; a kept spectrum finishes its root's row,
+  whether the root loop or the DFS asks for that row first.
 
 Rows are computed lazily and cached bit-packed, so a capped search on
 14 variables stays within tens of megabytes.
@@ -99,8 +100,10 @@ class _CompatRows:
         """Unpacked 0/1 mask over b of compat(a, b), for a != 0."""
         packed = self._cache.get(a)
         if packed is None:
-            packed = self._compute(a)
-            self._cache[a] = packed
+            # a root screened ahead of the root loop hands over its spectrum
+            self._counts.pop(a, None)
+            kept = [self._spectra.pop(a)] if a in self._spectra else []
+            packed = self._cache[a] = self._compute(a, *kept)
         return np.unpackbits(packed, bitorder="little")[: self.size]
 
     def root(self, a: int, goal: int) -> np.ndarray | None:
@@ -132,6 +135,7 @@ class _CompatRows:
         """Count the Walsh support of D_r f for the roots r of the chunk
         that starts at a, in one transform of up to `_CHUNK_ENTRIES`
         entries; keep the whole spectra of the roots within the limit.
+        The roots after a stop at the search's bound 2^(n - goal + 1).
 
         When 2 * goal >= n (and goal >= 3, as a quarter of 2^(n-2)
         points can hold more than 2^(n - goal) only then) only the
@@ -151,7 +155,8 @@ class _CompatRows:
         roots = self._roots
         if self._next >= len(roots) or roots[self._next] != a:
             self._next = roots.index(a)   # a root taken out of order starts a chunk
-        chunk = roots[self._next:self._next + max(1, _CHUNK_ENTRIES >> width)]
+        end = self._next + max(1, _CHUNK_ENTRIES >> width)
+        chunk = [a] + [r for r in roots[self._next + 1:end] if r < 1 << (n - goal + 1)]
         self._next += len(chunk)
         r = np.array(chunk, dtype=np.int64)
         table = self.f.table

@@ -16,10 +16,10 @@ enumeration of any GF(2)-subspace is the XOR-counter order over its
 reduced basis.
 
 Besides the scalar operations, which index those arrays, a context
-offers read-only numpy arrays over the whole field (products, power
-tables, absolute and relative traces, dual masks, subfield indices),
-built on first use, so that a loop over field elements becomes one
-gather.
+offers numpy arrays over the whole field (products, power tables,
+absolute and relative traces, subfield elements and indices); those it
+keeps are read-only and built once, on first use, so that a loop over
+field elements becomes one gather.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ class FieldCtx:
         self.irred = irred
         self.size = 1 << m
         self.order = self.size - 1
-        self._subfields: dict[int, list[int]] = {}
-        self._trace_rel_arrs: dict[int, np.ndarray] = {}
-        self._subfield_index_arrs: dict[int, np.ndarray] = {}
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -128,13 +125,10 @@ class FieldCtx:
 
     # -- subfield plumbing ----------------------------------------------------
 
-    def subfield(self, k: int) -> list[int]:
+    @functools.cache
+    def subfield(self, k: int) -> np.ndarray:
         """The 2^k elements of S_k = {z : z^(2^k) = z}, ascending."""
-        cached = self._subfields.get(k)
-        if cached is None:
-            cached = np.flatnonzero(self.subfield_index_arr(k) >= 0).tolist()
-            self._subfields[k] = cached
-        return cached
+        return _frozen(np.flatnonzero(self.subfield_index_arr(k) >= 0))
 
     def subfield_index(self, k: int, z: int) -> int:
         """Position of a subfield element in the ascending ordering."""
@@ -208,29 +202,23 @@ class FieldCtx:
         """Absolute trace of every element, as uint8 bits."""
         return _frozen(self.trace_rel_arr(1).astype(np.uint8))
 
+    @functools.cache
     def trace_rel_arr(self, k: int) -> np.ndarray:
         """Relative trace onto the subfield S_k of every element x: the
         sum of x^(2^(ki)) over i < m/k."""
-        cached = self._trace_rel_arrs.get(k)
-        if cached is None:
-            if k <= 0 or self.m % k:
-                raise ParameterError(f"relative trace needs k | m, got k={k}, m={self.m}")
-            cached = self._trace_rel_arrs[k] = _frozen(
-                self._frobenius_sum(self.elements, k, self.m // k))
-        return cached
+        if k <= 0 or self.m % k:
+            raise ParameterError(f"relative trace needs k | m, got k={k}, m={self.m}")
+        return _frozen(self._frobenius_sum(self.elements, k, self.m // k))
 
+    @functools.cache
     def subfield_index_arr(self, k: int) -> np.ndarray:
         """Position of every element in the ascending ordering of S_k,
         or -1 for the elements outside S_k."""
-        cached = self._subfield_index_arrs.get(k)
-        if cached is None:
-            if k <= 0 or self.m % k:
-                raise ParameterError(f"GF(2^{self.m}) has no subfield GF(2^{k})")
-            inside = self._frobenius(self.elements, k) == self.elements
-            assert int(inside.sum()) == 1 << k
-            cached = np.where(inside, np.cumsum(inside) - 1, -1)
-            cached = self._subfield_index_arrs[k] = _frozen(cached)
-        return cached
+        if k <= 0 or self.m % k:
+            raise ParameterError(f"GF(2^{self.m}) has no subfield GF(2^{k})")
+        inside = self._frobenius(self.elements, k) == self.elements
+        assert int(inside.sum()) == 1 << k
+        return _frozen(np.where(inside, np.cumsum(inside) - 1, -1))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -238,9 +226,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_FIELD_CACHE: dict[tuple[int, int | None], FieldCtx] = {}
-
-
+@functools.cache
 def default_modulus(m: int) -> int:
     """Smallest irreducible degree-m polynomial with constant term 1."""
     if not 1 <= m <= _MAX_DEGREE:
@@ -252,13 +238,14 @@ def default_modulus(m: int) -> int:
 
 
 def make_field(m: int, irred: int | None = None) -> FieldCtx:
-    """Build (and cache) a GF(2^m) context."""
-    key = (m, irred)
-    ctx = _FIELD_CACHE.get(key)
-    if ctx is None:
-        ctx = FieldCtx(m, default_modulus(m) if irred is None else irred)
-        _FIELD_CACHE[key] = ctx
-    return ctx
+    """Build (and cache) a GF(2^m) context; one per modulus, so that
+    an omitted modulus and the default one give the same context."""
+    return _field(m, default_modulus(m) if irred is None else irred)
+
+
+@functools.cache
+def _field(m: int, irred: int) -> FieldCtx:
+    return FieldCtx(m, irred)
 
 
 @dataclass(frozen=True)

@@ -377,7 +377,7 @@ def _c11_character_sums(level, seed):
     ctx = make_field(m)
     pr = validate_gps_params(m, k, e)
     size = ctx.size
-    gammas = np.array(ctx.subfield(k))
+    gammas = ctx.subfield(k)
     # indicator rows of V (the row y = 0) and of each B(gamma) off it
     parts = np.zeros((1 + gammas.size, size, size), dtype=np.int64)
     parts[0, 0] = 1
@@ -438,7 +438,7 @@ def _c12_structural(level, seed):
         # class sizes: the count of each gamma off the special line
         A = np.bincount(spread_labels(ctx, pr, "f")[:, 1:].ravel(), minlength=ctx.size)
         B = np.bincount(spread_labels(ctx, pr, "g")[1:].ravel(), minlength=ctx.size)
-        gammas = np.array(ctx.subfield(k))
+        gammas = ctx.subfield(k)
         want = (1 << (m - k)) * ((1 << m) - 1)
         off = gammas[(A[gammas] != want) | (B[gammas] != want)]
         if off.size:

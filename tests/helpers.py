@@ -366,7 +366,7 @@ def property_P_loop(ctx, pi):
     from bentfn.boolfn import _autocorrelation, _field_pairing
 
     m, size = ctx.m, ctx.size
-    tbl = pi.array()
+    tbl = pi.table
     idx = ctx.elements
     bits = np.arange(m)[:, None]
     for t in range(1, size):

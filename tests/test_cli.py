@@ -118,6 +118,29 @@ def test_save_table_rejects_n_above_16(tmp_path):
     assert not out.exists()
 
 
+_HUGE = "1" + "0" * 21   # 22 hex digits: 2^84, beyond int64
+
+
+@pytest.mark.parametrize("args, body, code, message", [
+    (("--family", "mm", "--m", "2", "--perm"), f"m=2\n0\n1\n{_HUGE}\n3\n", 3,
+     "error: table is not a bijection"),
+    (("--family", "gpsap", "--m", "4", "--k", "2", "--e", "2", "--P"),
+     f"m=4 k=2\n0\n1\n{_HUGE}\n0\n", 2, "error: balanced-form table must contain bits"),
+    (("--family", "psap", "--m", "2", "--P"), f"m=2 k=2\n0\n1\n{_HUGE}\n0\n", 2,
+     "error: balanced-form table must contain bits"),
+    (("--family", "psffff", "--m", "3", "--k", "1", "--P"), f"m=3 k=1\n{_HUGE}\n1\n", 2,
+     "error: permutation-form table must be a bijection on S_k"),
+], ids=["perm", "gpsap", "psap", "psffff"])
+def test_construct_oversized_file_value(tmp_path, capsys, args, body, code, message):
+    # a value beyond int64 fails the same check as any other value off
+    # range: one error line, no traceback, no file
+    src, out = tmp_path / "in.txt", tmp_path / "f.tt"
+    src.write_text(body)
+    got, text, err = run(capsys, "construct", *args, str(src), "--out", str(out))
+    assert (got, text, err) == (code, "", message + "\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", ["mm", "psap"])
 def test_construct_on_gf2(tmp_path, capsys, family):
     out = tmp_path / "f.tt"

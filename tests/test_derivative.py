@@ -137,7 +137,11 @@ def _check_screen(f, roots, spectra):
         rows, chunks = _screen_all(f, roots, goal)
         assert [rows._counts[a] for a in roots] == want
         step = max(1, _CHUNK_ENTRIES >> width)
-        assert chunks == -(-len(roots) // step)
+        # a chunk stops at the search's bound on the roots; a root past
+        # it, which no search reaches, is a chunk of its own
+        bound = 1 << (n - goal + 1)
+        below = sum(a < bound for a in roots)
+        assert chunks == -(-below // step) + len(roots) - below
         if width == n:
             # a full screen keeps the spectra of the roots within its limit
             keep = [i for i, c in enumerate(support) if c <= 1 << (n - goal)]
@@ -150,7 +154,8 @@ def _check_screen(f, roots, spectra):
         rows = _CompatRows(f, roots)
         rows._screen(roots[-1], goal)
         rows._screen(roots[0], goal)
-        assert sorted(rows._counts) == sorted({roots[-1], *roots[:step]})
+        assert sorted(rows._counts) == sorted({roots[-1], roots[0],
+                                               *(a for a in roots[1:step] if a < bound)})
         assert all(rows._counts[a] == want[roots.index(a)] for a in rows._counts)
 
 
@@ -292,7 +297,7 @@ def test_search_row_counts(monkeypatch):
 
     def counted_compute(self, a, *s):
         computed.append(a)
-        fresh.append(not s)   # a row of the DFS, which takes its own spectrum
+        fresh.append(not s)   # a row that takes its own spectrum
         return compute(self, a, *s)
 
     screen = _CompatRows._screen
@@ -339,9 +344,48 @@ def test_search_row_counts(monkeypatch):
     # 2 * goal >= n (the first and third searches) its quarter shows it
     # for all but one root of cor-ex2
     assert [c[0] for c in counts] == [0, 32, 0, 1, 3, 3]
-    assert [c[1] for c in counts] == [63, 256, 255, 16, 16, 16]
+    assert [c[1] for c in counts] == [63, 255, 255, 16, 16, 16]
     assert [c[2] for c in counts] == [1, 16, 64, 1, 1, 1]
     assert [c[3] for c in counts] == [0, 0, 1, 0, 0, 0]
+
+
+def test_screened_spectra_are_not_taken_again(monkeypatch):
+    # on the m = 4 two-block inverse function (n = 8) the DFS asks for the
+    # rows of roots that the screen passed before the root loop reaches
+    # them; each such row finishes the spectrum the screen kept
+    dmod = importlib.import_module("bentfn.derivative")
+    kept, taken, computed = set(), [], []
+    screen = _CompatRows._screen
+
+    def counted_screen(self, a, goal):
+        screen(self, a, goal)
+        kept.update(self._spectra)
+
+    compute = _CompatRows._compute
+
+    def counted_compute(self, a, *s):
+        computed.append(a)
+        return compute(self, a, *s)
+
+    spectrum = dmod._derivative_spectrum
+
+    def counted_spectrum(t, a):
+        if np.ndim(a) == 0:
+            taken.append(int(a))
+        return spectrum(t, a)
+
+    monkeypatch.setattr(_CompatRows, "_screen", counted_screen)
+    monkeypatch.setattr(_CompatRows, "_compute", counted_compute)
+    monkeypatch.setattr(dmod, "_derivative_spectrum", counted_spectrum)
+    ctx = make_field(4)
+    f = mm(ctx, PermTable.inverse_map(ctx))
+    for run, want, rows in ((lambda: linearity_index(f), 4, 15),
+                            (lambda: len(enumerate_M_subspaces(f, 2)), 35, 127)):
+        for log in (kept, taken, computed):
+            log.clear()
+        assert run() == want
+        assert len(computed) == rows
+        assert kept and not kept & set(taken)
 
 
 def test_enumerate_dim_too_large():

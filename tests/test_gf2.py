@@ -6,6 +6,9 @@ import pytest
 from bentfn import (
     DomainError,
     ParameterError,
+    PermTable,
+    Space,
+    SubfieldFn,
     XorShift64Star,
     make_field,
     validate_gps_params,
@@ -219,3 +222,36 @@ def test_neg_exp_inverts_powers(m):
         assert ctx.mul_arr(ctx.pow_table(d), ctx.pow_table(e))[1:].tolist() == [1] * ctx.order
         if math.gcd(e, ctx.order) == 1:
             assert ctx.pow_table(d)[0] == 0
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_field_tables_read_only_and_built_once(m):
+    # every table over the field or a subfield is one int64 array that
+    # rejects writes, and asking again returns that same array
+    ctx = make_field(m)
+    assert make_field(m) is ctx and make_field(m, None) is ctx
+    pi, ident, whole = PermTable.inverse_map(ctx), PermTable.identity(m), Space([ctx])
+    tables = [lambda: ctx.elements, lambda: ctx.trace_arr, lambda: pi.table,
+              lambda: ident.table, whole.perm]
+    for k in range(1, m + 1):
+        if m % k:
+            for get in (ctx.subfield, ctx.trace_rel_arr, ctx.subfield_index_arr):
+                for _ in range(2):   # a bad k raises on every call
+                    with pytest.raises(ParameterError):
+                        get(k)
+            continue
+        tr, idp = SubfieldFn.trace_form(ctx, k), SubfieldFn.identity_perm(ctx, k)
+        space = Space([(ctx, k)])
+        tables += [lambda k=k: ctx.subfield(k), lambda k=k: ctx.trace_rel_arr(k),
+                   lambda k=k: ctx.subfield_index_arr(k), lambda tr=tr: tr.values,
+                   lambda idp=idp: idp.values, lambda space=space: space.perm()]
+    for get in tables:
+        table = get()
+        assert get() is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
+    assert ctx.subfield(m).dtype == pi.table.dtype == tr.values.dtype == np.int64
+    # the tables are copies: the arrays they were built from stay writable
+    source = np.arange(ctx.size)
+    assert PermTable(m, source).table is not source and source.flags.writeable

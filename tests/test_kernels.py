@@ -109,7 +109,7 @@ def test_field_arrays_match_schoolbook():
                                                           for i in range(m // k)))
                     assert rel[z] == want
                 index = ctx.subfield_index_arr(k)
-                assert np.flatnonzero(index >= 0).tolist() == ctx.subfield(k)
+                assert np.array_equal(np.flatnonzero(index >= 0), ctx.subfield(k))
                 assert [int(index[z]) for z in ctx.subfield(k)] == list(range(1 << k))
         for b in sample:
             want = sum(slow.trace(slow.mul(b, 1 << j)) << j for j in range(m))
@@ -134,7 +134,7 @@ def test_subfield_pairing_and_trace_match_schoolbook(m):
         perm = sp.perm()
         pairs = np.bitwise_count(perm[:, None] & np.arange(1 << k)) & 1
         assert (pairs == pairs.T).all()
-        assert SubfieldFn.trace_form(ctx, k).values == subfield_trace_loop(slow, k)[1]
+        assert SubfieldFn.trace_form(ctx, k).values.tolist() == subfield_trace_loop(slow, k)[1]
     assert Space([(ctx, m)]) == Space([ctx])
     assert Space([(ctx, m)]).perm().tolist() == Space([ctx]).perm().tolist()
 
