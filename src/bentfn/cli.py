@@ -8,7 +8,7 @@ plane or a full scan), verify (run the verification battery).
 Reports are line-oriented `key: value` text; `--json` switches any
 command to a single JSON object on stdout.  Exit codes: 0 success,
 1 verification failure, 2 parameter error, 3 parse error, 4 resource
-guard.
+guard, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -379,7 +379,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.threads = _threads(args.threads)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a reader that went away shows here
+        return code
+    except BrokenPipeError:
+        # quiet, with the code a shell gives a filter that SIGPIPE ended;
+        # stdout goes to /dev/null so the flush at exit prints nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + 13
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,10 +67,10 @@ class PermTable:
 
     @classmethod
     def gold(cls, ctx: FieldCtx, k: int) -> "PermTable":
-        """x -> x^(2^k + 1); a permutation iff gcd(k, m) = 1 and m odd."""
+        """x -> x^(2^k + 1); a permutation iff m / gcd(k, m) is odd."""
         if k < 0:
             raise ParameterError(f"Gold exponent 2^k + 1 needs k >= 0, got k={k}")
-        return cls.from_exponent(ctx, (1 << k) + 1)
+        return cls.from_exponent(ctx, (1 << (k % ctx.m)) + 1)   # as x^(2^m) = x
 
 
 class SubfieldFn:

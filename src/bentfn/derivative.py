@@ -26,9 +26,10 @@ compat(a, b) <=> D_a D_b f == 0.  Five structural facts keep it fast:
   D_a f.  So the row has at most 2^n / |supp W_{D_a f}| elements, and a
   root whose support holds more than 2^(n-t) points cannot start a
   t-dimensional chain.  Any part of the support can show that.  The
-  search screens its roots a chunk at a time (`_CompatRows._screen`),
-  with one transform of up to 2^14 entries per chunk: of the whole
-  spectra, or, where a part can decide (t >= n/2), of the quarter of
+  root loop (`_run_search`) screens its roots a chunk at a time, each
+  chunk in one transform of up to 2^14 entries (`_CompatRows._screen`),
+  and decides each root from its count.  It transforms the whole
+  spectra, or, where a part can decide (t >= n/2), the quarter of
   each spectrum with w's top two bits 00, the transform of the sum of
   the four quarters of (-1)^(D_a f) over the top two index bits.  At
   n = 14, t = 7 that screens the 255 roots of cor-ex2 in 64 transforms
@@ -36,7 +37,8 @@ compat(a, b) <=> D_a D_b f == 0.  Five structural facts keep it fast:
   of cor-ex1 (n = 10) screens the 255 roots below its bound in 16
   transforms of up to 16 whole spectra.  A root that passes a quarter
   takes its whole spectrum; a kept spectrum finishes its root's row,
-  whether the root loop or the DFS asks for that row first.
+  whether the root loop or the DFS asks for that row first, and a root
+  whose row the DFS took first starts no chunk.
 
 Rows are computed lazily and cached bit-packed, so a capped search on
 14 variables stays within tens of megabytes.
@@ -85,57 +87,46 @@ class Subspace:
 
 class _CompatRows:
     """Lazy bit-packed rows of the compatibility relation of f, and the
-    screen of the search roots (any sequence of nonzero vectors)."""
+    whole spectra that `_screen` keeps from the chunks of `_run_search`."""
 
-    def __init__(self, f: BoolFn, roots):
+    def __init__(self, f: BoolFn):
         self.f = f
         self.size = f.table.size
         self._cache: dict[int, np.ndarray] = {}
-        self._roots = roots
-        self._next = 0                              # position of the next unscreened root
-        self._counts: dict[int, int] = {}           # root -> screened support count
-        self._spectra: dict[int, np.ndarray] = {}   # root -> whole spectrum of a survivor
+        self._kept: dict[int, np.ndarray] = {}   # root -> whole spectrum within the limit
 
     def row(self, a: int) -> np.ndarray:
         """Unpacked 0/1 mask over b of compat(a, b), for a != 0."""
         packed = self._cache.get(a)
         if packed is None:
-            # a root screened ahead of the root loop hands over its spectrum
-            self._counts.pop(a, None)
-            kept = [self._spectra.pop(a)] if a in self._spectra else []
+            # a spectrum kept by the screen or by root() is finished here
+            kept = [self._kept.pop(a)] if a in self._kept else []
             packed = self._cache[a] = self._compute(a, *kept)
         return np.unpackbits(packed, bitorder="little")[: self.size]
 
-    def root(self, a: int, goal: int) -> np.ndarray | None:
-        """row(a) for a search root, or None when that row has fewer than
-        2^goal elements.  The row is (span supp W_{D_a f})^perp, so a
-        support of more than 2^(n - goal) points shows this before the
-        row's second transform.
-
-        `_screen` counts the support exactly, or from one quarter as a
-        lower bound; a root within the limit then takes its whole
-        spectrum and is decided exactly.  A goal that rose after the
-        screen only lowers the limit.
+    def root(self, a: int, count: int, goal: int) -> np.ndarray | None:
+        """row(a) for a search root whose Walsh support `_screen` counted,
+        or None when that row, (span supp W_{D_a f})^perp, has fewer than
+        2^goal elements, as a support of more than 2^(n - goal) points
+        shows before the row's second transform.  A count from one quarter
+        is a lower bound: a root within the limit then takes its whole
+        spectrum.  A goal that rose after the screen only lowers the limit.
         """
-        if a not in self._cache:
-            if a not in self._counts:
-                self._screen(a, goal)
-            limit = self.size >> goal
-            spectrum = self._spectra.pop(a, None)
-            if self._counts.pop(a) > limit:
+        limit = self.size >> goal
+        if count > limit:
+            self._kept.pop(a, None)
+            return None
+        if a not in self._cache and a not in self._kept:
+            spectrum = _derivative_spectrum(self.f.table, a)
+            if np.count_nonzero(spectrum) > limit:
                 return None
-            if spectrum is None:
-                spectrum = _derivative_spectrum(self.f.table, a)
-                if np.count_nonzero(spectrum) > limit:
-                    return None
-            self._cache[a] = self._compute(a, spectrum)
+            self._kept[a] = spectrum
         return self.row(a)
 
-    def _screen(self, a: int, goal: int) -> None:
-        """Count the Walsh support of D_r f for the roots r of the chunk
-        that starts at a, in one transform of up to `_CHUNK_ENTRIES`
-        entries; keep the whole spectra of the roots within the limit.
-        The roots after a stop at the search's bound 2^(n - goal + 1).
+    def _screen(self, chunk: list[int], goal: int) -> list[int]:
+        """Walsh-support counts of D_r f for the roots r of a chunk of
+        `_run_search`, in one transform; keeps for their rows the whole
+        spectra within 2^(n - goal) of roots whose rows are not cached.
 
         When 2 * goal >= n (and goal >= 3, as a quarter of 2^(n-2)
         points can hold more than 2^(n - goal) only then) only the
@@ -150,31 +141,22 @@ class _CompatRows:
         the cheaper count.
         """
         n = self.f.n
-        quarter = 2 < goal and n <= 2 * goal
-        width = n - 2 if quarter else n
-        roots = self._roots
-        if self._next >= len(roots) or roots[self._next] != a:
-            self._next = roots.index(a)   # a root taken out of order starts a chunk
-        end = self._next + max(1, _CHUNK_ENTRIES >> width)
-        chunk = [a] + [r for r in roots[self._next + 1:end] if r < 1 << (n - goal + 1)]
-        self._next += len(chunk)
+        width = _screen_width(n, goal)
         r = np.array(chunk, dtype=np.int64)
-        table = self.f.table
-        if quarter:
+        if width < n:
             # the ones of D_r f at (top, low), summed over top: with top
             # shifted by r_top, f(top + r_top, low) + f(top, low + r_low),
             # so the gather runs over the low bits only
-            t = table.reshape(4, -1)
+            t = self.f.table.reshape(4, -1)
             ones = np.take(t, _points(width)[0] ^ (r[:, None] & (t.shape[1] - 1)), axis=1)
             ones ^= t[np.arange(4)[:, None] ^ (r >> width)]
             w = _fwht_inplace(_QUARTER_SUM.take(ones.sum(axis=0, dtype=np.uint8)))
-        else:
-            w = _derivative_spectrum(table, r)
-        limit = self.size >> goal
-        for root, spectrum, count in zip(chunk, w, np.count_nonzero(w, axis=1).tolist()):
-            self._counts[root] = count
-            if not quarter and count <= limit:
-                self._spectra[root] = spectrum
+            return np.count_nonzero(w, axis=1).tolist()
+        w = _derivative_spectrum(self.f.table, r)
+        counts = np.count_nonzero(w, axis=1).tolist()
+        self._kept.update((a, s) for a, s, c in zip(chunk, w, counts)
+                          if c <= self.size >> goal and a not in self._cache)
+        return counts
 
     def _compute(self, a: int, spectrum: np.ndarray | None = None) -> np.ndarray:
         # a spectrum of D_a f already taken is finished in place
@@ -201,6 +183,11 @@ class _SearchResult:
 def _goal(target: int | None, res: _SearchResult) -> int:
     """Dimension t of the subspaces still sought."""
     return target if target is not None else res.best + 1
+
+
+def _screen_width(n: int, goal: int) -> int:
+    """log2 of the points per root of `_CompatRows._screen`'s transform."""
+    return n - 2 if 2 < goal and n <= 2 * goal else n
 
 
 def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray,
@@ -240,17 +227,21 @@ def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray
 
 def _run_search(f: BoolFn, roots, target: int | None, cap: int,
                 find_all: bool) -> _SearchResult:
-    rows = _CompatRows(f, roots)
+    rows = _CompatRows(f)
     res = _SearchResult()
-    for v1 in roots:
-        if res.done or v1 >> (f.n - _goal(target, res) + 1):
+    counts: dict[int, int] = {}   # the present chunk's; a row the DFS took needs none
+    for i, v1 in enumerate(roots):
+        goal = _goal(target, res)
+        if res.done or v1 >> (f.n - goal + 1):
             break
-        if target is not None and not find_all and res.found:
-            break
+        if v1 not in counts and v1 not in rows._cache:
+            end = i + max(1, _CHUNK_ENTRIES >> _screen_width(f.n, goal))
+            chunk = [a for a in roots[i:end] if not a >> (f.n - goal + 1)]
+            counts = dict(zip(chunk, rows._screen(chunk, goal)))
         # A skipped root's row is too small for _dfs's count check.  The
         # bound needs goal >= 2, as every row holds 0 and v1; by then an
         # index search has best >= 1, so skipping moves no best, found or done.
-        pm = rows.root(v1, _goal(target, res))
+        pm = rows.root(v1, counts.get(v1, 0), goal)
         if pm is not None:
             _dfs(rows, [0, v1], [v1], pm, target, cap, find_all, res)
     return res
@@ -282,8 +273,6 @@ def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
     for part in parts:
         res.best = max(res.best, part.best)
         res.found.extend(part.found)
-    if target is not None and not find_all and res.found:
-        res.found = [min(res.found)]
     return res
 
 
@@ -304,8 +293,9 @@ def enumerate_M_subspaces(f: BoolFn, dim: int, threads: int = 1) -> list[Subspac
     if dim > f.n:
         return []
     res = _search(f, dim, dim, True, threads)
-    canon = sorted({tuple(gf2vec.rref(list(b))) for b in res.found})
-    return [Subspace(f.n, b) for b in canon]
+    # a chain is the greedy ascending basis of its subspace, so reversed
+    # it is the reduced echelon form; and each subspace has one chain
+    return [Subspace(f.n, b) for b in sorted(b[::-1] for b in res.found)]
 
 
 def has_M_subspace(f: BoolFn, dim: int, threads: int = 1) -> bool:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bentfn
 from bentfn import BoolFn, ParameterError, XorShift64Star, load_table, save_table
 from bentfn.cli import main
 from bentfn.verify import CriterionResult
@@ -84,6 +89,23 @@ def test_construct_negative_gold_parameter(tmp_path, capsys, args):
     code, _, err = run(capsys, "construct", *args, "--out", str(tmp_path / "f.tt"))
     assert code == 2
     assert err.startswith("error:") and "k >= 0" in err
+
+
+@pytest.mark.parametrize("args, k", [
+    (("--family", "mm", "--m", "4", "--perm", "gold:{}"), 10**20),
+    (("--family", "gpsap-trace", "--m", "5", "--k", "5", "--Q", "gold:{}"), 10**20),
+    (("--family", "cor-ex2", "--m", "5", "--k", "2", "--gold-k", "{}"), 10**20 + 1)],
+                         ids=["perm", "Q", "cor-ex2"])
+def test_construct_oversized_gold_parameter(tmp_path, capsys, args, k):
+    # on GF(2^m) the Gold map of k is the map of k mod m
+    tables = []
+    for value in (k, k % int(args[3])):
+        out = tmp_path / f"{value}.tt"
+        code, _, err = run(capsys, "construct", *(a.format(value) for a in args),
+                           "--out", str(out))
+        assert code == 0 and err == ""
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("family", ["mm", "gmm", "psap", "gpsap-trace"])
@@ -367,3 +389,75 @@ def test_mutated_input_files_exit_cleanly(tmp_path, capsys):
             assert code in (0, 2, 3), (argv[0], data)
             codes.append(code)
     assert {0, 2, 3} <= set(codes)
+
+
+# small valid parameters of each family
+FAMILY_ARGS = {"mm": ["--m", "2"], "gmm": ["--m", "2", "--k", "1"], "psap": ["--m", "2"],
+               "gpsap": ["--m", "4", "--k", "2", "--e", "2"],
+               "gpsap-trace": ["--m", "4", "--k", "2", "--e", "2"],
+               "cor-ex1": ["--m", "4", "--k", "1"], "cor-ex2": ["--m", "5", "--k", "1"],
+               "psffff": ["--m", "3", "--k", "1"], "partition": ["--m", "6", "--k", "3"]}
+
+
+def _extreme_cases():
+    """(verb, base argv, option template) for every integer option but
+    --threads, on each family that reads it."""
+    def build(fam, *rest):
+        return ["--family", fam, *FAMILY_ARGS[fam], *rest]
+
+    cases = [("construct", build(fam), [option, "{}"])
+             for option in ("--m", "--k") for fam in FAMILY_ARGS]
+    cases += [("construct", build(fam), ["--e", "{}"])
+              for fam in ("gpsap", "gpsap-trace", "partition")]
+    cases += [("construct", build("psffff"), [option, "{}"])
+              for option in ("--alpha", "--beta", "--gamma")]
+    return cases + [("construct", build("cor-ex2"), ["--gold-k", "{}"]),
+                    ("construct", build("mm", "--perm", "random"), ["--seed", "{}"]),
+                    ("construct", build("gmm"), ["--seed", "{}"]),
+                    ("construct", build("mm"), ["--perm", "gold:{}"]),
+                    ("construct", build("gpsap-trace"), ["--Q", "gold:{}"]),
+                    ("msubspace", [], ["--max-dim", "{}"]),
+                    ("decompose", ["--v", "2"], ["--u", "{}"]),
+                    ("decompose", ["--u", "1"], ["--v", "{}"])]
+
+
+@pytest.mark.parametrize("value", [-1, 0, 1 << 63, 10**20])
+def test_extreme_integer_options_exit_cleanly(tmp_path, capsys, value):
+    """Every integer option at -1, 0, 2^63 and 10^20: a documented exit
+    code, no exception out of main, and at most one error line."""
+    tt = tmp_path / "f.tt"
+    save_table(BoolFn(QUAD_TABLE), str(tt))
+    out = ["--out", str(tmp_path / "out.tt")]
+    for verb, base, option in _extreme_cases():
+        # the option comes last, so it overrides a value in base
+        argv = [verb, *(out if verb == "construct" else [str(tt)]), *base,
+                *(a.format(value) for a in option)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, argv
+
+
+@pytest.mark.parametrize("verb", ["construct", "analyze", "msubspace", "decompose", "verify"])
+def test_closed_stdout_exits_quietly(tmp_path, verb):
+    """A fresh process whose stdout pipe has no reader, as after
+    `| (exec 0<&-; true)`, exits 141 with nothing on stderr."""
+    tt = tmp_path / "f.tt"
+    save_table(BoolFn(QUAD_TABLE), str(tt))
+    argv = {"construct": ["--family", "mm", "--m", "2", "--out", str(tmp_path / "g.tt")],
+            "analyze": [str(tt)], "msubspace": [str(tt)],
+            "decompose": [str(tt), "--u", "1", "--v", "2"],
+            "verify": ["--level", "fast"]}[verb]
+    src = str(Path(bentfn.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bentfn.cli", verb, *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    for marker in ("Traceback", "error:", "Exception ignored"):
+        assert marker not in proc.stderr

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -75,6 +77,25 @@ def test_gold_rejects_negative_parameter():
     assert PermTable.gold(ctx, 0).table.tolist() == [ctx.mul(x, x) for x in range(8)]
     with pytest.raises(ParameterError, match="k >= 0"):
         PermTable.gold(ctx, -1)
+
+
+def _gold(ctx, k):
+    try:
+        return PermTable.gold(ctx, k).table.tolist()
+    except ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gold_reads_k_mod_m(m):
+    # x^(2^m) = x, so k and k + jm give the same map, or the same
+    # rejection; and the map permutes exactly when m / gcd(k, m) is odd
+    ctx = make_field(m)
+    for k in range(m):
+        want = _gold(ctx, k)
+        assert isinstance(want, list) == (m // math.gcd(k, m) % 2 == 1)
+        for shift in (m, 3 * m, m * (10**20 // m + 1)):
+            assert _gold(ctx, k + shift) == want
 
 
 def test_subfield_fn_guards():

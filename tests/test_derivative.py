@@ -21,7 +21,7 @@ from bentfn import (
 )
 from bentfn.boolfn import _CHUNK_ENTRIES, _derivative_spectrum, _second_derivative
 from bentfn.construct import PermTable, build_cor_ex, mm
-from bentfn.derivative import _CompatRows
+from bentfn.derivative import _CompatRows, _run_search, _search
 from bentfn.verify import corpus
 
 from helpers import is_M_subspace, naive_M_subspaces, naive_walsh, random_invertible, span
@@ -87,12 +87,8 @@ def test_compat_rows_match_second_derivatives(n):
                    for i in range(1 << n)])
     x = np.arange(1 << n)
     sign = 1 - 2 * (np.bitwise_count(x[:, None] & x) & 1).astype(np.int64)   # (-1)^(b.x)
-    roots = list(range(1, 1 << n))
     for f in [rand_fn(rng, n) for _ in range(3)] + [quad]:
-        rows = _CompatRows(f, roots)
-        # one search per goal; each sees every root once, so each root
-        # call is screened, by its quarter where 2 * goal >= n
-        searches = [_CompatRows(f, roots) for _ in range(n + 1)]
+        rows = _CompatRows(f)
         for a in range(1, 1 << n):
             row = rows.row(a)
             assert np.array_equal(row, ~_second_derivative(f.table, a, x[:, None]).any(axis=1))
@@ -105,24 +101,36 @@ def test_compat_rows_match_second_derivatives(n):
             supp = [u for u, w in enumerate(walsh) if w]
             perp = np.flatnonzero((sign[:, gf2vec.rref(supp)] == 1).all(axis=1))
             assert np.array_equal(np.flatnonzero(row), perp)
-            for goal, search in enumerate(searches):
-                root = search.root(a, goal)
+            for goal in range(n + 1):
+                # the decision on a fresh _CompatRows, given the root's
+                # count, screened by its quarter where 2 * goal >= n
+                search = _CompatRows(f)
+                root = search.root(a, search._screen([a], goal)[0], goal)
                 if len(supp) << goal > 1 << n:
                     assert root is None and len(perp) < 1 << goal
                 else:
                     assert root.tolist() == row.tolist()
 
 
-def _screen_all(f, roots, goal):
-    """_CompatRows over roots with every root screened, chunk by chunk,
-    as a search with this goal screens them; and the number of chunks."""
-    rows = _CompatRows(f, roots)
-    chunks = 0
-    for a in roots:
-        if a not in rows._counts:
-            rows._screen(a, goal)
-            chunks += 1
-    return rows, chunks
+def _walk(f, roots, goal):
+    """The chunks that a search for goal-dimensional subspaces screens
+    over these roots, and the count it decides each root from, with
+    every root turned down."""
+    chunks, counts = [], {}
+    screen = _CompatRows._screen
+
+    def spied(self, chunk, goal):
+        chunks.append(chunk)
+        return screen(self, chunk, goal)
+
+    def turn_down(self, a, count, goal):
+        counts[a] = count
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_CompatRows, "_screen", spied)
+        mp.setattr(_CompatRows, "root", turn_down)
+        _run_search(f, sorted(roots), goal, goal, True)
+    return chunks, counts
 
 
 def _check_screen(f, roots, spectra):
@@ -134,29 +142,27 @@ def _check_screen(f, roots, spectra):
     support = np.count_nonzero(spectra, axis=1).tolist()
     first = np.count_nonzero(spectra[:, : 1 << (n - 2)], axis=1).tolist()
     for goal, want, width in ((2, support, n), (max(3, (n + 1) // 2), first, n - 2)):
-        rows, chunks = _screen_all(f, roots, goal)
-        assert [rows._counts[a] for a in roots] == want
         step = max(1, _CHUNK_ENTRIES >> width)
-        # a chunk stops at the search's bound on the roots; a root past
-        # it, which no search reaches, is a chunk of its own
-        bound = 1 << (n - goal + 1)
-        below = sum(a < bound for a in roots)
-        assert chunks == -(-below // step) + len(roots) - below
+        rows = _CompatRows(f)
+        counts = [c for i in range(0, len(roots), step)
+                  for c in rows._screen(roots[i:i + step], goal)]
+        assert counts == want
         if width == n:
             # a full screen keeps the spectra of the roots within its limit
             keep = [i for i, c in enumerate(support) if c <= 1 << (n - goal)]
-            assert sorted(rows._spectra) == sorted(roots[i] for i in keep)
+            assert sorted(rows._kept) == sorted(roots[i] for i in keep)
             for i in keep:
-                assert np.array_equal(rows._spectra[roots[i]], spectra[i])
+                assert np.array_equal(rows._kept[roots[i]], spectra[i])
         else:
-            assert not rows._spectra
-        # a root taken out of order starts its own chunk
-        rows = _CompatRows(f, roots)
-        rows._screen(roots[-1], goal)
-        rows._screen(roots[0], goal)
-        assert sorted(rows._counts) == sorted({roots[-1], roots[0],
-                                               *(a for a in roots[1:step] if a < bound)})
-        assert all(rows._counts[a] == want[roots.index(a)] for a in rows._counts)
+            assert not rows._kept
+        # a search screens the (ascending) roots below its bound, one
+        # transform of at most _CHUNK_ENTRIES entries, or one root, per chunk
+        bound = 1 << (n - goal + 1)
+        chunks, walked = _walk(f, roots, goal)
+        below = sorted(a for a in roots if a < bound)
+        assert chunks == [below[i:i + step] for i in range(0, len(below), step)]
+        assert all(len(c) == 1 or len(c) << width <= _CHUNK_ENTRIES for c in chunks)
+        assert walked == {a: c for a, c in zip(roots, want) if a < bound}
 
 
 @pytest.mark.parametrize("n", [*range(4, 13), 14, 16])
@@ -286,6 +292,16 @@ def test_enumerate_matches_every_subspace_oracle(f):
     assert linearity_index(f) == nonempty
 
 
+def test_chains_are_reversed_echelon_bases():
+    # a chain is the greedy ascending basis of its subspace, so
+    # enumerate_M_subspaces reads each canonical basis off it reversed
+    for _, f in corpus():
+        if f.n <= 10:
+            for d in range(1, f.n + 1):
+                for chain in _search(f, d, d, True).found:
+                    assert gf2vec.rref(list(chain)) == list(chain[::-1])
+
+
 def test_search_row_counts(monkeypatch):
     # compatibility rows computed, roots screened, screen chunks, and
     # whole spectra of the roots that pass a quarter screen, for the
@@ -302,10 +318,9 @@ def test_search_row_counts(monkeypatch):
 
     screen = _CompatRows._screen
 
-    def counted_screen(self, a, goal):
-        before = len(self._counts)
-        screen(self, a, goal)
-        chunks.append(len(self._counts) - before)
+    def counted_screen(self, chunk, goal):
+        chunks.append(len(chunk))
+        return screen(self, chunk, goal)
 
     monkeypatch.setattr(_CompatRows, "_compute", counted_compute)
     monkeypatch.setattr(_CompatRows, "_screen", counted_screen)
@@ -357,9 +372,10 @@ def test_screened_spectra_are_not_taken_again(monkeypatch):
     kept, taken, computed = set(), [], []
     screen = _CompatRows._screen
 
-    def counted_screen(self, a, goal):
-        screen(self, a, goal)
-        kept.update(self._spectra)
+    def counted_screen(self, chunk, goal):
+        counts = screen(self, chunk, goal)
+        kept.update(self._kept)
+        return counts
 
     compute = _CompatRows._compute
 
@@ -386,6 +402,25 @@ def test_screened_spectra_are_not_taken_again(monkeypatch):
         assert run() == want
         assert len(computed) == rows
         assert kept and not kept & set(taken)
+
+
+def test_rows_taken_first_start_no_chunk(monkeypatch):
+    # the search for the planes of cor-ex1 (n = 10) takes the rows of the
+    # roots 257 to 511 in the DFS from smaller roots, before the root loop
+    # reaches them, so of the 511 roots below its bound it screens 256
+    starts, screened = [], []
+    screen = _CompatRows._screen
+
+    def counted_screen(self, chunk, goal):
+        starts.append(chunk[0] in self._cache)
+        screened.extend(chunk)
+        return screen(self, chunk, goal)
+
+    monkeypatch.setattr(_CompatRows, "_screen", counted_screen)
+    f = build_cor_ex(make_field(4), 4, 1, "inverse")
+    assert len(enumerate_M_subspaces(f, 2)) == 255
+    assert len(starts) == 16 and not any(starts)
+    assert screened == list(range(1, 257))
 
 
 def test_enumerate_dim_too_large():
