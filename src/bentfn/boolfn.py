@@ -289,10 +289,10 @@ def walsh_transform(f: BoolFn) -> np.ndarray:
     return w
 
 
-def _abs_spectrum(table: np.ndarray) -> np.ndarray:
-    # pairing-independent |W| multiset of each bit table along the last
-    # axis, as a new array; skips the index permutation
-    w = _fwht_inplace(_signs(table))
+def _abs_spectrum(signs: np.ndarray) -> np.ndarray:
+    # pairing-independent |W| multiset of each (-1)^t row along the last
+    # axis, overwriting the rows; skips the index permutation
+    w = _fwht_inplace(signs)
     return np.abs(w, out=w)
 
 
@@ -342,10 +342,13 @@ def _points(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _second_derivative(table: np.ndarray, a, b) -> np.ndarray:
     """D_a D_b t(x) = t(x) + t(x + a) + t(x + b) + t(x + a + b) of a bit
     table t, for the ints a, b, or for the int64 columns a, b (one row
-    per pair of directions), as a new array."""
+    per pair of directions), as a new array.  Two gathers, as D_a D_b t =
+    D_b(D_a t); a column a makes D_a t one row per pair."""
     x = _points(table.size.bit_length() - 1)[0]
-    xa = x ^ a
-    return table ^ table[xa] ^ table[x ^ b] ^ table[xa ^ b]
+    d = table ^ table[x ^ a]
+    if d.ndim == 1:
+        return d ^ d[x ^ b]
+    return d ^ np.take_along_axis(d, np.broadcast_to(x ^ b, d.shape), axis=-1)
 
 
 def _derivative_spectrum(table: np.ndarray, a) -> np.ndarray:
@@ -390,12 +393,12 @@ def _plateau_orders(absw: np.ndarray, n: int) -> np.ndarray:
 
 
 def is_bent(f: BoolFn) -> bool:
-    return int(_plateau_orders(_abs_spectrum(f.table), f.n)) == 0
+    return int(_plateau_orders(_abs_spectrum(_signs(f.table)), f.n)) == 0
 
 
 def plateaued_order(f: BoolFn) -> int | None:
     """s such that |W_f| takes values in {0, 2^((n+s)/2)}, else None."""
-    s = int(_plateau_orders(_abs_spectrum(f.table), f.n))
+    s = int(_plateau_orders(_abs_spectrum(_signs(f.table)), f.n))
     return s if s >= 0 else None
 
 
@@ -405,7 +408,7 @@ def is_balanced(f: BoolFn) -> bool:
 
 def ext_walsh_spectrum(f: BoolFn) -> Counter:
     """Multiset {|W_f(b)|} as a Counter; invariant under EA maps."""
-    vals, counts = np.unique(_abs_spectrum(f.table), return_counts=True)
+    vals, counts = np.unique(_abs_spectrum(_signs(f.table)), return_counts=True)
     return Counter(dict(zip((int(v) for v in vals), (int(c) for c in counts))))
 
 

@@ -7,7 +7,7 @@ Restricting f to the cosets gives four functions on n - 2 variables;
 for bent f the four are all bent exactly when D_u D_v f* is constant 1
 and all semibent exactly when it is constant 0.  One plane is
 classified from both sides: one transform of its four coset tables and
-one second derivative of the dual.  A batch of planes is classified
+D_v(D_u f*) in two gathers of the dual.  A batch of planes is classified
 from the restrictions alone, in chunks of a fixed number of table
 entries, each chunk with one transform of all its coset tables.  The
 scan of every plane labels them from the dual side alone and returns
@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfn import (_CHUNK_ENTRIES, BoolFn, Space, _abs_spectrum, _derivative_autocorrelation,
-                     _points, _second_derivative, dual, is_bent)
+                     _points, _second_derivative, _signs, dual, is_bent)
 from .errors import DomainError, ParameterError, ResourceError
-from .gf2 import FieldCtx, GpsParams, validate_gps_params
+from .gf2 import FieldCtx, GpsParams, _frozen, validate_gps_params
 from .construct import (PermTable, SubfieldFn, _check_gps, gpsap_trace_form, gpsap_vectorial,
                         spread_labels)
 from .vectorial import component
@@ -38,6 +38,12 @@ def _check_plane(n: int, u: int, v: int) -> None:
         raise ParameterError("u and v must be linearly independent")
 
 
+@functools.cache
+def _twice_parity(n: int) -> np.ndarray:
+    # 2 parity(x), read-only: the high bit of a coset pattern in one gather
+    return _frozen(_points(n)[1] << 1)
+
+
 def _coset_index(n: int, u, v) -> np.ndarray:
     """The (4 planes, 2^(n-2)) index array of the cosets of the planes
     given by the ints u, v or the int64 columns u, v: four rows per
@@ -45,7 +51,7 @@ def _coset_index(n: int, u, v) -> np.ndarray:
     each ascending.  Two axes, not three: numpy calls on small arrays
     cost less so."""
     x, parity = _points(n)
-    pattern = parity[x & u] << 1 | parity[x & v]
+    pattern = _twice_parity(n)[x & u] | parity[x & v]
     return pattern.argsort(kind="stable").reshape(-1, 1 << (n - 2))
 
 
@@ -80,6 +86,12 @@ def _plain_dual(f: BoolFn) -> BoolFn:
     return dual(f.with_space(None))
 
 
+@functools.lru_cache(maxsize=8)
+def _sign_table(f: BoolFn) -> np.ndarray:
+    # (-1)^f as int64, read-only: one gather makes coset tables to transform
+    return _frozen(_signs(f.table))
+
+
 # Codes of classify_planes and of the scan.  The status codes are bits,
 # so the AND over the four restrictions of a plane keeps the status they
 # share, which _CLASS_OF maps to its class.  Code i of CLASSES goes with
@@ -95,15 +107,15 @@ def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
     """Classify the coset decomposition of a bent function along u, v.
 
     The four restrictions are classified from one transform of f's own
-    coset tables, and D_u D_v f* from four gathers of the cached dual at
-    x + {0, u, v, u + v}.  The two sides are computed independently:
+    coset tables, and D_u D_v f* as D_v(D_u f*), two gathers of the
+    cached dual.  The two sides are computed independently:
     the restrictions agree with classify_planes on the one plane, and
     the dual side with the plane's scan label.
     """
     _check_plane(f.n, u, v)
     fstar = _fstar(f)
     n = f.n
-    peaks = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
+    peaks = np.bitwise_or.reduce(_abs_spectrum(_sign_table(f)[_coset_index(n, u, v)]), axis=1)
     s0, s1, s2, s3 = (_status(peak, n) for peak in peaks.tolist())
     return DecompositionReport(u, v, _CLASS_NAME[s0 & s1 & s2 & s3],
                                (STATUSES[s0], STATUSES[s1], STATUSES[s2], STATUSES[s3]),
@@ -133,11 +145,12 @@ def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray]:
     _fstar(f)   # the domain of classify_decomposition: bent, n >= 4
     n = f.n
     us, vs = us[:, None], vs[:, None]   # int64 columns, one row per plane
+    signs = _sign_table(f)
     step = max(1, _CHUNK_ENTRIES >> n)
     statuses, classes = [], []
     for i in range(0, max(us.shape[0], 1), step):  # no planes: one empty chunk
         u, v = us[i:i + step], vs[i:i + step]
-        peak = np.bitwise_or.reduce(_abs_spectrum(f.table[_coset_index(n, u, v)]), axis=1)
+        peak = np.bitwise_or.reduce(_abs_spectrum(signs[_coset_index(n, u, v)]), axis=1)
         status = _status(peak, n).reshape(-1, 4)
         statuses.append(status)
         classes.append(_CLASS_OF[np.bitwise_and.reduce(status, axis=1)])

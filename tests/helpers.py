@@ -4,13 +4,13 @@ Everything here is written from the definitions, deliberately avoiding
 the library's fast paths: double-sum Hadamard and Walsh transforms and
 autocorrelation, subset-sum ANF, schoolbook polynomial field arithmetic,
 a literal quadruple scan for the unique-subspace property and the
-shift-by-shift loop of its fast check, coset
-restrictions through an explicit basis and coset representatives,
-the plane scan as one record per plane, M-subspaces by testing every
-subspace and one subspace by every second derivative over it, the
-builders and the spread partition as loops over every point, and the
-character sums of criterion 11 as a loop over every (u, v) and every
-point of each part.  Slow and obvious on purpose.  `write_hex_records`
+shift-by-shift loop of its fast check, second derivatives as the
+four-term sum, coset restrictions through an explicit basis and coset
+representatives, the plane scan as one record per plane, M-subspaces by
+testing every subspace and one subspace by every second derivative over
+it, the builders and the spread partition as loops over every point,
+and the character sums of criterion 11 as a loop over every (u, v) and
+every point of each part.  Slow and obvious on purpose.  `write_hex_records`
 writes the .perm and .sf inputs, which the library reads but never writes.
 """
 
@@ -85,6 +85,12 @@ def span(basis) -> list[int]:
     return out
 
 
+def naive_second_derivative(table, a: int, b: int) -> list[int]:
+    """D_a D_b t(x) = t(x) + t(x + a) + t(x + b) + t(x + a + b), point by point."""
+    return [int(table[x]) ^ int(table[x ^ a]) ^ int(table[x ^ b]) ^ int(table[x ^ a ^ b])
+            for x in range(len(table))]
+
+
 def naive_restrict(table, u: int, v: int) -> list[list[int]]:
     """The four coset restrictions in pattern order (<u,x>, <v,x>) =
     (0,0), (0,1), (1,0), (1,1), each listed as r + span(basis) through
@@ -102,6 +108,15 @@ def naive_restrict(table, u: int, v: int) -> list[list[int]]:
         offsets += [o ^ b for o in offsets]
     return [[int(table[reps[pat] ^ o]) for o in offsets]
             for pat in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+
+@functools.cache
+def naive_coset_index(n: int) -> np.ndarray:
+    """naive_restrict of the points 0, ..., 2^n - 1 along every plane
+    of naive_planes(n), in that order: the (planes, 4, 2^(n-2)) indices
+    of the cosets.  Keyed by n alone, as the planes are all of V_n's."""
+    points = np.arange(1 << n)
+    return np.array([naive_restrict(points, u, v) for u, v in naive_planes(n)])
 
 
 def naive_planes(n: int) -> list[tuple[int, int]]:

@@ -37,7 +37,7 @@ from bentfn import (
     second_derivative,
     validate_gps_params,
 )
-from bentfn.decomp import CLASSES, _plain_dual
+from bentfn.decomp import CLASSES, _plain_dual, _sign_table
 
 from helpers import naive_restrict, naive_save_scan
 
@@ -206,6 +206,21 @@ def test_dual_cache_size_is_fixed():
         assert _report_tuple(classify_decomposition(f, 1, 6)) == _oracle_report(f, 1, 6)
         assert _plain_dual.cache_info().currsize <= limit
     assert _plain_dual.cache_info().currsize == limit
+
+
+def test_sign_table_cache_is_read_only_and_bounded():
+    # the restrictions gather from (-1)^f, cached per table like the dual
+    limit = _sign_table.cache_parameters()["maxsize"]
+    assert limit is not None
+    _sign_table.cache_clear()
+    for a in range(2 * limit):
+        f = QUAD ^ BoolFn([(a & x).bit_count() & 1 for x in range(16)])
+        assert _report_tuple(classify_decomposition(f, 3, 12)) == _oracle_report(f, 3, 12)
+        assert _sign_table.cache_info().currsize <= limit
+        signs = _sign_table(f)
+        assert not signs.flags.writeable
+        assert signs.tolist() == [(-1) ** int(t) for t in f.table]
+    assert _sign_table.cache_info().currsize == limit
 
 
 def test_classify_work_counters(monkeypatch):

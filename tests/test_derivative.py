@@ -24,7 +24,8 @@ from bentfn.construct import PermTable, build_cor_ex, mm
 from bentfn.derivative import _CompatRows, _run_search, _search
 from bentfn.verify import corpus
 
-from helpers import is_M_subspace, naive_M_subspaces, naive_walsh, random_invertible, span
+from helpers import (is_M_subspace, naive_M_subspaces, naive_second_derivative, naive_walsh,
+                     random_invertible, span)
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -77,6 +78,28 @@ def test_second_derivative_symmetry():
     assert rows.shape == (5, 16)
     for row, u, v in zip(rows, us.tolist(), vs.tolist()):
         assert np.array_equal(row, second_derivative(f, u, v).table)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_second_derivative_matches_four_term_sum(n):
+    # ints, int64 columns (one row per pair) and both mixes of the two
+    rng = XorShift64Star(200 + n)
+    f = rand_fn(rng, n)
+    size = 1 << n
+    us = np.array([rng.randrange(size) for _ in range(6)], dtype=np.int64)
+    vs = np.array([rng.randrange(size) for _ in range(6)], dtype=np.int64)
+    want = np.array([naive_second_derivative(f.table, u, v)
+                     for u, v in zip(us.tolist(), vs.tolist())], dtype=np.uint8)
+    for u, v, row in zip(us.tolist(), vs.tolist(), want):
+        assert np.array_equal(_second_derivative(f.table, u, v), row), (u, v)
+    assert np.array_equal(_second_derivative(f.table, us[:, None], vs[:, None]), want)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        # one int against a column of every vector, both ways round
+        both = np.array([naive_second_derivative(f.table, u, w) for w in range(size)])
+        assert np.array_equal(_second_derivative(f.table, u, np.arange(size)[:, None]), both)
+        assert np.array_equal(_second_derivative(f.table, np.arange(size)[:, None], u), both)
+        assert np.array_equal(_second_derivative(f.table, us[:, None], v),
+                              [naive_second_derivative(f.table, w, v) for w in us.tolist()])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])

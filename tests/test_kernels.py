@@ -58,7 +58,7 @@ from bentfn.verify import GPS_GRID, _planes
 from helpers import (SlowField, character_sums_loop, factors_through_subfield_trace_loop,
                      fhat_loop, g_lambda_loop, gmm_dual_loop, gmm_loop, gpsap_dual_formula_loop,
                      gpsap_loop, gpsap_trace_form_loop, gpsap_vectorial_loop,
-                     naive_autocorrelation, naive_planes, naive_restrict, naive_save_scan,
+                     naive_autocorrelation, naive_coset_index, naive_planes, naive_save_scan,
                      naive_scan, partition_loop, property_P_loop, psap_loop, psffff_loop,
                      random_invertible, slow_tables, spread_sets_loop, subfield_pairing_loop,
                      subfield_trace_loop, trace_sum_loop, two_block_table)
@@ -335,17 +335,6 @@ def _classifier_functions():
             gpsap_trace_form(ctx4, pr, PermTable.identity(4))]
 
 
-_NAIVE_INDEX = {}
-
-
-def _naive_coset_index(n, us, vs):
-    if n not in _NAIVE_INDEX:
-        points = np.arange(1 << n)
-        _NAIVE_INDEX[n] = np.array([naive_restrict(points, u, v)
-                                    for u, v in zip(us.tolist(), vs.tolist())])
-    return _NAIVE_INDEX[n]
-
-
 @pytest.mark.parametrize("which", range(5))
 def test_batched_classifier_matches_planes_one_by_one(which):
     f = _classifier_functions()[which]
@@ -362,7 +351,7 @@ def test_batched_classifier_matches_planes_one_by_one(which):
             CLASSES[cls[i]], CONSTANCY[scan.codes[i]]), (u, v)
     # the restrictions behind the statuses are the basis-oracle ones
     index = _coset_index(f.n, us[:, None], vs[:, None]).reshape(us.size, 4, -1)
-    assert np.array_equal(index, _naive_coset_index(f.n, us, vs))
+    assert np.array_equal(index, naive_coset_index(f.n))
 
 
 def test_classify_planes_edges():
