@@ -339,16 +339,12 @@ def _points(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, parity
 
 
-def _second_derivative(table: np.ndarray, a, b) -> np.ndarray:
+def _second_derivative(table: np.ndarray, a: int, b: int) -> np.ndarray:
     """D_a D_b t(x) = t(x) + t(x + a) + t(x + b) + t(x + a + b) of a bit
-    table t, for the ints a, b, or for the int64 columns a, b (one row
-    per pair of directions), as a new array.  Two gathers, as D_a D_b t =
-    D_b(D_a t); a column a makes D_a t one row per pair."""
+    table t, as a new array.  Two gathers, as D_a D_b t = D_b(D_a t)."""
     x = _points(table.size.bit_length() - 1)[0]
     d = table ^ table[x ^ a]
-    if d.ndim == 1:
-        return d ^ d[x ^ b]
-    return d ^ np.take_along_axis(d, np.broadcast_to(x ^ b, d.shape), axis=-1)
+    return d ^ d[x ^ b]
 
 
 def _derivative_spectrum(table: np.ndarray, a) -> np.ndarray:

@@ -79,17 +79,16 @@ class DecompositionReport(NamedTuple):
 
 
 @functools.lru_cache(maxsize=8)
-def _plain_dual(f: BoolFn) -> BoolFn:
+def _dual_and_signs(f: BoolFn) -> tuple[np.ndarray, np.ndarray]:
+    """The plain dual table of a bent function with n >= 4 variables,
+    and (-1)^f as int64, both read-only."""
     # the cosets are cut out by plain dot products, so the matching
     # closed form needs the dual in the same plain pairing; BoolFn
-    # hashes by table, so one table has one entry whatever its Space
-    return dual(f.with_space(None))
-
-
-@functools.lru_cache(maxsize=8)
-def _sign_table(f: BoolFn) -> np.ndarray:
-    # (-1)^f as int64, read-only: one gather makes coset tables to transform
-    return _frozen(_signs(f.table))
+    # hashes by table, so one table has one entry whatever its Space.
+    # One gather of the signs makes the coset tables to transform.
+    if f.n < 4:
+        raise DomainError(f"a decomposition needs n >= 4 variables, got n={f.n}")
+    return dual(f.with_space(None)).table, _frozen(_signs(f.table))
 
 
 # Codes of classify_planes and of the scan.  The status codes are bits,
@@ -113,9 +112,9 @@ def classify_decomposition(f: BoolFn, u: int, v: int) -> DecompositionReport:
     the dual side with the plane's scan label.
     """
     _check_plane(f.n, u, v)
-    fstar = _fstar(f)
+    fstar, signs = _dual_and_signs(f)
     n = f.n
-    peaks = np.bitwise_or.reduce(_abs_spectrum(_sign_table(f)[_coset_index(n, u, v)]), axis=1)
+    peaks = np.bitwise_or.reduce(_abs_spectrum(signs[_coset_index(n, u, v)]), axis=1)
     s0, s1, s2, s3 = (_status(peak, n) for peak in peaks.tolist())
     return DecompositionReport(u, v, _CLASS_NAME[s0 & s1 & s2 & s3],
                                (STATUSES[s0], STATUSES[s1], STATUSES[s2], STATUSES[s3]),
@@ -142,10 +141,9 @@ def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("u and v must be nonzero n-bit values")
     if (us == vs).any():
         raise ParameterError("u and v must be linearly independent")
-    _fstar(f)   # the domain of classify_decomposition: bent, n >= 4
+    signs = _dual_and_signs(f)[1]   # the domain of classify_decomposition: bent, n >= 4
     n = f.n
     us, vs = us[:, None], vs[:, None]   # int64 columns, one row per plane
-    signs = _sign_table(f)
     step = max(1, _CHUNK_ENTRIES >> n)
     statuses, classes = [], []
     for i in range(0, max(us.shape[0], 1), step):  # no planes: one empty chunk
@@ -155,13 +153,6 @@ def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray]:
         statuses.append(status)
         classes.append(_CLASS_OF[np.bitwise_and.reduce(status, axis=1)])
     return np.concatenate(statuses), np.concatenate(classes)
-
-
-def _fstar(f: BoolFn) -> np.ndarray:
-    """The plain dual table of a bent function with n >= 4 variables."""
-    if f.n < 4:
-        raise DomainError(f"a decomposition needs n >= 4 variables, got n={f.n}")
-    return _plain_dual(f).table
 
 
 def _status(peak, n: int):
@@ -386,7 +377,7 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
     # the autocorrelation of D_b1 f* at b2 labels the plane (b1, b2);
     # the b1 of a chunk go through one batched call.  b1 < b2 < b1 ^ b2
     # puts the top bit in b2, so only b1 < 2^(n-1) holds a plane
-    fstar = _fstar(f)
+    fstar = _dual_and_signs(f)[0]
     size = 1 << n
     total = (size - 1) * (size - 2) // 6
     basis1 = np.empty(total, dtype=np.int32)

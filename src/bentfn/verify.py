@@ -19,6 +19,7 @@ generator so a seed pins the whole suite.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -106,18 +107,29 @@ def _gmm_cases(seed: int):
     return out
 
 
-def _grid_builds():
-    """All gpsap grid outputs: (label, params, function)."""
+@functools.cache
+def _degree_law_builds():
+    """psap at m = 2..5 and every GPS_GRID output: (label, m, function)."""
     out = []
+    for m in (2, 3, 4, 5):
+        ctx = make_field(m)
+        out.append((f"psap m={m}", m, psap(ctx, SubfieldFn.trace_form(ctx, m))))
     for m, k, e in GPS_GRID:
         ctx = make_field(m)
         pr = validate_gps_params(m, k, e)
         P = grid_P(ctx, m, k, e)
         for ori in ("f", "g"):
             for c0 in (0, 1):
-                out.append((f"gpsap({m},{k},{e}) {ori} c0={c0}", pr,
+                out.append((f"gpsap({m},{k},{e}) {ori} c0={c0}", m,
                             gpsap(ctx, pr, P, c0, ori)))
-    return out
+    return tuple(out)
+
+
+@functools.cache
+def _cor_ex_builds():
+    """The two out-of-class examples: (label, function)."""
+    return (("cor-ex1 (4,1)", build_cor_ex(make_field(4), 4, 1, "inverse")),
+            ("cor-ex2 (5,2)", build_cor_ex(make_field(5), 5, 2, "gold", gold_k=1)))
 
 
 def _trace_form_cases():
@@ -137,21 +149,16 @@ def _trace_form_cases():
     return cases
 
 
-def corpus(seed: int = 0):
-    """Every bent function asserted by check 1, with labels."""
-    fns = []
-    for m in (2, 3, 4, 5):
-        ctx = make_field(m)
-        fns.append((f"psap m={m}", psap(ctx, SubfieldFn.trace_form(ctx, m))))
-    for label, _, f in _grid_builds():
-        fns.append((label, f))
+@functools.cache
+def corpus(seed: int = 0) -> tuple:
+    """Every bent function asserted by check 1, with labels; built once
+    per seed in a process."""
+    fns = [(label, f) for label, _, f in _degree_law_builds()]
     for label, ctx, pr, Q in _trace_form_cases():
         fns.append((label, gpsap_trace_form(ctx, pr, Q)))
     for k, n, fam in _gmm_cases(seed):
         fns.append((f"gmm k={k} n={n}", gmm(make_field(k), k, fam)))
-    fns.append(("cor-ex1 (4,1)", build_cor_ex(make_field(4), 4, 1, "inverse")))
-    fns.append(("cor-ex2 (5,2)", build_cor_ex(make_field(5), 5, 2, "gold",
-                                              gold_k=1)))
+    fns += _cor_ex_builds()
     for m in (3, 5):
         ctx = make_field(m)
         P = SubfieldFn.identity_perm(ctx, 1)
@@ -161,7 +168,7 @@ def corpus(seed: int = 0):
         pr = validate_gps_params(m, k, e)
         fns.append((f"partition ({m},{k})",
                     partition_bent(ctx, pr, _odd_quadruple_assignment(ctx, k))))
-    return fns
+    return tuple(fns)
 
 
 # -- the twelve checks ----------------------------------------------------------
@@ -176,31 +183,20 @@ def _c01_bentness(level, seed):
 
 
 def _c02_degree(level, seed):
-    bad = []
-    count = 0
-    for m in (2, 3, 4, 5):
-        ctx = make_field(m)
-        f = psap(ctx, SubfieldFn.trace_form(ctx, m))
-        count += 1
-        if anf_degree(f) != m:
-            bad.append(f"psap m={m}: {anf_degree(f)}")
-    for label, pr, f in _grid_builds():
-        count += 1
-        if anf_degree(f) != pr.m:
-            bad.append(f"{label}: {anf_degree(f)}")
+    fns = _degree_law_builds()
+    bad = [f"{label}: {anf_degree(f)}" for label, m, f in fns if anf_degree(f) != m]
     if bad:
         return False, "degree != m for: " + "; ".join(bad)
-    return True, f"{count} functions at the extremal degree"
+    return True, f"{len(fns)} functions at the extremal degree"
 
 
 def _c03_outside_mm(level, seed):
-    f = build_cor_ex(make_field(4), 4, 1, "inverse")
+    (_, f), (_, g) = _cor_ex_builds()
     found5 = has_M_subspace(f, 5)
     li = linearity_index(f)
     ok = (not found5) and li <= 4
     detail = f"(4,1) dim-10: dim-5 subspace {'found' if found5 else 'absent'}, index {li}"
     if level == "full":
-        g = build_cor_ex(make_field(5), 5, 2, "gold", gold_k=1)
         found7 = has_M_subspace(g, 7)
         ok = ok and not found7
         detail += f"; (5,2) dim-14: dim-7 subspace {'found' if found7 else 'absent'}"
@@ -266,18 +262,14 @@ def _c05_trace_sum(level, seed):
 
 
 def _c06_duals(level, seed):
+    fns = dict(corpus(seed))
     for k, n, fam in _gmm_cases(seed):
-        ck = make_field(k)
-        if dual(gmm(ck, k, fam)) != gmm_dual(ck, k, fam):
+        if dual(fns[f"gmm k={k} n={n}"]) != gmm_dual(make_field(k), k, fam):
             return False, f"combiner dual formula mismatch at k={k}, n={n}"
-    for m, k, e in ((4, 2, 2), (6, 3, 11)):
-        ctx = make_field(m)
-        pr = validate_gps_params(m, k, e)
-        Q = PermTable.identity(m)
-        if dual(gpsap_trace_form(ctx, pr, Q)) != gpsap_dual_formula(ctx, pr, Q):
-            return False, f"spread dual formula mismatch at ({m},{k},{e})"
-    fns = corpus(seed)
-    for label, f in fns:
+    for label, ctx, pr, Q in _trace_form_cases():
+        if dual(fns[label]) != gpsap_dual_formula(ctx, pr, Q):
+            return False, f"spread dual formula mismatch at ({pr.m},{pr.k},{pr.e})"
+    for label, f in fns.items():
         if dual(dual(f)) != f:
             return False, f"dual involution fails on {label}"
     return True, (f"combiner and spread closed-form duals match the transform; "
@@ -287,13 +279,12 @@ def _c06_duals(level, seed):
 def _c07_trichotomy(level, seed):
     quad = [((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1) for i in range(16)]
     ctx3 = make_field(3)
-    ctx4 = make_field(4)
-    pr = validate_gps_params(4, 2, 2)
+    built = {label: f for label, _, f in _degree_law_builds()}
     cases = [
         ("x1x2+x3x4", BoolFn(quad)),
         ("two-block m=3", mm(ctx3, PermTable.inverse_map(ctx3))),
-        ("psap m=3", psap(ctx3, SubfieldFn.trace_form(ctx3, 3))),
-        ("gpsap (4,2,2)", gpsap(ctx4, pr, SubfieldFn.trace_form(ctx4, 2))),
+        ("psap m=3", built["psap m=3"]),
+        ("gpsap (4,2,2)", built["gpsap(4,2,2) f c0=0"]),
     ]
     planes = 0
     for label, f in cases:

@@ -8,6 +8,8 @@ small cases through the deliberately slow oracles in helpers.py so the
 gate does not rest solely on the library's own fast paths.
 """
 
+import sys
+
 import numpy as np
 
 from bentfn import (
@@ -156,12 +158,49 @@ FULL_DETAILS = {
 
 
 def test_detail_strings_pinned():
-    results = run_suite("fast", seed=0)
-    assert {r.cid: r.detail for r in results} == FAST_DETAILS
-    assert all(r.passed for r in results)
+    # the corpus is memoised per seed; another seed reads the same details
+    for seed in (0, 1):
+        results = run_suite("fast", seed=seed)
+        assert {r.cid: r.detail for r in results} == FAST_DETAILS, seed
+        assert all(r.passed for r in results)
     for cid, detail in FULL_DETAILS.items():
         r = run_criterion(cid, level="full", seed=0)
         assert r.passed and r.detail == detail
+
+
+def test_corpus_is_built_once_per_seed():
+    assert corpus(0) is corpus(0)
+    zero, one = corpus(0), corpus(1)
+    assert [label for label, _ in zero] == [label for label, _ in one]
+    assert ([label for (label, f), (_, g) in zip(zero, one) if f != g]
+            == [label for label, _ in zero if label.startswith("gmm ")])
+
+
+def test_suite_builds_each_instance_once(monkeypatch):
+    # every call of these builders in one fast suite from cleared caches,
+    # the library's own included (psap calls gpsap, build_cor_ex gmm)
+    import bentfn.verify as verify
+
+    names = ("gpsap", "gmm", "build_cor_ex", "psffff", "partition_bent")
+    counts = dict.fromkeys(names, 0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bentfn"]
+    for name in names:
+        orig = getattr(verify, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    for val in vars(verify).values():
+        if getattr(val, "__module__", None) == verify.__name__ and hasattr(val, "cache_clear"):
+            val.cache_clear()
+    assert all(r.passed for r in run_suite("fast", seed=0))
+    assert counts == {"gpsap": 20, "gmm": 6, "build_cor_ex": 2, "psffff": 2,
+                      "partition_bent": 2}
 
 
 def test_corpus_spans_every_family():

@@ -37,7 +37,7 @@ from bentfn import (
     second_derivative,
     validate_gps_params,
 )
-from bentfn.decomp import CLASSES, _plain_dual, _sign_table
+from bentfn.decomp import CLASSES, _dual_and_signs
 
 from helpers import naive_restrict, naive_save_scan
 
@@ -169,11 +169,11 @@ def test_classify_matches_slow_oracle(which):
 def test_dual_cache_alternating_functions():
     f1, f2 = _c07_functions()[1:]
     assert f1 != f2
-    _plain_dual.cache_clear()
+    _dual_and_signs.cache_clear()
     for u, v in ((1, 2), (3, 12), (7, 56), (5, 40), (9, 18), (6, 48)):
         for f in (f1, f2, f1):
             assert _report_tuple(classify_decomposition(f, u, v)) == _oracle_report(f, u, v)
-    assert _plain_dual.cache_info().currsize == 2
+    assert _dual_and_signs.cache_info().currsize == 2
 
 
 def test_dual_cache_ignores_space():
@@ -186,41 +186,32 @@ def test_dual_cache_ignores_space():
     g = f.with_space(Space.bits(4))
     assert f.space != g.space and dual(f) != dual(g)
     for first, second in ((f, g), (g, f)):
-        _plain_dual.cache_clear()
+        _dual_and_signs.cache_clear()
         for u in range(1, 16):
             for v in range(u + 1, 16):
                 want = _oracle_report(g, u, v)
                 assert _report_tuple(classify_decomposition(first, u, v)) == want
                 assert _report_tuple(classify_decomposition(second, u, v)) == want
-        assert _plain_dual.cache_info().currsize == 1
+        assert _dual_and_signs.cache_info().currsize == 1
 
 
-def test_dual_cache_size_is_fixed():
-    limit = _plain_dual.cache_parameters()["maxsize"]
+def test_dual_cache_is_read_only_and_bounded():
+    # one entry per table holds the dual and (-1)^f, which the
+    # restrictions gather from
+    limit = _dual_and_signs.cache_parameters()["maxsize"]
     assert limit is not None
-    _plain_dual.cache_clear()
+    _dual_and_signs.cache_clear()
     # QUAD plus each linear function: more distinct bent functions than
     # the cache holds
     for a in range(2 * limit):
         f = QUAD ^ BoolFn([(a & x).bit_count() & 1 for x in range(16)])
-        assert _report_tuple(classify_decomposition(f, 1, 6)) == _oracle_report(f, 1, 6)
-        assert _plain_dual.cache_info().currsize <= limit
-    assert _plain_dual.cache_info().currsize == limit
-
-
-def test_sign_table_cache_is_read_only_and_bounded():
-    # the restrictions gather from (-1)^f, cached per table like the dual
-    limit = _sign_table.cache_parameters()["maxsize"]
-    assert limit is not None
-    _sign_table.cache_clear()
-    for a in range(2 * limit):
-        f = QUAD ^ BoolFn([(a & x).bit_count() & 1 for x in range(16)])
-        assert _report_tuple(classify_decomposition(f, 3, 12)) == _oracle_report(f, 3, 12)
-        assert _sign_table.cache_info().currsize <= limit
-        signs = _sign_table(f)
-        assert not signs.flags.writeable
+        for u, v in ((1, 6), (3, 12)):
+            assert _report_tuple(classify_decomposition(f, u, v)) == _oracle_report(f, u, v)
+        assert _dual_and_signs.cache_info().currsize <= limit
+        fstar, signs = _dual_and_signs(f)
+        assert not fstar.flags.writeable and not signs.flags.writeable
         assert signs.tolist() == [(-1) ** int(t) for t in f.table]
-    assert _sign_table.cache_info().currsize == limit
+    assert _dual_and_signs.cache_info().currsize == limit
 
 
 def test_classify_work_counters(monkeypatch):
@@ -249,7 +240,7 @@ def test_classify_work_counters(monkeypatch):
     monkeypatch.setattr(bentfn.decomp, "dual", counted_dual)
     ctx = make_field(3)
     for f in (QUAD, mm(ctx, PermTable.inverse_map(ctx))):
-        _plain_dual.cache_clear()
+        _dual_and_signs.cache_clear()
         counts.update(fwht=0, dual=0)
         size = 1 << f.n
         planes = [(u, v) for u in range(1, size) for v in range(u + 1, size) if u ^ v > v]

@@ -71,35 +71,17 @@ def test_second_derivative_symmetry():
             assert d2.table.tolist() == [t[x] ^ t[x ^ a] ^ t[x ^ b] ^ t[x ^ a ^ b]
                                          for x in range(16)]
     assert not second_derivative(f, 3, 3).table.any()
-    # the batched kernel: one row per pair of int64 columns
-    us = np.array([1, 3, 6, 9, 15], dtype=np.int64)
-    vs = np.array([2, 5, 6, 12, 1], dtype=np.int64)
-    rows = _second_derivative(f.table, us[:, None], vs[:, None])
-    assert rows.shape == (5, 16)
-    for row, u, v in zip(rows, us.tolist(), vs.tolist()):
-        assert np.array_equal(row, second_derivative(f, u, v).table)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_second_derivative_matches_four_term_sum(n):
-    # ints, int64 columns (one row per pair) and both mixes of the two
     rng = XorShift64Star(200 + n)
     f = rand_fn(rng, n)
     size = 1 << n
-    us = np.array([rng.randrange(size) for _ in range(6)], dtype=np.int64)
-    vs = np.array([rng.randrange(size) for _ in range(6)], dtype=np.int64)
-    want = np.array([naive_second_derivative(f.table, u, v)
-                     for u, v in zip(us.tolist(), vs.tolist())], dtype=np.uint8)
-    for u, v, row in zip(us.tolist(), vs.tolist(), want):
-        assert np.array_equal(_second_derivative(f.table, u, v), row), (u, v)
-    assert np.array_equal(_second_derivative(f.table, us[:, None], vs[:, None]), want)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        # one int against a column of every vector, both ways round
-        both = np.array([naive_second_derivative(f.table, u, w) for w in range(size)])
-        assert np.array_equal(_second_derivative(f.table, u, np.arange(size)[:, None]), both)
-        assert np.array_equal(_second_derivative(f.table, np.arange(size)[:, None], u), both)
-        assert np.array_equal(_second_derivative(f.table, us[:, None], v),
-                              [naive_second_derivative(f.table, w, v) for w in us.tolist()])
+    for _ in range(6):
+        u, v = rng.randrange(size), rng.randrange(size)
+        assert np.array_equal(_second_derivative(f.table, u, v),
+                              naive_second_derivative(f.table, u, v)), (u, v)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -114,12 +96,12 @@ def test_compat_rows_match_second_derivatives(n):
         rows = _CompatRows(f)
         for a in range(1, 1 << n):
             row = rows.row(a)
-            assert np.array_equal(row, ~_second_derivative(f.table, a, x[:, None]).any(axis=1))
+            d = f.table ^ f.table[x ^ a]   # D_a f
+            assert np.array_equal(row, ~(d ^ d[x[:, None] ^ x]).any(axis=1))
             # the row is the orthogonal complement of the span of the
             # Walsh support of D_a f, and the search's root bound reads
             # its size off that support (the double sum in Python up to
             # n = 6, as one product with the sign matrix above)
-            d = derivative(f, a).table
             walsh = naive_walsh(d) if n <= 6 else sign @ (1 - 2 * d.astype(np.int64))
             supp = [u for u, w in enumerate(walsh) if w]
             perp = np.flatnonzero((sign[:, gf2vec.rref(supp)] == 1).all(axis=1))
