@@ -195,9 +195,7 @@ def test_dual_cache_ignores_space():
         assert _dual_and_signs.cache_info().currsize == 1
 
 
-def test_dual_cache_is_read_only_and_bounded():
-    # one entry per table holds the dual and (-1)^f, which the
-    # restrictions gather from
+def test_dual_cache_size_is_fixed():
     limit = _dual_and_signs.cache_parameters()["maxsize"]
     assert limit is not None
     _dual_and_signs.cache_clear()
@@ -205,8 +203,19 @@ def test_dual_cache_is_read_only_and_bounded():
     # the cache holds
     for a in range(2 * limit):
         f = QUAD ^ BoolFn([(a & x).bit_count() & 1 for x in range(16)])
-        for u, v in ((1, 6), (3, 12)):
-            assert _report_tuple(classify_decomposition(f, u, v)) == _oracle_report(f, u, v)
+        assert _report_tuple(classify_decomposition(f, 1, 6)) == _oracle_report(f, 1, 6)
+        assert _dual_and_signs.cache_info().currsize <= limit
+    assert _dual_and_signs.cache_info().currsize == limit
+
+
+def test_sign_table_cache_is_read_only_and_bounded():
+    # the restrictions gather from (-1)^f, cached per table with the dual
+    limit = _dual_and_signs.cache_parameters()["maxsize"]
+    assert limit is not None
+    _dual_and_signs.cache_clear()
+    for a in range(2 * limit):
+        f = QUAD ^ BoolFn([(a & x).bit_count() & 1 for x in range(16)])
+        assert _report_tuple(classify_decomposition(f, 3, 12)) == _oracle_report(f, 3, 12)
         assert _dual_and_signs.cache_info().currsize <= limit
         fstar, signs = _dual_and_signs(f)
         assert not fstar.flags.writeable and not signs.flags.writeable
