@@ -32,9 +32,9 @@ _PUBLIC = {
                   "gpsap_vectorial", "load_perm", "load_subfield_fn", "mm",
                   "psap", "spread_labels", "trace_sum_nonconstant"),
     "decomp": ("DecompositionReport", "PlaneScan", "ScanRecord",
-               "check_ftof_equivalence", "classify_decomposition", "concat4",
-               "concat_bent_check", "partition_bent", "psffff",
-               "restrict_to_cosets", "save_scan", "scan_decompositions"),
+               "classify_decomposition", "concat4", "concat_bent_check",
+               "partition_bent", "psffff", "restrict_to_cosets", "save_scan",
+               "scan_decompositions"),
     "verify": ("CriterionResult", "run_criterion", "run_suite"),
 }
 

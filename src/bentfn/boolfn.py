@@ -98,12 +98,9 @@ class Space:
     def is_plain(self) -> bool:
         return all(tag[0] == "bits" for tag in self.signature)
 
-    def dualmask(self, b: int) -> int:
-        """The mask g(b) with <b, x> = parity(g(b) & x)."""
-        return int(self.perm()[b])
-
     def perm(self) -> np.ndarray:
-        """dualmask as a read-only index array over the whole space (cached)."""
+        """The masks g(b) with <b, x> = parity(g(b) & x), as a read-only
+        index array over the whole space (cached)."""
         if self._perm is None:
             self._perm = _frozen(_linear_image(self._cols))
         return self._perm

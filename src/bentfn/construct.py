@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (_MAX_N, BoolFn, Space, _derivative_autocorrelation, _field_pairing,
-                     _fwht_inplace, _hex_values, _read_records, dual, is_bent)
+from .boolfn import (BoolFn, Space, _derivative_autocorrelation, _field_pairing, _fwht_inplace,
+                     _hex_values, _read_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
-from .gf2 import FieldCtx, GpsParams, _frozen, make_field, validate_gps_params
+from .gf2 import _MAX_DEGREE, FieldCtx, GpsParams, _frozen, make_field, validate_gps_params
 from .rng import XorShift64Star
 from .vectorial import VecFn
 
@@ -454,7 +454,7 @@ def glambda_nonconstant(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> bool:
 
 def load_perm(path: str) -> PermTable:
     head, (m,), records = _read_records(path, "m")
-    if not 1 <= m <= _MAX_N:
+    if not 1 <= m <= _MAX_DEGREE:
         raise ParseError(f"field degree m={m} out of range", head)
     try:
         return PermTable(m, _hex_values(records))

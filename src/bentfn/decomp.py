@@ -26,8 +26,7 @@ from .boolfn import (_CHUNK_ENTRIES, BoolFn, Space, _abs_spectrum, _derivative_a
                      _points, _second_derivative, _signs, dual, is_bent)
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, _frozen, validate_gps_params
-from .construct import (PermTable, SubfieldFn, _check_gps, gpsap_trace_form, gpsap_vectorial,
-                        spread_labels)
+from .construct import PermTable, SubfieldFn, _check_gps, gpsap_vectorial, spread_labels
 from .vectorial import component
 
 
@@ -173,41 +172,40 @@ def _constancy(d2: np.ndarray) -> int:
     return 0 if ones == d2.size else 2 if ones else 1
 
 
-def check_ftof_equivalence(ctx: FieldCtx, params: GpsParams, Q: PermTable,
-                           a: int, b: int, c: int, d: int) -> bool:
-    """Test the substitution identity behind decomposing the spread
-    function f(x, y) = Tr(Q(x y^(-eta))) along u = (a, b), v = (c, d).
+def _constancy_codes(auto: np.ndarray, n: int) -> np.ndarray:
+    """Codes into CONSTANCY of D_a D_b t from the autocorrelation of
+    D_a t at b, for n-variable tables: 2^n is constant 0, -2^n constant
+    1, anything else not constant."""
+    size = 1 << n
+    return np.where(auto == size, 1, np.where(auto == -size, 0, 2))
 
-    For ad + bc != 0, the constancy class of D_u D_v f* must match the
-    constancy class of D_(1,0) D_(0,1) fhat, where
-    fhat(x, y) = Tr(Q((b~ x + d~ y)(a~ x + c~ y)^(-e))) and
-    t~ = t^(2^(m-ell)); fhat is the dual composed with a linear map
-    sending (1,0), (0,1) to u, v, so the classes agree identically.
-    """
-    if ctx.mul(a, d) ^ ctx.mul(b, c) == 0:
-        raise DomainError("ad + bc must be nonzero")
+
+def _substitution_codes(fstar: np.ndarray, ctx: FieldCtx, params: GpsParams, Q: PermTable,
+                        a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the substitution identity behind decomposing the
+    spread function f(x, y) = Tr(Q(x y^(-eta))), with dual table fstar,
+    along u = (a, b), v = (c, d), for int64 element arrays with
+    ad + bc != 0: the codes into CONSTANCY of D_u D_v f* and of
+    D_(1,0) D_(0,1) fhat.  fhat is the dual composed with a linear map
+    sending (1,0), (0,1) to u, v, so the two agree identically."""
     m = params.m
-    f = gpsap_trace_form(ctx, params, Q)
-    fstar = dual(f)
-    u = a + (b << m)
-    v = c + (d << m)
-    fhat = _fhat(ctx, params, Q, a, b, c, d)
-    lhs = _constancy(_second_derivative(fstar.table, u, v))
-    rhs = _constancy(_second_derivative(fhat.table, 1, 1 << m))
-    return lhs == rhs
+    lhs = _derivative_autocorrelation(fstar, a + (b << m))[np.arange(a.size), c + (d << m)]
+    rhs = _derivative_autocorrelation(_fhat(ctx, params, Q, a, b, c, d), 1)[:, 1 << m]
+    return _constancy_codes(lhs, 2 * m), _constancy_codes(rhs, 2 * m)
 
 
-def _fhat(ctx: FieldCtx, params: GpsParams, Q: PermTable,
-          a: int, b: int, c: int, d: int) -> BoolFn:
-    """fhat(x, y) = Tr(Q((b~ x + d~ y)(a~ x + c~ y)^(-e))), t~ = t^(2^(m-ell))."""
+def _fhat(ctx: FieldCtx, params: GpsParams, Q: PermTable, a, b, c, d) -> np.ndarray:
+    """fhat(x, y) = Tr(Q((b~ x + d~ y)(a~ x + c~ y)^(-e))), t~ = t^(2^(m-ell)),
+    as a bit table per substitution: (S, 2^(2m)) for element arrays of
+    S entries, one flat table for ints."""
     tilde = ctx.pow_table(1 << (params.m - params.ell))
-    at, bt, ct, dt = (int(tilde[t]) for t in (a, b, c, d))
+    at, bt, ct, dt = (tilde[t][..., None, None] for t in (a, b, c, d))
     x = ctx.elements[None, :]
     y = ctx.elements[:, None]
     num = ctx.mul_arr(bt, x) ^ ctx.mul_arr(dt, y)
     den = ctx.mul_arr(at, x) ^ ctx.mul_arr(ct, y)
     arg = ctx.mul_arr(num, ctx.pow_table(ctx.neg_exp(params.e))[den])
-    return BoolFn(ctx.trace_arr[Q.table[arg]].reshape(-1))
+    return ctx.trace_arr[Q.table[arg]].reshape(*np.shape(a), -1)
 
 
 def concat4(f1: BoolFn, f2: BoolFn, f3: BoolFn, f4: BoolFn) -> BoolFn:
@@ -393,8 +391,8 @@ def scan_decompositions(f: BoolFn, allow_large: bool = False) -> PlaneScan:
         end = done + u.size
         basis1[done:end] = u
         basis2[done:end] = v
-        # AllBent (-2^n) 0, AllSemibent (2^n) 1, Mixed 2
-        codes[done:end] = np.where(d == size, 1, np.where(d == -size, 0, 2))
+        # CONSTANCY code i is the code of CLASSES i
+        codes[done:end] = _constancy_codes(d, n)
         done = end
     return PlaneScan(basis1, basis2, codes)
 

@@ -50,7 +50,7 @@ def component(F: VecFn, alpha: int) -> BoolFn:
     """The Boolean function x -> <alpha, F(x)>."""
     if not 0 < alpha < 1 << F.k:
         raise DomainError(f"component index must be a nonzero {F.k}-bit value")
-    gmask = F.pairing.dualmask(alpha)
+    gmask = int(F.pairing.perm()[alpha])
     bits = (np.bitwise_count((F.table & gmask).astype(np.uint64)) & 1).astype(np.uint8)
     return BoolFn(bits, F.space)
 

@@ -57,10 +57,10 @@ from .decomp import (
     CONSTANCY,
     _odd_quadruple_assignment,
     _planes,
+    _substitution_codes,
     classify_planes,
     concat4,
     concat_bent_check,
-    check_ftof_equivalence,
     partition_bent,
     psffff,
     restrict_to_cosets,
@@ -95,6 +95,7 @@ def grid_P(ctx, m: int, k: int, e: int) -> SubfieldFn:
     return SubfieldFn.trace_form(ctx, k)
 
 
+@functools.cache
 def _gmm_cases(seed: int):
     """Deterministic finite-field combiner inputs: for k in {1, 2} and
     member dimension n in {2, 4}, a family of 2^k seeded bent functions."""
@@ -104,7 +105,7 @@ def _gmm_cases(seed: int):
             rng = XorShift64Star(seed ^ (k << 8) ^ n)
             fam = [_seeded_mm(n, rng) for _ in range(1 << k)]
             out.append((k, n, fam))
-    return out
+    return tuple(out)
 
 
 @functools.cache
@@ -132,21 +133,20 @@ def _cor_ex_builds():
             ("cor-ex2 (5,2)", build_cor_ex(make_field(5), 5, 2, "gold", gold_k=1)))
 
 
-def _trace_form_cases():
-    cases = []
-    for m, k, e in ((4, 2, 2), (6, 3, 11)):
-        ctx = make_field(m)
-        pr = validate_gps_params(m, k, e)
-        cases.append((f"trace-form({m},{k},{e}) Q=id", ctx, pr,
-                      PermTable.identity(m)))
-    for m, kp, e in ((3, 1, 1), (5, 2, 2)):
+@functools.cache
+def _trace_form_builds():
+    """The spread trace forms of the corpus, (4,2,2) with Q = identity
+    first: (label, ctx, params, Q, function)."""
+    out = []
+    for m, k, e, kp in ((4, 2, 2, 0), (6, 3, 11, 0), (3, 3, 1, 1), (5, 5, 2, 2)):
         # power maps x^(2^kp + 1) permute GF(2^m) here and compose with
         # the absolute trace, which trivially factors when k = m
         ctx = make_field(m)
-        pr = validate_gps_params(m, m, e)
-        cases.append((f"trace-form({m},{m},{e}) Q=x^{(1 << kp) + 1}", ctx, pr,
-                      PermTable.gold(ctx, kp)))
-    return cases
+        pr = validate_gps_params(m, k, e)
+        Q = PermTable.gold(ctx, kp) if kp else PermTable.identity(m)
+        name = f"x^{(1 << kp) + 1}" if kp else "id"
+        out.append((f"trace-form({m},{k},{e}) Q={name}", ctx, pr, Q, gpsap_trace_form(ctx, pr, Q)))
+    return tuple(out)
 
 
 @functools.cache
@@ -154,8 +154,7 @@ def corpus(seed: int = 0) -> tuple:
     """Every bent function asserted by check 1, with labels; built once
     per seed in a process."""
     fns = [(label, f) for label, _, f in _degree_law_builds()]
-    for label, ctx, pr, Q in _trace_form_cases():
-        fns.append((label, gpsap_trace_form(ctx, pr, Q)))
+    fns += [(label, f) for label, _, _, _, f in _trace_form_builds()]
     for k, n, fam in _gmm_cases(seed):
         fns.append((f"gmm k={k} n={n}", gmm(make_field(k), k, fam)))
     fns += _cor_ex_builds()
@@ -263,14 +262,15 @@ def _c05_trace_sum(level, seed):
 
 def _c06_duals(level, seed):
     fns = dict(corpus(seed))
+    duals = {label: dual(f) for label, f in fns.items()}
     for k, n, fam in _gmm_cases(seed):
-        if dual(fns[f"gmm k={k} n={n}"]) != gmm_dual(make_field(k), k, fam):
+        if duals[f"gmm k={k} n={n}"] != gmm_dual(make_field(k), k, fam):
             return False, f"combiner dual formula mismatch at k={k}, n={n}"
-    for label, ctx, pr, Q in _trace_form_cases():
-        if dual(fns[label]) != gpsap_dual_formula(ctx, pr, Q):
+    for label, ctx, pr, Q, _ in _trace_form_builds():
+        if duals[label] != gpsap_dual_formula(ctx, pr, Q):
             return False, f"spread dual formula mismatch at ({pr.m},{pr.k},{pr.e})"
     for label, f in fns.items():
-        if dual(dual(f)) != f:
+        if dual(duals[label]) != f:
             return False, f"dual involution fails on {label}"
     return True, (f"combiner and spread closed-form duals match the transform; "
                   f"dual of dual restores all {len(fns)} corpus functions")
@@ -321,27 +321,30 @@ def _c08_concat_rule(level, seed):
 
 
 def _c09_substitution(level, seed):
-    ctx = make_field(4)
-    pr = validate_gps_params(4, 2, 2)
-    Q = PermTable.identity(4)
+    # the (4,2,2) Q = identity trace form; both sides of all 50 seeded
+    # substitutions are classified in one batch
+    (_, ctx, pr, Q, f), *_ = _trace_form_builds()
     rng = XorShift64Star(seed ^ 0xF0F)
-    done = 0
-    while done < 50:
+    subs = []
+    while len(subs) < 50:
         a, b, c, d = (rng.randrange(16) for _ in range(4))
-        if ctx.mul(a, d) ^ ctx.mul(b, c) == 0:
-            continue
-        done += 1
-        if not check_ftof_equivalence(ctx, pr, Q, a, b, c, d):
-            return False, f"constancy classes differ at (a,b,c,d)=({a},{b},{c},{d})"
+        if ctx.mul(a, d) ^ ctx.mul(b, c):
+            subs.append((a, b, c, d))
+    lhs, rhs = _substitution_codes(dual(f).table, ctx, pr, Q, *np.array(subs).T)
+    bad = np.flatnonzero(lhs != rhs)
+    if bad.size:
+        a, b, c, d = subs[bad[0]]
+        return False, f"constancy classes differ at (a,b,c,d)=({a},{b},{c},{d})"
     return True, "50 admissible substitutions, both constancy tests agree"
 
 
 def _c10_semibent_planes(level, seed):
     details = []
-    for m, k, e in ((4, 2, 2), (5, 1, 3)):
-        ctx = make_field(m)
-        pr = validate_gps_params(m, k, e)
-        f = gpsap_trace_form(ctx, pr, PermTable.identity(m))
+    # the corpus's (4,2,2) member, and (5,1,3), which is not in the corpus
+    (_, _, pr4, _, f4), *_ = _trace_form_builds()
+    ctx5, pr5 = make_field(5), validate_gps_params(5, 1, 3)
+    for pr, f in ((pr4, f4), (pr5, gpsap_trace_form(ctx5, pr5, PermTable.identity(5)))):
+        m, k, e = pr.m, pr.k, pr.e
         us, vs = _planes(m)
         _, cls = classify_planes(f, us << m, vs << m)
         bad = np.flatnonzero(cls != CLASSES.index("AllSemibent"))

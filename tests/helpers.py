@@ -8,10 +8,11 @@ shift-by-shift loop of its fast check, second derivatives as the
 four-term sum, coset restrictions through an explicit basis and coset
 representatives, the plane scan as one record per plane, M-subspaces by
 testing every subspace and one subspace by every second derivative over
-it, the builders and the spread partition as loops over every point,
-and the character sums of criterion 11 as a loop over every (u, v) and
-every point of each part.  Slow and obvious on purpose.  `write_hex_records`
-writes the .perm and .sf inputs, which the library reads but never writes.
+it, the builders, the spread partition and both sides of the
+substitution identity as loops over every point, and the character
+sums of criterion 11 as a loop over every (u, v) and every point of
+each part.  Slow and obvious on purpose.  `write_hex_records` writes
+the .perm and .sf inputs, which the library reads but never writes.
 """
 
 from __future__ import annotations
@@ -610,6 +611,22 @@ def fhat_loop(ctx, params, Q, a: int, b: int, c: int, d: int) -> np.ndarray:
             den = T.mul[at][x] ^ T.mul[ct][y]
             out[x + (y << T.m)] = T.trace[Q.table[T.mul[num][pw[den]]]]
     return np.array(out, dtype=np.uint8)
+
+
+def ftof_classes_loop(ctx, params, Q, a: int, b: int, c: int, d: int) -> tuple[str, str]:
+    """The constancy classes of D_u D_v f* and of D_(1,0) D_(0,1) fhat for
+    the spread function f = Tr(Q(x y^(-eta))) and u = (a, b), v = (c, d):
+    f* by its closed form, both second derivatives as four-term sums.
+    The substitution identity says the two are equal when ad + bc != 0."""
+    m = params.m
+
+    def constancy(bits) -> str:
+        return "ConstantOne" if all(bits) else "NonConstant" if any(bits) else "ConstantZero"
+
+    fstar = gpsap_dual_formula_loop(ctx, params, Q)
+    fhat = fhat_loop(ctx, params, Q, a, b, c, d)
+    return (constancy(naive_second_derivative(fstar, a + (b << m), c + (d << m))),
+            constancy(naive_second_derivative(fhat, 1, 1 << m)))
 
 
 def trace_sum_loop(ctx, c: int, d: int) -> bool:

@@ -177,11 +177,14 @@ def test_corpus_is_built_once_per_seed():
 
 
 def test_suite_builds_each_instance_once(monkeypatch):
-    # every call of these builders in one fast suite from cleared caches,
-    # the library's own included (psap calls gpsap, build_cor_ex gmm)
+    # every call of these builders, and of dual, in one fast suite from
+    # cleared caches, the library's own included (psap calls gpsap,
+    # build_cor_ex gmm)
+    import bentfn.decomp as decomp
     import bentfn.verify as verify
 
-    names = ("gpsap", "gmm", "build_cor_ex", "psffff", "partition_bent")
+    names = ("gpsap", "gmm", "build_cor_ex", "psffff", "partition_bent",
+             "gpsap_trace_form", "dual")
     counts = dict.fromkeys(names, 0)
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bentfn"]
     for name in names:
@@ -198,9 +201,11 @@ def test_suite_builds_each_instance_once(monkeypatch):
     for val in vars(verify).values():
         if getattr(val, "__module__", None) == verify.__name__ and hasattr(val, "cache_clear"):
             val.cache_clear()
+    decomp._dual_and_signs.cache_clear()
     assert all(r.passed for r in run_suite("fast", seed=0))
+    # gpsap_trace_form: the corpus's four trace forms and criterion 10's (5,1,3)
     assert counts == {"gpsap": 20, "gmm": 6, "build_cor_ex": 2, "psffff": 2,
-                      "partition_bent": 2}
+                      "partition_bent": 2, "gpsap_trace_form": 5, "dual": 295}
 
 
 def test_corpus_spans_every_family():

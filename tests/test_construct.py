@@ -417,7 +417,8 @@ def test_subfield_fn_file_with_comments(tmp_path, data):
 
 def test_perm_file_degree_out_of_range(tmp_path):
     p = tmp_path / "bad.perm"
-    p.write_text("m=-1\n0\n")
-    with pytest.raises(ParseError) as exc:
-        load_perm(str(p))
-    assert exc.value.line == 1
+    for m in (-1, 0, 17):   # gf2's field degrees are 1..16
+        p.write_text(f"m={m}\n0\n")
+        with pytest.raises(ParseError) as exc:
+            load_perm(str(p))
+        assert exc.value.line == 1, m

@@ -17,7 +17,6 @@ from bentfn import (
     Space,
     SubfieldFn,
     XorShift64Star,
-    check_ftof_equivalence,
     classify_decomposition,
     concat4,
     concat_bent_check,
@@ -37,9 +36,9 @@ from bentfn import (
     second_derivative,
     validate_gps_params,
 )
-from bentfn.decomp import CLASSES, _dual_and_signs
+from bentfn.decomp import CLASSES, CONSTANCY, _dual_and_signs, _substitution_codes
 
-from helpers import naive_restrict, naive_save_scan
+from helpers import ftof_classes_loop, naive_restrict, naive_save_scan
 
 QUAD = BoolFn([((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
                for i in range(16)])
@@ -334,19 +333,24 @@ def test_concat4_shape_guard():
 
 
 def test_ftof_equivalence():
-    ctx = make_field(4)
-    pr = validate_gps_params(4, 2, 2)
-    Q = PermTable.identity(4)
-    rng = XorShift64Star(0x5D)
-    seen = 0
-    while seen < 10:
-        a, b, c, d = (rng.randrange(16) for _ in range(4))
-        if ctx.mul(a, d) ^ ctx.mul(b, c) == 0:
-            continue
-        assert check_ftof_equivalence(ctx, pr, Q, a, b, c, d)
-        seen += 1
-    with pytest.raises(DomainError):
-        check_ftof_equivalence(ctx, pr, Q, 1, 1, 1, 1)  # ad + bc = 0
+    # the batched codes of both sides against the loop oracle, on seeded
+    # admissible substitutions of the corpus's three spread trace forms
+    for m, k, e, kp in ((4, 2, 2, None), (3, 3, 1, 1), (5, 5, 2, 2)):
+        ctx = make_field(m)
+        pr = validate_gps_params(m, k, e)
+        Q = PermTable.identity(m) if kp is None else PermTable.gold(ctx, kp)
+        rng = XorShift64Star(0x5D ^ m)
+        subs = []
+        while len(subs) < 10:
+            a, b, c, d = (rng.randrange(ctx.size) for _ in range(4))
+            if ctx.mul(a, d) ^ ctx.mul(b, c):
+                subs.append((a, b, c, d))
+        fstar = dual(gpsap_trace_form(ctx, pr, Q)).table
+        lhs, rhs = _substitution_codes(fstar, ctx, pr, Q, *np.array(subs).T)
+        got = [(CONSTANCY[x], CONSTANCY[y]) for x, y in zip(lhs.tolist(), rhs.tolist())]
+        want = [ftof_classes_loop(ctx, pr, Q, *sub) for sub in subs]
+        assert got == want, (m, k, e)
+        assert (lhs == rhs).all(), (m, k, e)
 
 
 def test_psffff_guards_and_output():

@@ -130,8 +130,8 @@ def test_subfield_pairing_and_trace_match_schoolbook(m):
             continue
         sp = Space([(ctx, k)])
         assert sp.n == k
-        assert [sp.dualmask(1 << i) for i in range(k)] == subfield_pairing_loop(slow, k)
         perm = sp.perm()
+        assert [int(perm[1 << i]) for i in range(k)] == subfield_pairing_loop(slow, k)
         pairs = np.bitwise_count(perm[:, None] & np.arange(1 << k)) & 1
         assert (pairs == pairs.T).all()
         assert SubfieldFn.trace_form(ctx, k).values.tolist() == subfield_trace_loop(slow, k)[1]
@@ -307,8 +307,14 @@ def test_fhat_matches_loop():
         for pr in valid_params(m):
             for _ in range(3):
                 a, b, c, d = (int(t) for t in rng.integers(0, ctx.size, 4))
-                assert np.array_equal(_fhat(ctx, pr, Q, a, b, c, d).table,
+                assert np.array_equal(_fhat(ctx, pr, Q, a, b, c, d),
                                       fhat_loop(ctx, pr, Q, a, b, c, d)), (m, pr, a, b, c, d)
+            # element arrays: one table per substitution, in order
+            subs = rng.integers(0, ctx.size, (5, 4))
+            tables = _fhat(ctx, pr, Q, *subs.T)
+            assert tables.shape == (5, ctx.size ** 2)
+            for row, sub in zip(tables, subs.tolist()):
+                assert np.array_equal(row, fhat_loop(ctx, pr, Q, *sub)), (m, pr, sub)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
