@@ -128,11 +128,12 @@ class BoolFn:
     __slots__ = ("n", "table", "space")
 
     def __init__(self, table, space: Space | None = None):
-        tbl = np.asarray(table, dtype=np.uint8)
+        tbl = np.asarray(table)
         if tbl.ndim != 1 or tbl.size < 2 or tbl.size & (tbl.size - 1):
             raise DomainError(f"table length must be a power of two >= 2, got {tbl.size}")
-        if tbl.max(initial=0) > 1:
+        if not _entries_within(tbl, 1):
             raise DomainError("table entries must be bits")
+        tbl = np.asarray(tbl, dtype=np.uint8)
         n = int(tbl.size).bit_length() - 1
         if space is None:
             space = Space.bits(n)
@@ -324,6 +325,15 @@ def _check_vectors(n: int, *vectors) -> None:
     for v in vectors:
         if not 0 <= v < 1 << n:
             raise DomainError(f"{v} is not a vector of V_{n}")
+
+
+def _entries_within(tbl: np.ndarray, top: int) -> bool:
+    """Are the entries of tbl bools or integers in [0, top]?  Asked before
+    a cast, which would wrap or truncate them."""
+    kind = tbl.dtype.kind
+    if kind not in "biu":
+        return False   # floats, and objects such as ints beyond 64 bits
+    return kind == "b" or ((kind == "u" or int(tbl.min()) >= 0) and int(tbl.max()) <= top)
 
 
 @functools.cache

@@ -212,18 +212,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_msubspace(args) -> int:
     from .boolfn import load_table
-    from .derivative import enumerate_M_subspaces, linearity_index
+    from .derivative import _index_search, enumerate_M_subspaces
 
     f = load_table(args.path)
-    idx = linearity_index(f, dim_cap=args.max_dim, threads=args.threads)
-    report: dict = {"n": f.n, "index": idx}
-    if idx:
-        found = enumerate_M_subspaces(f, idx, threads=args.threads)
-        if not args.find_all:
-            found = found[:1]
-        report["count"] = len(found)
-        report["subspace"] = [" ".join(f"{b:#x}" for b in U.basis)
-                              for U in found]
+    res = _index_search(f, args.max_dim, args.threads)
+    report: dict = {"n": f.n, "index": res.best}
+    if res.best:
+        if args.find_all:
+            bases = [U.basis for U in enumerate_M_subspaces(f, res.best, threads=args.threads)]
+        else:
+            # the search's least chain, reversed: its subspace's reduced
+            # echelon basis, as enumerate_M_subspaces reads it
+            bases = [res.witness[::-1]]
+        report["count"] = len(bases)
+        report["subspace"] = [" ".join(f"{b:#x}" for b in basis) for basis in bases]
     _emit(report, args.json)
     return 0
 

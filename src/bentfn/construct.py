@@ -120,13 +120,16 @@ class SubfieldFn:
 
 
 def _int64_table(values) -> np.ndarray:
-    """A new read-only int64 array of the values.  An entry outside int64
-    reads as -1, so that it fails the same check (bijection, bits or
-    S_k) as any other value off range."""
-    try:
-        return _frozen(np.array(values, dtype=np.int64))
-    except OverflowError:
-        return _int64_table([v if -1 << 63 <= v < 1 << 63 else -1 for v in map(int, values)])
+    """A new read-only int64 array of the values.  An entry that is not an
+    integer, or lies outside int64, reads as -1, so that it fails the same
+    check (bijection, bits or S_k) as any other value off range."""
+    table = np.array(values)
+    if table.dtype.kind not in "biu":
+        # floats, and objects such as ints beyond 64 bits (numpy reads a
+        # list that holds 2^63 as floats): entry by entry
+        table = np.array([v if isinstance(v, (int, np.integer)) and -1 << 63 <= v < 1 << 63 else -1
+                          for v in table.ravel().tolist()]).reshape(table.shape)
+    return _frozen(table.astype(np.int64, copy=False))
 
 
 def _as_bit_table(g, size: int):

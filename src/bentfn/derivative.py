@@ -176,6 +176,12 @@ _QUARTER_SUM = np.array([4, 2, 0, -2, -4], dtype=np.int32)
 @dataclass
 class _SearchResult:
     best: int = 0
+    # the chain that first reached best.  The DFS takes chains in
+    # ascending order, and each prune drops only chains that cannot reach
+    # the dimension sought, which never exceeds the final best; so this
+    # is the least chain of that dimension, the one a search targeted
+    # there finds first
+    witness: tuple[int, ...] = ()
     found: list[tuple[int, ...]] = field(default_factory=list)
     done: bool = False
 
@@ -193,7 +199,8 @@ def _screen_width(n: int, goal: int) -> int:
 def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray,
          target: int | None, cap: int, find_all: bool, res: _SearchResult) -> None:
     d = len(basis)
-    res.best = max(res.best, d)
+    if d > res.best:
+        res.best, res.witness = d, tuple(basis)
     if target is not None and d == target:
         res.found.append(tuple(basis))
         if not find_all:
@@ -269,21 +276,28 @@ def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
     job = functools.partial(_run_search, f, target=target, cap=cap, find_all=find_all)
     with multiprocessing.get_context("fork").Pool(threads) as pool:
         parts = pool.map(job, chunks)
-    res = _SearchResult()
+    res = _SearchResult(best=max(part.best for part in parts))
+    # each part's witness is the least chain from its roots at its best
+    res.witness = min(part.witness for part in parts if part.best == res.best)
     for part in parts:
-        res.best = max(res.best, part.best)
         res.found.extend(part.found)
     return res
 
 
-def linearity_index(f: BoolFn, dim_cap: int | None = None, threads: int = 1) -> int:
-    """Largest dimension of an M-subspace of f, up to dim_cap."""
+def _index_search(f: BoolFn, dim_cap: int | None, threads: int) -> _SearchResult:
+    """The search for the largest M-subspace of f up to dim_cap: its
+    dimension, best, and the least chain that reaches it, witness."""
     if dim_cap is not None and dim_cap < 0:
         raise DomainError(f"dimension cap must be non-negative, got {dim_cap}")
     cap = f.n if dim_cap is None else min(dim_cap, f.n)
     if cap < 1:
-        return 0
-    return _search(f, None, cap, False, threads).best
+        return _SearchResult()
+    return _search(f, None, cap, False, threads)
+
+
+def linearity_index(f: BoolFn, dim_cap: int | None = None, threads: int = 1) -> int:
+    """Largest dimension of an M-subspace of f, up to dim_cap."""
+    return _index_search(f, dim_cap, threads).best
 
 
 def enumerate_M_subspaces(f: BoolFn, dim: int, threads: int = 1) -> list[Subspace]:

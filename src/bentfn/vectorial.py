@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import BoolFn, Space, dual, is_bent
+from .boolfn import BoolFn, Space, _entries_within, dual, is_bent
 from .errors import DomainError
 
 
@@ -24,13 +24,14 @@ class VecFn:
 
     def __init__(self, table, k: int, space: Space | None = None,
                  pairing: Space | None = None):
-        tbl = np.asarray(table, dtype=np.int64)
+        tbl = np.asarray(table)
         if tbl.ndim != 1 or tbl.size < 2 or tbl.size & (tbl.size - 1):
             raise DomainError(f"table length must be a power of two, got {tbl.size}")
         if k < 1:
             raise DomainError("output dimension must be positive")
-        if int(tbl.min(initial=0)) < 0 or int(tbl.max(initial=0)) >= 1 << k:
+        if not _entries_within(tbl, (1 << k) - 1):
             raise DomainError(f"table entries must be {k}-bit values")
+        tbl = np.asarray(tbl, dtype=np.int64)
         self.n = int(tbl.size).bit_length() - 1
         self.k = k
         self.table = tbl

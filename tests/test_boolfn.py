@@ -207,6 +207,12 @@ def test_boolfn_validation():
         BoolFn([0, 1, 1])  # length not a power of two
     with pytest.raises(DomainError):
         BoolFn([0, 2, 0, 1])  # entries must be bits
+    # checked before the cast to uint8, which would wrap or truncate them
+    for table in (np.array([0, 256]), np.array([0, -255]), [0, 256], [0, 1 << 63], [0.0, 1.5],
+                  [0.0, 1.0]):
+        with pytest.raises(DomainError, match="table entries must be bits"):
+            BoolFn(table)
+    assert BoolFn([True, False]).table.tolist() == [1, 0]
     f = BoolFn([0, 1, 1, 0])
     with pytest.raises(ValueError):
         f.table[0] = 1  # table is read-only

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import bentfn
-from bentfn import BoolFn, ParameterError, XorShift64Star, load_table, save_table
+from bentfn import (BoolFn, ParameterError, PermTable, XorShift64Star, build_cor_ex,
+                    enumerate_M_subspaces, has_M_subspace, load_table, make_field, mm,
+                    save_table)
 from bentfn.cli import main
+from bentfn.derivative import _CompatRows, _index_search, _search
 from bentfn.verify import CriterionResult
 
-from helpers import naive_save_scan, naive_scan
+from helpers import is_M_subspace, naive_M_subspaces, naive_save_scan, naive_scan, span
 
 QUAD_TABLE = [((i & 1) & (i >> 1)) ^ ((i >> 2) & (i >> 3) & 1)
               for i in range(16)]
@@ -239,6 +242,76 @@ def test_msubspace(tmp_path, capsys):
     report = parse_kv(text)
     assert report["index"] == "3"
     assert report["subspace"] == "0x4 0x2 0x1"
+
+
+def test_msubspace_find_all(tmp_path, capsys):
+    # --find-all lists what enumerate_M_subspaces finds, in its order
+    ctx = make_field(3)
+    f = mm(ctx, PermTable.inverse_map(ctx))
+    p = tmp_path / "mm3.tt"
+    save_table(f, str(p))
+    want = [" ".join(f"{b:#x}" for b in U.basis) for U in enumerate_M_subspaces(f, 2)]
+    code, text, _ = run(capsys, "msubspace", str(p), "--max-dim", "2", "--find-all")
+    assert code == 0
+    assert text.splitlines() == ["n: 6", "index: 2", f"count: {len(want)}",
+                                 *(f"subspace: {line}" for line in want)]
+    code, text, _ = run(capsys, "msubspace", str(p), "--max-dim", "2", "--find-all", "--json")
+    assert code == 0
+    assert json.loads(text) == {"n": 6, "index": 2, "count": len(want), "subspace": want}
+
+
+def test_msubspace_runs_one_search(tmp_path, capsys, monkeypatch):
+    # without --find-all the rows computed are the index search's alone,
+    # so no enumeration of the index dimension follows it
+    computed = []
+    compute = _CompatRows._compute
+    monkeypatch.setattr(_CompatRows, "_compute",
+                        lambda self, a, *s: computed.append(a) or compute(self, a, *s))
+    monkeypatch.delenv("BENT_THREADS", raising=False)
+    p = tmp_path / "cor_ex1.tt"
+    save_table(build_cor_ex(make_field(4), 4, 1, "inverse"), str(p))
+    for argv, rows in (([], 32), (["--max-dim", "2"], 3)):
+        computed.clear()
+        code, text, _ = run(capsys, "msubspace", str(p), *argv)
+        assert code == 0
+        assert text.splitlines() == ["n: 10", "index: 2", "count: 1", "subspace: 0x100 0x1"]
+        assert len(computed) == rows
+
+
+def _seeded_functions():
+    """Random, quadratic and cubic functions at n = 3 ... 8."""
+    rng = XorShift64Star(35)
+    for n in range(3, 9):
+        yield pytest.param(BoolFn([rng.bits(1) for _ in range(1 << n)]), id=f"random{n}")
+        for degree in (2, 3):
+            # a random set of monomials of the given degree, plus a linear part
+            monomials = [m for m in range(1 << n) if m.bit_count() == degree and rng.bits(1)]
+            lin = rng.randrange(1 << n)
+            table = [(sum(x & m == m for m in monomials) + (x & lin).bit_count()) & 1
+                     for x in range(1 << n)]
+            yield pytest.param(BoolFn(table), id=f"degree{degree}-{n}")
+
+
+@pytest.mark.parametrize("f", _seeded_functions())
+def test_msubspace_prints_first_subspace(tmp_path, capsys, f):
+    # the printed basis is the reduced echelon form of an M-subspace of the
+    # index dimension: the first one a search targeted there finds
+    p = tmp_path / "f.tt"
+    save_table(f, str(p))
+    code, text, _ = run(capsys, "msubspace", str(p))
+    assert code == 0
+    report = parse_kv(text)
+    index = int(report["index"])
+    basis = [int(b, 16) for b in report["subspace"].split()]
+    assert len(basis) == index and report["count"] == "1"
+    assert bentfn.gf2vec.rref(basis) == basis
+    first = _search(f, index, index, False).found[0]
+    assert _index_search(f, None, 1).witness == first and basis == list(first[::-1])
+    if f.n <= 6:
+        assert tuple(sorted(span(basis))) in naive_M_subspaces(f.table, index)
+    else:
+        assert is_M_subspace(f, bentfn.Subspace(f.n, basis))
+    assert not has_M_subspace(f, index + 1)
 
 
 def test_msubspace_negative_cap(tmp_path, capsys):

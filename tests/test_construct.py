@@ -48,6 +48,8 @@ def test_perm_table_validation():
         PermTable(2, [0, 1, 1, 3])
     with pytest.raises(ParameterError):
         PermTable(2, [0, 1, 2, 4])
+    with pytest.raises(ParameterError, match="not a bijection"):
+        PermTable(2, [0., 1.5, 2, 3])  # not truncated to the identity
 
 
 def test_perm_from_exponent():

@@ -21,7 +21,7 @@ from bentfn import (
 )
 from bentfn.boolfn import _CHUNK_ENTRIES, _derivative_spectrum, _second_derivative
 from bentfn.construct import PermTable, build_cor_ex, mm
-from bentfn.derivative import _CompatRows, _run_search, _search
+from bentfn.derivative import _CompatRows, _index_search, _run_search, _search
 from bentfn.verify import corpus
 
 from helpers import (is_M_subspace, naive_M_subspaces, naive_second_derivative, naive_walsh,
@@ -443,6 +443,11 @@ def test_threaded_search_agrees(monkeypatch):
     f10 = build_cor_ex(make_field(4), 4, 1, "inverse")
     assert linearity_index(f10, threads=2) == linearity_index(f10) == 2
     assert enumerate_M_subspaces(f10, 2, threads=2) == enumerate_M_subspaces(f10, 2)
+    # the pool's witness is the least of its workers' at the best dimension
+    for g in (f, f10):
+        for cap in (None, 2):
+            pooled, alone = _index_search(g, cap, 2), _index_search(g, cap, 1)
+            assert (pooled.best, pooled.witness) == (alone.best, alone.witness)
 
 
 def test_ea_transform():

@@ -211,9 +211,10 @@ def two_block_table(tmp_path_factory):
     return str(path)
 
 
-# `derivative` binds `gf2vec` without running it; only a search runs it.
+# `derivative` binds `gf2vec` without running it; a search does not run
+# it either, only a `Subspace` that checks its basis.
 BASE = {"cli", "errors", "gf2", "boolfn"}
-SEARCH = BASE | {"derivative", "gf2vec"}
+SEARCH = BASE | {"derivative"}
 BUILD = BASE | {"rng", "vectorial", "construct"}
 PLANES = BUILD | {"decomp"}
 
@@ -224,8 +225,9 @@ PLANES = BUILD | {"decomp"}
     (["decompose", "{f}", "--u", "1", "--v", "2"], PLANES),
     (["construct", "--family", "mm", "--m", "3", "--out", "{out}"], BUILD),
     (["construct", "--family", "gmm", "--m", "2", "--out", "{out}"], BUILD),
-    (["verify"], PLANES | SEARCH | {"verify"}),
+    (["verify"], PLANES | SEARCH | {"gf2vec", "verify"}),
     (["construct", "--family", "psffff", "--m", "3", "--k", "1", "--out", "{out}"], PLANES),
+    (["msubspace", "{f}", "--max-dim", "2", "--find-all"], SEARCH | {"gf2vec"}),
 ])
 def test_verb_executes_only_its_modules(argv, executed, two_block_table, tmp_path):
     argv = [a.format(f=two_block_table, out=tmp_path / "out.tt") for a in argv]
