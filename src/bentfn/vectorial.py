@@ -29,7 +29,8 @@ class VecFn:
             raise DomainError(f"table length must be a power of two, got {tbl.size}")
         if k < 1:
             raise DomainError("output dimension must be positive")
-        if not _entries_within(tbl, (1 << k) - 1):
+        # the int64 table holds at most 63 bits, whatever k says
+        if not _entries_within(tbl, min((1 << k) - 1, (1 << 63) - 1)):
             raise DomainError(f"table entries must be {k}-bit values")
         tbl = np.asarray(tbl, dtype=np.int64)
         self.n = int(tbl.size).bit_length() - 1

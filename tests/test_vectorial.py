@@ -40,6 +40,8 @@ def test_vecfn_validation():
         VecFn([0, 4], 2)  # entry needs 3 bits
     with pytest.raises(DomainError, match="2-bit values"):
         VecFn([0., 1.5], 2)  # not truncated to [0, 1]
+    with pytest.raises(DomainError, match="64-bit values"):
+        VecFn(np.array([0, 1 << 63], dtype=np.uint64), 64)  # would wrap to -2^63
     with pytest.raises(DomainError):
         VecFn([0, 1, 2, 3], 0)
     with pytest.raises(DomainError):
