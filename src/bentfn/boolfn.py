@@ -167,7 +167,8 @@ class BoolFn:
             if other.n != self.n:
                 raise DomainError("cannot add functions on different dimensions")
             return BoolFn(self.table ^ other.table, self.space)
-        return BoolFn(self.table ^ (int(other) & 1), self.space)
+        _check_vectors(1, other)
+        return BoolFn(self.table ^ int(other), self.space)
 
     def shift(self, a: int) -> "BoolFn":
         """x -> f(x + a)."""
@@ -321,19 +322,22 @@ def _wiener_khintchine(w: np.ndarray) -> np.ndarray:
 
 
 def _check_vectors(n: int, *vectors) -> None:
-    """Raise DomainError unless every vector lies in V_n, i.e. in [0, 2^n)."""
+    """Raise DomainError unless every vector lies in V_n: an integer (a
+    bool or numpy integer will do) in [0, 2^n).  A bit is a vector of V_1."""
     for v in vectors:
-        if not 0 <= v < 1 << n:
+        if not (isinstance(v, (int, np.integer, np.bool_)) and 0 <= v < 1 << n):
             raise DomainError(f"{v} is not a vector of V_{n}")
 
 
 def _entries_within(tbl: np.ndarray, top: int) -> bool:
     """Are the entries of tbl bools or integers in [0, top]?  Asked before
-    a cast, which would wrap or truncate them."""
+    a cast, which would wrap or truncate them.  An empty table passes."""
     kind = tbl.dtype.kind
-    if kind not in "biu":
+    if not tbl.size or kind == "b":
+        return True
+    if kind not in "iu":
         return False   # floats, and objects such as ints beyond 64 bits
-    return kind == "b" or ((kind == "u" or int(tbl.min()) >= 0) and int(tbl.max()) <= top)
+    return (kind == "u" or int(tbl.min()) >= 0) and int(tbl.max()) <= top
 
 
 @functools.cache

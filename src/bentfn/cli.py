@@ -30,23 +30,6 @@ if TYPE_CHECKING:
 # function, so a fresh process executes only those (see bentfn/__init__).
 
 
-def _threads(arg: int | None) -> int:
-    """The worker count: --threads, else BENT_THREADS, else 1."""
-    source, threads = "--threads", arg
-    if threads is None:
-        env = os.environ.get("BENT_THREADS")
-        if not env:
-            return 1
-        source = "BENT_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ParameterError(f"BENT_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ParameterError(f"{source} must be at least 1, got {threads}")
-    return threads
-
-
 def _plain(val) -> str:
     if isinstance(val, bool):
         return "true" if val else "false"
@@ -306,10 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=_int_arg, default=0,
                         help="seed for the documented xorshift generator")
-        sp.add_argument("--threads", type=int, default=None,
+        sp.add_argument("--threads", type=int, default=1,
                         help="worker count for the msubspace search; other "
-                             "verbs accept it and ignore it "
-                             "(default: BENT_THREADS or 1)")
+                             "verbs accept it and ignore it (default: 1)")
         sp.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of key: value lines")
 
@@ -380,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.threads = _threads(args.threads)
+        if args.threads < 1:
+            raise ParameterError(f"--threads must be at least 1, got {args.threads}")
         code = args.func(args)
         sys.stdout.flush()   # a reader that went away shows here
         return code

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (BoolFn, Space, _derivative_autocorrelation, _field_pairing, _fwht_inplace,
-                     _hex_values, _read_records, dual, is_bent)
+from .boolfn import (BoolFn, Space, _derivative_autocorrelation, _entries_within, _field_pairing,
+                     _fwht_inplace, _hex_values, _read_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
 from .gf2 import _MAX_DEGREE, FieldCtx, GpsParams, _frozen, make_field, validate_gps_params
 from .rng import XorShift64Star
@@ -120,34 +120,26 @@ class SubfieldFn:
 
 
 def _int64_table(values) -> np.ndarray:
-    """A new read-only int64 array of the values.  An entry that is not an
-    integer, or lies outside int64, reads as -1, so that it fails the same
-    check (bijection, bits or S_k) as any other value off range."""
+    """A new read-only int64 array of the values.  A table with an entry
+    that is not an integer in [0, 2^63) reads as all -1, so that it fails
+    the same check (bijection, bits or S_k) as any other table off range."""
     table = np.array(values)
-    if table.dtype.kind not in "biu":
-        # floats, and objects such as ints beyond 64 bits (numpy reads a
-        # list that holds 2^63 as floats): entry by entry
-        table = np.array([v if isinstance(v, (int, np.integer)) and -1 << 63 <= v < 1 << 63 else -1
-                          for v in table.ravel().tolist()]).reshape(table.shape)
+    if not _entries_within(table, (1 << 63) - 1):
+        table = np.full(table.shape, -1)
     return _frozen(table.astype(np.int64, copy=False))
-
-
-def _as_bit_table(g, size: int):
-    if g is None:
-        return [0] * size
-    if isinstance(g, BoolFn):
-        g = g.table
-    table = [int(v) & 1 for v in g]
-    if len(table) != size:
-        raise ParameterError(f"expected {size} values, got {len(table)}")
-    return table
 
 
 def mm(ctx: FieldCtx, pi: PermTable, g=None) -> BoolFn:
     """Tr(x * pi(y)) + g(y) on F_{2^m} x F_{2^m}."""
     if pi.m != ctx.m:
         raise ParameterError("permutation degree does not match the field")
-    gt = np.array(_as_bit_table(g, ctx.size), dtype=np.uint8)
+    if g is None:
+        g = np.zeros(ctx.size, dtype=np.uint8)
+    gt = np.asarray(g.table if isinstance(g, BoolFn) else g)
+    if gt.shape != (ctx.size,):
+        raise ParameterError(f"expected {ctx.size} values, got {gt.size}")
+    if not _entries_within(gt, 1):
+        raise ParameterError("g must be a table of bits")
     gmask = _field_pairing(ctx)[pi.table]
     table = (np.bitwise_count(ctx.elements[None, :] & gmask[:, None]) & 1) ^ gt[:, None]
     return BoolFn(table.reshape(-1), Space([ctx, ctx]))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfn import (_CHUNK_ENTRIES, BoolFn, Space, _abs_spectrum, _derivative_autocorrelation,
-                     _points, _second_derivative, _signs, dual, is_bent)
+                     _entries_within, _points, _second_derivative, _signs, dual, is_bent)
 from .errors import DomainError, ParameterError, ResourceError
 from .gf2 import FieldCtx, GpsParams, _frozen, validate_gps_params
 from .construct import PermTable, SubfieldFn, _check_gps, gpsap_vectorial, spread_labels
@@ -129,15 +129,13 @@ def classify_planes(f: BoolFn, us, vs) -> tuple[np.ndarray, np.ndarray]:
     of planes takes one transform of all its coset tables.  The dual
     side of the trichotomy is the scan's (`scan_decompositions`).
     """
-    try:
-        us = np.asarray(us, dtype=np.int64).reshape(-1)
-        vs = np.asarray(vs, dtype=np.int64).reshape(-1)
-    except OverflowError:
-        raise ParameterError("u and v must be nonzero n-bit values") from None
+    us, vs = np.asarray(us).reshape(-1), np.asarray(vs).reshape(-1)
     if us.shape != vs.shape:
         raise ParameterError("us and vs must have one entry per plane")
-    if ((us <= 0) | (vs <= 0) | (us >= 1 << f.n) | (vs >= 1 << f.n)).any():
+    top = (1 << f.n) - 1
+    if not (_entries_within(us, top) and _entries_within(vs, top) and us.all() and vs.all()):
         raise ParameterError("u and v must be nonzero n-bit values")
+    us, vs = us.astype(np.int64), vs.astype(np.int64)
     if (us == vs).any():
         raise ParameterError("u and v must be linearly independent")
     signs = _dual_and_signs(f)[1]   # the domain of classify_decomposition: bent, n >= 4
@@ -290,25 +288,26 @@ def partition_bent(ctx: FieldCtx, params: GpsParams, assignment) -> BoolFn:
     if k < 3:
         raise ParameterError(f"the partition construction needs k >= 3, got k={k}")
     elems = ctx.subfield(k)
-    assignment = {g: tuple(int(b) for b in q) for g, q in dict(assignment).items()}
+    assignment = dict(assignment)
     if set(assignment) != set(elems):
         raise ParameterError("assignment must cover S_k exactly")
+    quads = np.zeros((ctx.size, 4), dtype=np.uint8)
     counts: dict[tuple, int] = {}
-    for g, quad in assignment.items():
-        if len(quad) != 4 or any(b not in (0, 1) for b in quad):
+    for g, q in assignment.items():
+        quad = np.asarray(q)
+        if quad.shape != (4,) or not _entries_within(quad, 1):
             raise ParameterError(f"assignment for {g:#x} is not a bit quadruple")
+        quad = tuple(quad.tolist())
         if sum(quad) % 2 == 0:
             raise ParameterError(f"assignment for {g:#x} has even weight")
         counts[quad] = counts.get(quad, 0) + 1
+        quads[g] = quad
     want = 1 << (k - 3)
     for quad in _ODD_QUADS:
         if counts.get(quad, 0) != want:
             raise ParameterError(
                 f"quadruple {quad} is used {counts.get(quad, 0)} times, need {want}"
             )
-    quads = np.zeros((ctx.size, 4), dtype=np.uint8)
-    for g, quad in assignment.items():
-        quads[g] = quad
     values = quads[spread_labels(ctx, params)]
     values[:, 0] = (0, 0, 0, 1)  # the line x = 0 is U
     return BoolFn(np.moveaxis(values, -1, 0).reshape(-1), Space([ctx, ctx, 2]))

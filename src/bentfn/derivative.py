@@ -77,9 +77,10 @@ class Subspace:
     basis: tuple[int, ...]
 
     def __post_init__(self):
+        _check_vectors(self.n, *self.basis)
         basis = tuple(int(b) for b in self.basis)
         object.__setattr__(self, "basis", basis)
-        if any(not 0 < b < 1 << self.n for b in basis):
+        if 0 in basis:
             raise DomainError(f"basis vectors must be nonzero {self.n}-bit values")
         if gf2vec.rank(list(basis)) != len(basis):
             raise DomainError("basis vectors are linearly dependent")
@@ -329,5 +330,6 @@ def ea_transform(f: BoolFn, L: list[int], a: int = 0, c: int = 0, b: int = 0) ->
             or gf2vec.rank(list(L)) != f.n):
         raise ParameterError("L must be an invertible n x n matrix over GF(2)")
     _check_vectors(f.n, a, c)
+    _check_vectors(1, b)
     x, parity = _points(f.n)
-    return BoolFn(f.table[_linear_image(L) ^ a] ^ parity[x & c] ^ (b & 1), f.space)
+    return BoolFn(f.table[_linear_image(L) ^ a] ^ parity[x & c] ^ int(b), f.space)

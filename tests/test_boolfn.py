@@ -218,6 +218,20 @@ def test_boolfn_validation():
         f.table[0] = 1  # table is read-only
 
 
+@pytest.mark.parametrize("v", [2, -1, 1.5, 1.0, 1 << 64, "1"])
+def test_bits_and_vectors_are_checked(v):
+    # a bit is a vector of V_1: neither the complement nor the shift of a
+    # one-variable function masks or truncates its operand
+    f = BoolFn([0, 1])
+    with pytest.raises(DomainError, match="not a vector of V_1"):
+        f ^ v
+    with pytest.raises(DomainError, match="not a vector of V_1"):
+        f.shift(v)
+    for ok in (True, np.True_, np.int64(1), np.uint8(1), 1):
+        assert (f ^ ok).table.tolist() == f.shift(ok).table.tolist() == [1, 0]
+    assert (f ^ False) == (f ^ np.int64(0)) == f.shift(np.uint64(0)) == f
+
+
 def test_shift():
     f = QUAD
     g = f.shift(3)

@@ -176,30 +176,22 @@ def test_construct_on_gf2(tmp_path, capsys, family):
     assert load_table(str(out)).table.tolist() == [0, 0, 0, 1]
 
 
-def test_bad_thread_environment(tmp_path, capsys, monkeypatch):
+def test_thread_environment_is_ignored(tmp_path, capsys, monkeypatch):
+    # the worker count comes from --threads alone
+    argv = ("construct", "--family", "psap", "--m", "2", "--out", str(tmp_path / "f.tt"))
+    want = run(capsys, *argv)
     monkeypatch.setenv("BENT_THREADS", "abc")
-    code, _, err = run(capsys, "construct", "--family", "psap", "--m", "2",
-                       "--out", str(tmp_path / "f.tt"))
-    assert code == 2
-    assert err.startswith("error:") and "BENT_THREADS" in err
+    assert run(capsys, *argv) == want and want[0] == 0
 
 
-@pytest.mark.parametrize("argv, env, source", [
-    (["--threads", "0"], None, "--threads"),
-    (["--threads", "-2"], None, "--threads"),
-    ([], "-3", "BENT_THREADS"),
-    ([], "0", "BENT_THREADS"),
-], ids=["flag-0", "flag-minus-2", "env-minus-3", "env-0"])
-def test_thread_count_below_one(tmp_path, capsys, monkeypatch, argv, env, source):
-    # from either source, a count below 1 is refused before any work
+@pytest.mark.parametrize("count", ["0", "-2"], ids=["flag-0", "flag-minus-2"])
+def test_thread_count_below_one(tmp_path, capsys, count):
+    # a count below 1 is refused before any work
     p = tmp_path / "q.tt"
     save_table(BoolFn(QUAD_TABLE), str(p))
-    if env is not None:
-        monkeypatch.setenv("BENT_THREADS", env)
-    code, out, err = run(capsys, "msubspace", str(p), *argv)
+    code, out, err = run(capsys, "msubspace", str(p), "--threads", count)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and source in err and len(err.splitlines()) == 1
-    # --threads overrides an invalid environment, and 1 is accepted
+    assert err.startswith("error:") and "--threads" in err and len(err.splitlines()) == 1
     code, _, _ = run(capsys, "msubspace", str(p), "--threads", "1")
     assert code == 0
 
@@ -267,7 +259,6 @@ def test_msubspace_runs_one_search(tmp_path, capsys, monkeypatch):
     compute = _CompatRows._compute
     monkeypatch.setattr(_CompatRows, "_compute",
                         lambda self, a, *s: computed.append(a) or compute(self, a, *s))
-    monkeypatch.delenv("BENT_THREADS", raising=False)
     p = tmp_path / "cor_ex1.tt"
     save_table(build_cor_ex(make_field(4), 4, 1, "inverse"), str(p))
     for argv, rows in (([], 32), (["--max-dim", "2"], 3)):

@@ -52,6 +52,30 @@ def test_perm_table_validation():
         PermTable(2, [0., 1.5, 2, 3])  # not truncated to the identity
 
 
+@pytest.mark.parametrize("v", [2, -1, 1.5, 1 << 64])
+def test_caller_tables_are_checked(v):
+    # each table is read as given: a bad entry fails its caller's own check
+    ctx = make_field(1)
+    with pytest.raises(ParameterError, match="not a bijection"):
+        PermTable(1, [0, v])
+    P = SubfieldFn(ctx, 1, [0, v])   # a loaded .sf file is checked where it is used
+    with pytest.raises(ParameterError, match="must contain bits"):
+        P.require_balanced()
+    with pytest.raises(ParameterError, match="must be a bijection"):
+        P.require_permutation()
+    with pytest.raises(ParameterError, match="g must be a table of bits"):
+        mm(ctx, PermTable.identity(1), [0, v])   # not masked to a bit
+    with pytest.raises(ParameterError, match="expected 2 values, got 3"):
+        mm(ctx, PermTable.identity(1), [0, 1, v])
+    xy = mm(ctx, PermTable.identity(1)).table.tolist()
+    assert xy == [0, 0, 0, 1]
+    for g in ([False, True], np.array([0, 1], dtype=np.uint8), np.array([0, 1]),
+              BoolFn([0, 1])):
+        assert mm(ctx, PermTable.identity(1), g).table.tolist() == [0, 0, 1, 0]
+        assert PermTable(1, g).table.tolist() == [0, 1]
+        assert SubfieldFn(ctx, 1, g.table if isinstance(g, BoolFn) else g).require_balanced()
+
+
 def test_perm_from_exponent():
     ctx = make_field(4)
     sq = PermTable.from_exponent(ctx, 2)

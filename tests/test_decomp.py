@@ -36,7 +36,8 @@ from bentfn import (
     second_derivative,
     validate_gps_params,
 )
-from bentfn.decomp import CLASSES, CONSTANCY, _dual_and_signs, _substitution_codes
+from bentfn.decomp import (CLASSES, CONSTANCY, _dual_and_signs, _substitution_codes,
+                           classify_planes)
 
 from helpers import ftof_classes_loop, naive_restrict, naive_save_scan
 
@@ -427,6 +428,31 @@ def test_partition_bent_guards():
     bad[first] = good[second]
     with pytest.raises(ParameterError):
         partition_bent(ctx, pr, bad)
+
+
+@pytest.mark.parametrize("v", [2, -1, 1.5, 1 << 64])
+def test_caller_quadruples_and_planes_are_checked(v):
+    # a quadruple entry of 1.5 is not read as 1, nor a direction of 1.5 as 1
+    ctx = make_field(3)
+    pr = validate_gps_params(3, 3, 1)
+    good = _odd_assignment(ctx, 3)
+    g = next(g for g, q in good.items() if q == (0, 0, 0, 1))
+    for quad in ((0, 0, 0, v), (0, 0, 1), np.zeros((2, 2), dtype=int)):
+        with pytest.raises(ParameterError, match="is not a bit quadruple"):
+            partition_bent(ctx, pr, {**good, g: quad})
+    want = partition_bent(ctx, pr, good)
+    for quad in ((False, False, False, True), np.array([0, 0, 0, 1], dtype=np.uint8)):
+        assert partition_bent(ctx, pr, {**good, g: quad}) == want
+    u = 1 << QUAD.n if v == 2 else v   # 2 is a vector of V_4
+    for us, vs in (([u], [2]), ([2], [u]), ([3, u], [1, 2])):
+        with pytest.raises(ParameterError, match="nonzero n-bit values"):
+            classify_planes(QUAD, us, vs)
+    want = classify_planes(QUAD, [1, 3], [2, 4])
+    for us, vs in ((np.array([1, 3], dtype=np.uint8), np.array([2, 4], dtype=np.uint64)),
+                   ([True, np.int8(3)], [2, 4])):
+        got = classify_planes(QUAD, us, vs)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert [x.shape for x in classify_planes(QUAD, np.array([], dtype=int), [])] == [(0, 4), (0,)]
 
 
 def test_scan_matches_single_plane_classification():

@@ -483,6 +483,24 @@ def test_ea_transform_rejects_vectors_outside_V_n(L, a, c, error):
         ea_transform(BoolFn([0, 0, 0, 1]), L, a, c)
 
 
+@pytest.mark.parametrize("v", [2, -1, 1.5, 1 << 64])
+def test_caller_bits_and_vectors_are_checked(v):
+    # b = 2 does not drop the complement, nor does a basis vector of 1.5 read as 1
+    f = BoolFn([0, 1])
+    with pytest.raises(DomainError, match="not a vector of V_1"):
+        ea_transform(f, [1], b=v)
+    for a, c in ((v, 0), (0, v)):
+        with pytest.raises(DomainError, match="not a vector of V_1"):
+            ea_transform(f, [1], a, c)
+    for a, b in ((v, 1), (1, v)):
+        with pytest.raises(DomainError, match="not a vector of V_1"):
+            second_derivative(f, a, b)
+    with pytest.raises(DomainError, match="not a vector of V_1"):
+        Subspace(1, (v,))
+    assert ea_transform(f, [1], b=np.int64(1)) == ea_transform(f, [1], b=True) == f ^ 1
+    assert Subspace(2, (True, np.int64(2))).basis == (1, 2)
+
+
 def test_ea_preserves_M_subspace_count():
     ctx = make_field(2)
     f = mm(ctx, PermTable.identity(2)).with_space(None)

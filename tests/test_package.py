@@ -30,8 +30,7 @@ def fresh(*argv: str, cwd=None) -> subprocess.CompletedProcess:
     """Run `python *argv` with this checkout's bentfn on the path."""
     src = str(Path(bentfn.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
-               BENT_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=120)
 
