@@ -67,8 +67,7 @@ def test_caller_tables_are_checked(v):
         mm(ctx, PermTable.identity(1), [0, v])   # not masked to a bit
     with pytest.raises(ParameterError, match="expected 2 values, got 3"):
         mm(ctx, PermTable.identity(1), [0, 1, v])
-    xy = mm(ctx, PermTable.identity(1)).table.tolist()
-    assert xy == [0, 0, 0, 1]
+    assert mm(ctx, PermTable.identity(1)).table.tolist() == [0, 0, 0, 1]
     for g in ([False, True], np.array([0, 1], dtype=np.uint8), np.array([0, 1]),
               BoolFn([0, 1])):
         assert mm(ctx, PermTable.identity(1), g).table.tolist() == [0, 0, 1, 0]
