@@ -27,7 +27,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import DomainError, ParameterError, ParseError
-from .gf2 import FieldCtx, _frozen
+from .gf2 import FieldCtx, _check_vectors, _entries_within, _frozen, _is_integer
 
 _HEX = "0123456789abcdef"
 
@@ -75,9 +75,10 @@ class Space:
                 sig.append(("field", ctx.m, ctx.irred, k))
                 offset += k
             else:
+                # the masks of perm() are int64, so a block has at most 63 bits
+                if not (_is_integer(fac) and 1 <= fac <= 63):
+                    raise DomainError(f"factor width must be an integer in 1..63, got {fac}")
                 w = int(fac)
-                if w < 1:
-                    raise DomainError(f"factor width must be positive, got {w}")
                 for i in range(w):
                     cols.append(1 << (offset + i))
                 sig.append(("bits", w))
@@ -319,25 +320,6 @@ def _wiener_khintchine(w: np.ndarray) -> np.ndarray:
     _fwht_inplace(w)
     w >>= w.shape[-1].bit_length() - 1
     return w
-
-
-def _check_vectors(n: int, *vectors) -> None:
-    """Raise DomainError unless every vector lies in V_n: an integer (a
-    bool or numpy integer will do) in [0, 2^n).  A bit is a vector of V_1."""
-    for v in vectors:
-        if not (isinstance(v, (int, np.integer, np.bool_)) and 0 <= v < 1 << n):
-            raise DomainError(f"{v} is not a vector of V_{n}")
-
-
-def _entries_within(tbl: np.ndarray, top: int) -> bool:
-    """Are the entries of tbl bools or integers in [0, top]?  Asked before
-    a cast, which would wrap or truncate them.  An empty table passes."""
-    kind = tbl.dtype.kind
-    if not tbl.size or kind == "b":
-        return True
-    if kind not in "iu":
-        return False   # floats, and objects such as ints beyond 64 bits
-    return (kind == "u" or int(tbl.min()) >= 0) and int(tbl.max()) <= top
 
 
 @functools.cache

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import (BoolFn, Space, _derivative_autocorrelation, _entries_within, _field_pairing,
-                     _fwht_inplace, _hex_values, _read_records, dual, is_bent)
+from .boolfn import (BoolFn, Space, _derivative_autocorrelation, _field_pairing, _fwht_inplace,
+                     _hex_values, _read_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
-from .gf2 import _MAX_DEGREE, FieldCtx, GpsParams, _frozen, make_field, validate_gps_params
+from .gf2 import (_MAX_DEGREE, FieldCtx, GpsParams, _check_vectors, _entries_within, _frozen,
+                  _is_vector, make_field, validate_gps_params)
 from .rng import XorShift64Star
 from .vectorial import VecFn
 
@@ -247,7 +248,7 @@ def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
     if P.k != params.k:
         raise ParameterError(f"P is on S_{P.k}, params use k={params.k}")
     P.require_balanced()
-    if c0 not in (0, 1):
+    if not _is_vector(1, c0):
         raise ParameterError("c0 must be a bit")
     table = P.gather(ctx.trace_rel_arr(params.k))[_spread_grid(ctx, params, orientation)]
     # c0 on the special line: the column x = 0 for "f", the row y = 0 for "g"
@@ -313,8 +314,8 @@ def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
         raise ParameterError(f"P is on S_{P.k}, params use k={params.k}")
     P.require_permutation()
     k = params.k
-    elems = ctx.subfield(k)
-    if c0 not in elems:
+    _check_vectors(ctx.m, c0)
+    if c0 not in ctx.subfield(k):
         raise DomainError(f"c0 = {c0:#x} is not in S_{k}")
     values = P.gather(ctx.trace_rel_arr(k))[_spread_grid(ctx, params, "f")]
     values[:, 0] ^= c0
@@ -425,10 +426,9 @@ def trace_sum_nonconstant(ctx: FieldCtx) -> np.ndarray:
 def g_lambda(ctx: FieldCtx, params: GpsParams, Q: PermTable, lam: int) -> BoolFn:
     """g_lam(x) = Tr(Q((1+lam) x^(-e)) + Q(x^(-e)) + Q(lam x^(-e)))."""
     _check_gps(ctx, params)
+    _check_vectors(ctx.m, lam)
     if lam in (0, 1):
         raise DomainError("lambda must lie outside F_2")
-    if not 0 <= lam < ctx.size:
-        raise DomainError(f"{lam:#x} is not an element of GF(2^{ctx.m})")
     q = Q.table
     xe = ctx.pow_table(ctx.neg_exp(params.e))
     acc = q[ctx.mul_arr(1 ^ lam, xe)] ^ q[xe] ^ q[ctx.mul_arr(lam, xe)]

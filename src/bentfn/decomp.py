@@ -23,15 +23,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfn import (_CHUNK_ENTRIES, BoolFn, Space, _abs_spectrum, _derivative_autocorrelation,
-                     _entries_within, _points, _second_derivative, _signs, dual, is_bent)
+                     _points, _second_derivative, _signs, dual, is_bent)
 from .errors import DomainError, ParameterError, ResourceError
-from .gf2 import FieldCtx, GpsParams, _frozen, validate_gps_params
+from .gf2 import FieldCtx, GpsParams, _entries_within, _frozen, _is_vector, validate_gps_params
 from .construct import PermTable, SubfieldFn, _check_gps, gpsap_vectorial, spread_labels
 from .vectorial import component
 
 
 def _check_plane(n: int, u: int, v: int) -> None:
-    if not 0 < u < 1 << n or not 0 < v < 1 << n:
+    if not (_is_vector(n, u) and _is_vector(n, v) and u and v):
         raise ParameterError("u and v must be nonzero n-bit values")
     if u == v:
         raise ParameterError("u and v must be linearly independent")

@@ -53,9 +53,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2vec
-from .boolfn import (_CHUNK_ENTRIES, BoolFn, _check_vectors, _derivative_spectrum, _fwht_inplace,
-                     _linear_image, _points, _second_derivative, _wiener_khintchine)
+from .boolfn import (_CHUNK_ENTRIES, BoolFn, _derivative_spectrum, _fwht_inplace, _linear_image,
+                     _points, _second_derivative, _wiener_khintchine)
 from .errors import DomainError, ParameterError
+from .gf2 import _check_vectors, _entries_within, _is_integer
 
 
 def derivative(f: BoolFn, a: int) -> BoolFn:
@@ -288,8 +289,8 @@ def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
 def _index_search(f: BoolFn, dim_cap: int | None, threads: int) -> _SearchResult:
     """The search for the largest M-subspace of f up to dim_cap: its
     dimension, best, and the least chain that reaches it, witness."""
-    if dim_cap is not None and dim_cap < 0:
-        raise DomainError(f"dimension cap must be non-negative, got {dim_cap}")
+    if dim_cap is not None and not (_is_integer(dim_cap) and dim_cap >= 0):
+        raise DomainError(f"dimension cap must be a non-negative integer, got {dim_cap}")
     cap = f.n if dim_cap is None else min(dim_cap, f.n)
     if cap < 1:
         return _SearchResult()
@@ -303,8 +304,8 @@ def linearity_index(f: BoolFn, dim_cap: int | None = None, threads: int = 1) -> 
 
 def enumerate_M_subspaces(f: BoolFn, dim: int, threads: int = 1) -> list[Subspace]:
     """All M-subspaces of the given dimension, canonical bases, sorted."""
-    if dim < 1:
-        raise DomainError("dimension must be at least 1")
+    if not (_is_integer(dim) and dim >= 1):
+        raise DomainError(f"dimension must be a positive integer, got {dim}")
     if dim > f.n:
         return []
     res = _search(f, dim, dim, True, threads)
@@ -314,6 +315,8 @@ def enumerate_M_subspaces(f: BoolFn, dim: int, threads: int = 1) -> list[Subspac
 
 
 def has_M_subspace(f: BoolFn, dim: int, threads: int = 1) -> bool:
+    if not _is_integer(dim):
+        raise DomainError(f"dimension must be an integer, got {dim}")
     if dim < 1:
         return True
     if dim > f.n:
@@ -326,10 +329,11 @@ def ea_transform(f: BoolFn, L: list[int], a: int = 0, c: int = 0, b: int = 0) ->
 
     L is given by columns: L[j] is the image of the j-th unit vector.
     """
-    if (len(L) != f.n or any(not 0 <= col < 1 << f.n for col in L)
-            or gf2vec.rank(list(L)) != f.n):
+    cols = np.asarray(L)
+    if (cols.shape != (f.n,) or not _entries_within(cols, (1 << f.n) - 1)
+            or gf2vec.rank(cols.tolist()) != f.n):
         raise ParameterError("L must be an invertible n x n matrix over GF(2)")
     _check_vectors(f.n, a, c)
     _check_vectors(1, b)
     x, parity = _points(f.n)
-    return BoolFn(f.table[_linear_image(L) ^ a] ^ parity[x & c] ^ int(b), f.space)
+    return BoolFn(f.table[_linear_image(cols) ^ a] ^ parity[x & c] ^ int(b), f.space)

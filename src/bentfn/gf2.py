@@ -102,13 +102,9 @@ class FieldCtx:
 
     # -- element arithmetic ---------------------------------------------------
 
-    def _check(self, a: int) -> int:
-        if not 0 <= a < self.size:
-            raise DomainError(f"{a:#x} is not an element of GF(2^{self.m})")
-        return a
-
     def mul(self, a: int, b: int) -> int:
-        return int(self._exp_arr[self._log_arr[self._check(a)] + self._log_arr[self._check(b)]])
+        _check_vectors(self.m, a, b)
+        return int(self._exp_arr[self._log_arr[int(a)] + self._log_arr[int(b)]])
 
     def neg_exp(self, e: int) -> int:
         """(-e) mod (2^m - 1), so that pow_table(neg_exp(e)) maps x to x^(-e)
@@ -121,7 +117,8 @@ class FieldCtx:
 
     def trace(self, a: int) -> int:
         """Absolute trace to GF(2)."""
-        return int(self.trace_arr[self._check(a)])
+        _check_vectors(self.m, a)
+        return int(self.trace_arr[int(a)])
 
     # -- subfield plumbing ----------------------------------------------------
 
@@ -133,9 +130,9 @@ class FieldCtx:
     def subfield_index(self, k: int, z: int) -> int:
         """Position of a subfield element in the ascending ordering."""
         index = self.subfield_index_arr(k)
-        i = int(index[z]) if 0 <= z < self.size else -1
+        i = int(index[int(z)]) if _is_vector(self.m, z) else -1
         if i < 0:
-            raise DomainError(f"{z:#x} is not in the subfield S_{k}")
+            raise DomainError(f"{z} is not in the subfield S_{k}")
         return i
 
     # -- whole-field arrays ---------------------------------------------------
@@ -226,6 +223,38 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# -- the entry rule for integers a caller passes ------------------------------
+
+def _is_integer(v) -> bool:
+    """Is v an integer?  A bool or a numpy integer will do; a float will
+    not, even a whole one."""
+    return isinstance(v, (int, np.integer, np.bool_))
+
+
+def _is_vector(n: int, v) -> bool:
+    """Is v a vector of V_n, an integer in [0, 2^n)?  A bit is a vector
+    of V_1, and an element of GF(2^m) one of V_m."""
+    return _is_integer(v) and 0 <= v < 1 << n
+
+
+def _check_vectors(n: int, *vectors) -> None:
+    """Raise DomainError unless every vector lies in V_n."""
+    for v in vectors:
+        if not _is_vector(n, v):
+            raise DomainError(f"{v} is not a vector of V_{n}")
+
+
+def _entries_within(tbl: np.ndarray, top: int) -> bool:
+    """Are the entries of tbl bools or integers in [0, top]?  Asked before
+    a cast, which would wrap or truncate them.  An empty table passes."""
+    kind = tbl.dtype.kind
+    if not tbl.size or kind == "b":
+        return True
+    if kind not in "iu":
+        return False   # floats, and objects such as ints beyond 64 bits
+    return (kind == "u" or int(tbl.min()) >= 0) and int(tbl.max()) <= top
+
+
 @functools.cache
 def default_modulus(m: int) -> int:
     """Smallest irreducible degree-m polynomial with constant term 1."""
@@ -240,6 +269,8 @@ def default_modulus(m: int) -> int:
 def make_field(m: int, irred: int | None = None) -> FieldCtx:
     """Build (and cache) a GF(2^m) context; one per modulus, so that
     an omitted modulus and the default one give the same context."""
+    if not (_is_integer(m) and (irred is None or _is_integer(irred))):
+        raise ParameterError(f"m and the modulus must be integers, got m={m}, irred={irred}")
     return _field(m, default_modulus(m) if irred is None else irred)
 
 
@@ -281,8 +312,8 @@ def mod_inverse_exponent(e: int, m: int) -> int:
 
 def validate_gps_params(m: int, k: int, e: int) -> GpsParams:
     """Check the spread-construction conditions and fill in ell, eta."""
-    if m < 1 or k < 1 or e < 1:
-        raise ParameterError(f"m, k, e must be positive, got m={m}, k={k}, e={e}")
+    if not all(_is_integer(p) and p >= 1 for p in (m, k, e)):
+        raise ParameterError(f"m, k, e must be positive integers, got m={m}, k={k}, e={e}")
     if m % k:
         raise ParameterError(f"k must divide m, got k={k}, m={m}")
     eta = mod_inverse_exponent(e, m)  # raises on gcd != 1

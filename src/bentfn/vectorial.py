@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfn import BoolFn, Space, _entries_within, dual, is_bent
+from .boolfn import BoolFn, Space, dual, is_bent
 from .errors import DomainError
+from .gf2 import _entries_within, _is_vector
 
 
 class VecFn:
@@ -50,9 +51,9 @@ class VecFn:
 
 def component(F: VecFn, alpha: int) -> BoolFn:
     """The Boolean function x -> <alpha, F(x)>."""
-    if not 0 < alpha < 1 << F.k:
+    if not (_is_vector(F.k, alpha) and alpha):
         raise DomainError(f"component index must be a nonzero {F.k}-bit value")
-    gmask = int(F.pairing.perm()[alpha])
+    gmask = int(F.pairing.perm()[int(alpha)])
     bits = (np.bitwise_count((F.table & gmask).astype(np.uint64)) & 1).astype(np.uint8)
     return BoolFn(bits, F.space)
 

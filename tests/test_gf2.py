@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,17 @@ from bentfn import (
     Space,
     SubfieldFn,
     XorShift64Star,
+    classify_decomposition,
+    component,
+    ea_transform,
+    enumerate_M_subspaces,
+    g_lambda,
+    gpsap,
+    gpsap_vectorial,
+    has_M_subspace,
+    linearity_index,
     make_field,
+    restrict_to_cosets,
     validate_gps_params,
 )
 from bentfn.boolfn import _field_pairing
@@ -255,3 +266,70 @@ def test_field_tables_read_only_and_built_once(m):
     # the tables are copies: the arrays they were built from stay writable
     source = np.arange(ctx.size)
     assert PermTable(m, source).table is not source and source.flags.writeable
+
+
+BIG = 1 << 64
+
+# Every entry point that takes an integer from its caller: the call on the
+# objects of `spread`, the error it raises, and the ints it refuses.  An
+# exponent or a dimension has no upper bound, so its huge int is negative;
+# a dimension below 1 makes has_M_subspace trivially true.
+ENTRY_POINTS = [
+    pytest.param(lambda o, x: o.ctx.mul(x, 1), DomainError, (BIG, 16), id="mul"),
+    pytest.param(lambda o, x: o.ctx.mul(1, x), DomainError, (BIG, 16), id="mul-b"),
+    pytest.param(lambda o, x: o.ctx.trace(x), DomainError, (BIG, 16), id="trace"),
+    pytest.param(lambda o, x: o.ctx.subfield_index(2, x), DomainError, (BIG, 16),
+                 id="subfield_index"),
+    pytest.param(lambda o, x: classify_decomposition(o.f, x, 2), ParameterError, (BIG, 256),
+                 id="classify_decomposition"),
+    pytest.param(lambda o, x: restrict_to_cosets(o.f, 2, x), ParameterError, (BIG, 256),
+                 id="restrict_to_cosets"),
+    pytest.param(lambda o, x: ea_transform(o.f, [x] + [1 << j for j in range(1, 8)]),
+                 ParameterError, (BIG, 256), id="ea_transform"),
+    pytest.param(lambda o, x: component(o.vec, x), DomainError, (BIG, 4), id="component"),
+    pytest.param(lambda o, x: g_lambda(o.ctx, o.params, PermTable.identity(4), x), DomainError,
+                 (BIG, 16), id="g_lambda"),
+    pytest.param(lambda o, x: gpsap(o.ctx, o.params, o.balanced, c0=x), ParameterError,
+                 (BIG, 2), id="gpsap-c0"),
+    pytest.param(lambda o, x: gpsap_vectorial(o.ctx, o.params, o.perm, c0=x), DomainError,
+                 (BIG, 16), id="gpsap_vectorial-c0"),
+    pytest.param(lambda o, x: linearity_index(o.f, dim_cap=x), DomainError, (-BIG, -1),
+                 id="linearity_index"),
+    pytest.param(lambda o, x: has_M_subspace(o.f, x), DomainError, (), id="has_M_subspace"),
+    pytest.param(lambda o, x: enumerate_M_subspaces(o.f, x), DomainError, (-BIG, 0),
+                 id="enumerate_M_subspaces"),
+    pytest.param(lambda o, x: Space([x]), DomainError, (BIG, 0), id="Space"),
+    pytest.param(lambda o, x: validate_gps_params(4, x, 1), ParameterError, (BIG, 0),
+                 id="validate_gps_params-k"),
+    pytest.param(lambda o, x: validate_gps_params(4, 2, x), ParameterError, (-BIG, 0),
+                 id="validate_gps_params-e"),
+    pytest.param(lambda o, x: make_field(x), ParameterError, (BIG, 17), id="make_field-m"),
+    pytest.param(lambda o, x: make_field(3, x), ParameterError, (BIG, 12),
+                 id="make_field-modulus"),
+]
+
+
+@pytest.fixture(scope="module")
+def spread():
+    ctx = make_field(4)
+    params = validate_gps_params(4, 2, 1)
+    balanced, perm = SubfieldFn.trace_form(ctx, 2), SubfieldFn.identity_perm(ctx, 2)
+    return SimpleNamespace(ctx=ctx, params=params, balanced=balanced, perm=perm,
+                           f=gpsap(ctx, params, balanced),
+                           vec=gpsap_vectorial(ctx, params, perm))
+
+
+@pytest.mark.parametrize("call, error, ints", ENTRY_POINTS)
+def test_entry_points_refuse_what_is_not_an_integer_in_range(spread, call, error, ints):
+    # a float, even a whole one, is refused with the class an int off range gets
+    for x in (1.0, np.float64(1.5), *ints):
+        with pytest.raises(error):
+            call(spread, x)
+
+
+def test_bools_and_numpy_integers_are_elements(spread):
+    ctx = spread.ctx
+    assert ctx.mul(True, np.uint8(3)) == ctx.mul(1, 3)
+    assert ctx.trace(np.True_) == ctx.trace(1)
+    assert ctx.subfield_index(2, True) == 1
+    assert component(spread.vec, True) == component(spread.vec, np.int64(1))
