@@ -18,6 +18,7 @@ Conventions shared by every builder here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,9 @@ import numpy as np
 from .boolfn import (BoolFn, Space, _derivative_autocorrelation, _field_pairing, _fwht_inplace,
                      _hex_values, _read_records, dual, is_bent)
 from .errors import DomainError, ParameterError, ParseError
-from .gf2 import (_MAX_DEGREE, FieldCtx, GpsParams, _check_vectors, _entries_within, _frozen,
-                  _is_vector, make_field, validate_gps_params)
+from .gf2 import (_MAX_DEGREE, FieldCtx, GpsParams, _check_degree, _check_field, _check_vectors,
+                  _entries_within, _frozen, _is_natural, _is_vector, make_field,
+                  validate_gps_params)
 from .rng import XorShift64Star
 from .vectorial import VecFn
 
@@ -35,6 +37,7 @@ class PermTable:
     """A permutation of F_{2^m} as a read-only int64 table."""
 
     def __init__(self, m: int, table):
+        _check_degree(m)
         table = _int64_table(table)
         if table.size != 1 << m:
             raise ParameterError(f"permutation table needs 2^{m} entries, got {table.size}")
@@ -53,13 +56,11 @@ class PermTable:
     @classmethod
     def from_exponent(cls, ctx: FieldCtx, e: int) -> "PermTable":
         """x -> x^e; a permutation iff gcd(e, 2^m - 1) = 1."""
-        import math
-
-        if math.gcd(e, ctx.order) != 1:
-            raise ParameterError(
-                f"x^{e} is not a permutation: gcd({e}, 2^{ctx.m}-1) = {math.gcd(e, ctx.order)}"
-            )
-        return cls(ctx.m, ctx.pow_table(e))
+        table = ctx.pow_table(e)   # refuses an e that is not an integer >= 0
+        g = math.gcd(e, ctx.order)
+        if g != 1:
+            raise ParameterError(f"x^{e} is not a permutation: gcd({e}, 2^{ctx.m}-1) = {g}")
+        return cls(ctx.m, table)
 
     @classmethod
     def inverse_map(cls, ctx: FieldCtx) -> "PermTable":
@@ -69,8 +70,8 @@ class PermTable:
     @classmethod
     def gold(cls, ctx: FieldCtx, k: int) -> "PermTable":
         """x -> x^(2^k + 1); a permutation iff m / gcd(k, m) is odd."""
-        if k < 0:
-            raise ParameterError(f"Gold exponent 2^k + 1 needs k >= 0, got k={k}")
+        if not _is_natural(k):
+            raise ParameterError(f"Gold exponent 2^k + 1 needs an integer k >= 0, got k={k}")
         return cls.from_exponent(ctx, (1 << (k % ctx.m)) + 1)   # as x^(2^m) = x
 
 
@@ -132,8 +133,7 @@ def _int64_table(values) -> np.ndarray:
 
 def mm(ctx: FieldCtx, pi: PermTable, g=None) -> BoolFn:
     """Tr(x * pi(y)) + g(y) on F_{2^m} x F_{2^m}."""
-    if pi.m != ctx.m:
-        raise ParameterError("permutation degree does not match the field")
+    _check_field(ctx, pi.m, "pi is")
     if g is None:
         g = np.zeros(ctx.size, dtype=np.uint8)
     gt = np.asarray(g.table if isinstance(g, BoolFn) else g)
@@ -147,8 +147,7 @@ def mm(ctx: FieldCtx, pi: PermTable, g=None) -> BoolFn:
 
 
 def _check_gmm_family(ctx: FieldCtx, k: int, family) -> list[BoolFn]:
-    if ctx.m != k:
-        raise ParameterError(f"field degree {ctx.m} does not match k={k}")
+    _check_field(ctx, k, "k is")
     family = list(family)
     if len(family) != 1 << k:
         raise ParameterError(f"family needs 2^{k} members, got {len(family)}")
@@ -198,16 +197,7 @@ def psap(ctx: FieldCtx, P) -> BoolFn:
     gpsap at (m, k, e) = (m, m, 1)."""
     if not isinstance(P, SubfieldFn):
         P = SubfieldFn(ctx, ctx.m, P)
-    if P.k != ctx.m:
-        raise ParameterError("psap needs P on the whole field (k = m)")
     return gpsap(ctx, validate_gps_params(ctx.m, ctx.m, 1), P)
-
-
-def _check_gps(ctx: FieldCtx, params: GpsParams) -> None:
-    if params.m != ctx.m:
-        raise ParameterError(
-            f"params are for GF(2^{params.m}), the context is GF(2^{ctx.m})"
-        )
 
 
 def _spread_grid(ctx: FieldCtx, params: GpsParams, orientation: str) -> np.ndarray:
@@ -233,7 +223,7 @@ def spread_labels(ctx: FieldCtx, params: GpsParams, orientation: str = "f") -> n
     B(gamma), and the row y = 0 is V.  The label on that special line is
     0: callers recognise the line by its coordinate.
     """
-    _check_gps(ctx, params)
+    _check_field(ctx, params.m, "params are")
     return _frozen(ctx.trace_rel_arr(params.k)[_spread_grid(ctx, params, orientation)])
 
 
@@ -244,7 +234,7 @@ def gpsap(ctx: FieldCtx, params: GpsParams, P: SubfieldFn, c0: int = 0,
     f-orientation: P(Tr_k^m(y x^(-e))) + c0 (1 - x^(2^m-1)),
     g-orientation: P(Tr_k^m(x y^(-eta))) + c0 (1 - y^(2^m-1)).
     """
-    _check_gps(ctx, params)
+    _check_field(ctx, params.m, "params are")
     if P.k != params.k:
         raise ParameterError(f"P is on S_{P.k}, params use k={params.k}")
     P.require_balanced()
@@ -277,9 +267,8 @@ def gpsap_trace_form(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
     balanced) P; that is checked exhaustively and violations are
     rejected rather than silently producing a non-bent table.
     """
-    _check_gps(ctx, params)
-    if Q.m != ctx.m:
-        raise ParameterError("Q degree does not match the field")
+    _check_field(ctx, params.m, "params are")
+    _check_field(ctx, Q.m, "Q is")
     if Q(0) != 0:
         raise ParameterError("Q must fix 0")
     if not _factors_through_subfield_trace(ctx, params.k, Q):
@@ -294,9 +283,8 @@ def gpsap_trace_form(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
 def gpsap_dual_formula(ctx: FieldCtx, params: GpsParams, Q: PermTable) -> BoolFn:
     """Closed-form dual of gpsap_trace_form:
     f*(x, y) = Tr(Q(y~ x~^(-e))) with t~ = t^(2^(m - ell))."""
-    _check_gps(ctx, params)
-    if Q.m != ctx.m:
-        raise ParameterError("Q degree does not match the field")
+    _check_field(ctx, params.m, "params are")
+    _check_field(ctx, Q.m, "Q is")
     tilde = ctx.pow_table(1 << (params.m - params.ell))
     args = ctx.spread_table(ctx.neg_exp(params.e))[np.ix_(tilde, tilde)]
     return BoolFn(ctx.trace_arr[Q.table][args].reshape(-1), Space([ctx, ctx]))
@@ -309,7 +297,7 @@ def gpsap_vectorial(ctx: FieldCtx, params: GpsParams, P: SubfieldFn,
     Output entries are subfield indices (ascending-order encoding);
     the component pairing is the subfield trace Tr_1^k.
     """
-    _check_gps(ctx, params)
+    _check_field(ctx, params.m, "params are")
     if P.k != params.k:
         raise ParameterError(f"P is on S_{P.k}, params use k={params.k}")
     P.require_permutation()
@@ -348,8 +336,7 @@ def check_property_P(ctx: FieldCtx, pi: PermTable) -> PropertyPResult:
     nonzero c has Tr(c D_t pi) = 0 and a quadruple with a2 = 0 works.
     Scans t ascending and reports the first violation found.
     """
-    if pi.m != ctx.m:
-        raise ParameterError("permutation degree does not match the field")
+    _check_field(ctx, pi.m, "pi is")
     size = ctx.size
     tbl = pi.table
     # the m component functions of pi, one row each
@@ -382,10 +369,7 @@ def build_cor_ex(ctx: FieldCtx, m: int, k: int, variant: str = "inverse",
     Tr_1^k(z), and pi is the inverse map (variant "inverse") or a Gold
     power map x^(2^k'+1) (variant "gold").
     """
-    import math
-
-    if ctx.m != m:
-        raise ParameterError(f"context is GF(2^{ctx.m}), requested m={m}")
+    _check_field(ctx, m, "m is")
     if m <= k + 2:
         raise ParameterError(f"need m > k+2, got m={m}, k={k}")
     if variant == "inverse":
@@ -425,7 +409,7 @@ def trace_sum_nonconstant(ctx: FieldCtx) -> np.ndarray:
 
 def g_lambda(ctx: FieldCtx, params: GpsParams, Q: PermTable, lam: int) -> BoolFn:
     """g_lam(x) = Tr(Q((1+lam) x^(-e)) + Q(x^(-e)) + Q(lam x^(-e)))."""
-    _check_gps(ctx, params)
+    _check_field(ctx, params.m, "params are")
     _check_vectors(ctx.m, lam)
     if lam in (0, 1):
         raise DomainError("lambda must lie outside F_2")

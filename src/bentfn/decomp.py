@@ -25,8 +25,9 @@ import numpy as np
 from .boolfn import (_CHUNK_ENTRIES, BoolFn, Space, _abs_spectrum, _derivative_autocorrelation,
                      _points, _second_derivative, _signs, dual, is_bent)
 from .errors import DomainError, ParameterError, ResourceError
-from .gf2 import FieldCtx, GpsParams, _entries_within, _frozen, _is_vector, validate_gps_params
-from .construct import PermTable, SubfieldFn, _check_gps, gpsap_vectorial, spread_labels
+from .gf2 import (FieldCtx, GpsParams, _check_field, _entries_within, _frozen, _is_vector,
+                  validate_gps_params)
+from .construct import PermTable, SubfieldFn, gpsap_vectorial, spread_labels
 from .vectorial import component
 
 
@@ -242,8 +243,7 @@ def psffff(ctx: FieldCtx, m: int, k: int, P: SubfieldFn,
 
     with e = 2^k + 1 and P a permutation of S_k.
     """
-    if ctx.m != m:
-        raise ParameterError(f"context is GF(2^{ctx.m}), requested m={m}")
+    _check_field(ctx, m, "m is")
     params = validate_gps_params(m, k, (1 << k) + 1)
     for name, val in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if val not in ctx.subfield(k):
@@ -283,7 +283,7 @@ def partition_bent(ctx: FieldCtx, params: GpsParams, assignment) -> BoolFn:
     the eight odd-weight quadruples must be used exactly 2^(k-3) times,
     which forces k >= 3.
     """
-    _check_gps(ctx, params)
+    _check_field(ctx, params.m, "params are")
     k = params.k
     if k < 3:
         raise ParameterError(f"the partition construction needs k >= 3, got k={k}")

@@ -34,11 +34,11 @@ compat(a, b) <=> D_a D_b f == 0.  Five structural facts keep it fast:
   the four quarters of (-1)^(D_a f) over the top two index bits.  At
   n = 14, t = 7 that screens the 255 roots of cor-ex2 in 64 transforms
   of four 2^12-point quarters and stops 254 of them; the index search
-  of cor-ex1 (n = 10) screens the 255 roots below its bound in 16
-  transforms of up to 16 whole spectra.  A root that passes a quarter
-  takes its whole spectrum; a kept spectrum finishes its root's row,
-  whether the root loop or the DFS asks for that row first, and a root
-  whose row the DFS took first starts no chunk.
+  of cor-ex1 (n = 10) screens 254 roots below its bound (no root fails
+  goal 1) in 16 transforms of up to 16 whole spectra.  A root that
+  passes a quarter takes its whole spectrum; a kept spectrum finishes
+  its root's row, whether the root loop or the DFS asks for that row
+  first, and a root whose row the DFS took first starts no chunk.
 
 Rows are computed lazily and cached bit-packed, so a capped search on
 14 variables stays within tens of megabytes.
@@ -56,7 +56,7 @@ from . import gf2vec
 from .boolfn import (_CHUNK_ENTRIES, BoolFn, _derivative_spectrum, _fwht_inplace, _linear_image,
                      _points, _second_derivative, _wiener_khintchine)
 from .errors import DomainError, ParameterError
-from .gf2 import _check_vectors, _entries_within, _is_integer
+from .gf2 import _check_vectors, _entries_within, _is_integer, _is_natural
 
 
 def derivative(f: BoolFn, a: int) -> BoolFn:
@@ -78,6 +78,8 @@ class Subspace:
     basis: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_natural(self.n):
+            raise DomainError(f"the dimension n must be a non-negative integer, got {self.n}")
         _check_vectors(self.n, *self.basis)
         basis = tuple(int(b) for b in self.basis)
         object.__setattr__(self, "basis", basis)
@@ -243,13 +245,13 @@ def _run_search(f: BoolFn, roots, target: int | None, cap: int,
         goal = _goal(target, res)
         if res.done or v1 >> (f.n - goal + 1):
             break
-        if v1 not in counts and v1 not in rows._cache:
+        if (goal > 1 or find_all) and v1 not in counts and v1 not in rows._cache:
             end = i + max(1, _CHUNK_ENTRIES >> _screen_width(f.n, goal))
             chunk = [a for a in roots[i:end] if not a >> (f.n - goal + 1)]
             counts = dict(zip(chunk, rows._screen(chunk, goal)))
-        # A skipped root's row is too small for _dfs's count check.  The
-        # bound needs goal >= 2, as every row holds 0 and v1; by then an
-        # index search has best >= 1, so skipping moves no best, found or done.
+        # A skipped root's row is too small for _dfs's count check.  No
+        # root fails goal 1, as every row holds 0 and v1, so there only a
+        # find-all search screens, for its batched spectra.
         pm = rows.root(v1, counts.get(v1, 0), goal)
         if pm is not None:
             _dfs(rows, [0, v1], [v1], pm, target, cap, find_all, res)
@@ -268,6 +270,8 @@ _POOL_MIN_WORK = 1 << 24
 
 def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
             threads: int = 1) -> _SearchResult:
+    if not _is_natural(threads, 1):
+        raise ParameterError(f"threads must be a positive integer, got {threads}")
     roots = list(range(1, f.table.size if target is None else 1 << (f.n - target + 1)))
     threads = min(threads, os.cpu_count() or 1, len(roots))
     if threads <= 1 or len(roots) << f.n < _POOL_MIN_WORK:
@@ -289,7 +293,7 @@ def _search(f: BoolFn, target: int | None, cap: int, find_all: bool,
 def _index_search(f: BoolFn, dim_cap: int | None, threads: int) -> _SearchResult:
     """The search for the largest M-subspace of f up to dim_cap: its
     dimension, best, and the least chain that reaches it, witness."""
-    if dim_cap is not None and not (_is_integer(dim_cap) and dim_cap >= 0):
+    if dim_cap is not None and not _is_natural(dim_cap):
         raise DomainError(f"dimension cap must be a non-negative integer, got {dim_cap}")
     cap = f.n if dim_cap is None else min(dim_cap, f.n)
     if cap < 1:
@@ -304,7 +308,7 @@ def linearity_index(f: BoolFn, dim_cap: int | None = None, threads: int = 1) -> 
 
 def enumerate_M_subspaces(f: BoolFn, dim: int, threads: int = 1) -> list[Subspace]:
     """All M-subspaces of the given dimension, canonical bases, sorted."""
-    if not (_is_integer(dim) and dim >= 1):
+    if not _is_natural(dim, 1):
         raise DomainError(f"dimension must be a positive integer, got {dim}")
     if dim > f.n:
         return []

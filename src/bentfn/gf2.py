@@ -34,6 +34,9 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 _MAX_DEGREE = 16
+# for the caches keyed by a caller's m or k, so that 3.0 misses the entry
+# of 3 and meets the gate in the body
+_typed_cache = functools.lru_cache(maxsize=None, typed=True)
 
 
 def _poly_mod(a: int, b: int) -> int:
@@ -91,8 +94,7 @@ class FieldCtx:
     """
 
     def __init__(self, m: int, irred: int):
-        if not 1 <= m <= _MAX_DEGREE:
-            raise ParameterError(f"extension degree must be in 1..{_MAX_DEGREE}, got {m}")
+        _check_degree(m)
         if not is_irreducible(irred, m):
             raise ParameterError(f"0x{irred:x} is not an irreducible polynomial of degree {m}")
         self.m = m
@@ -122,7 +124,7 @@ class FieldCtx:
 
     # -- subfield plumbing ----------------------------------------------------
 
-    @functools.cache
+    @_typed_cache
     def subfield(self, k: int) -> np.ndarray:
         """The 2^k elements of S_k = {z : z^(2^k) = z}, ascending."""
         return _frozen(np.flatnonzero(self.subfield_index_arr(k) >= 0))
@@ -164,8 +166,8 @@ class FieldCtx:
     def pow_table(self, e: int) -> np.ndarray:
         """x^e for every element x, with 0^0 = 1 and 0^e = 0 for e > 0, so
         that x^(2^m - 2) is "1/x with 0 mapped to 0"; needs e >= 0."""
-        if e < 0:
-            raise DomainError("0 cannot be raised to a negative power")
+        if not _is_natural(e):
+            raise DomainError(f"the exponent must be a non-negative integer, got {e}")
         out = np.zeros(self.size, dtype=np.int64)
         out[self._exp_arr[:self.order]] = self._exp_arr[
             np.arange(self.order, dtype=np.int64) * (e % self.order) % self.order]
@@ -199,20 +201,18 @@ class FieldCtx:
         """Absolute trace of every element, as uint8 bits."""
         return _frozen(self.trace_rel_arr(1).astype(np.uint8))
 
-    @functools.cache
+    @_typed_cache
     def trace_rel_arr(self, k: int) -> np.ndarray:
         """Relative trace onto the subfield S_k of every element x: the
         sum of x^(2^(ki)) over i < m/k."""
-        if k <= 0 or self.m % k:
-            raise ParameterError(f"relative trace needs k | m, got k={k}, m={self.m}")
+        _check_subfield_degree(self.m, k)
         return _frozen(self._frobenius_sum(self.elements, k, self.m // k))
 
-    @functools.cache
+    @_typed_cache
     def subfield_index_arr(self, k: int) -> np.ndarray:
         """Position of every element in the ascending ordering of S_k,
         or -1 for the elements outside S_k."""
-        if k <= 0 or self.m % k:
-            raise ParameterError(f"GF(2^{self.m}) has no subfield GF(2^{k})")
+        _check_subfield_degree(self.m, k)
         inside = self._frobenius(self.elements, k) == self.elements
         assert int(inside.sum()) == 1 << k
         return _frozen(np.where(inside, np.cumsum(inside) - 1, -1))
@@ -237,11 +237,35 @@ def _is_vector(n: int, v) -> bool:
     return _is_integer(v) and 0 <= v < 1 << n
 
 
+def _is_natural(v, least: int = 0) -> bool:
+    """Is v an integer no less than least (an exponent, a width, a count)?"""
+    return _is_integer(v) and v >= least
+
+
 def _check_vectors(n: int, *vectors) -> None:
     """Raise DomainError unless every vector lies in V_n."""
     for v in vectors:
         if not _is_vector(n, v):
             raise DomainError(f"{v} is not a vector of V_{n}")
+
+
+def _check_degree(m) -> None:
+    """Raise ParameterError unless m is a field degree, an integer in 1..16."""
+    if not (_is_natural(m, 1) and m <= _MAX_DEGREE):
+        raise ParameterError(f"extension degree must be an integer in 1..{_MAX_DEGREE}, got {m}")
+
+
+def _check_subfield_degree(m: int, k) -> None:
+    """Raise ParameterError unless GF(2^m) has a subfield GF(2^k)."""
+    if not (_is_natural(k, 1) and m % k == 0):
+        raise ParameterError(f"GF(2^{m}) has no subfield GF(2^{k})")
+
+
+def _check_field(ctx: FieldCtx, m, what: str) -> None:
+    """Raise ParameterError unless m, the degree of what `what` ("Q is")
+    names, is the context's."""
+    if not (_is_integer(m) and m == ctx.m):
+        raise ParameterError(f"{what} for GF(2^{m}), the context is GF(2^{ctx.m})")
 
 
 def _entries_within(tbl: np.ndarray, top: int) -> bool:
@@ -255,11 +279,10 @@ def _entries_within(tbl: np.ndarray, top: int) -> bool:
     return (kind == "u" or int(tbl.min()) >= 0) and int(tbl.max()) <= top
 
 
-@functools.cache
+@_typed_cache
 def default_modulus(m: int) -> int:
     """Smallest irreducible degree-m polynomial with constant term 1."""
-    if not 1 <= m <= _MAX_DEGREE:
-        raise ParameterError(f"extension degree must be in 1..{_MAX_DEGREE}, got {m}")
+    _check_degree(m)
     for cand in range((1 << m) | 1, 1 << (m + 1), 2):
         if is_irreducible(cand, m):
             return cand
@@ -269,8 +292,9 @@ def default_modulus(m: int) -> int:
 def make_field(m: int, irred: int | None = None) -> FieldCtx:
     """Build (and cache) a GF(2^m) context; one per modulus, so that
     an omitted modulus and the default one give the same context."""
-    if not (_is_integer(m) and (irred is None or _is_integer(irred))):
-        raise ParameterError(f"m and the modulus must be integers, got m={m}, irred={irred}")
+    _check_degree(m)   # before the cache, where 3.0 would find the entry of 3
+    if not (irred is None or _is_integer(irred)):
+        raise ParameterError(f"the modulus must be an integer, got {irred}")
     return _field(m, default_modulus(m) if irred is None else irred)
 
 
@@ -312,10 +336,9 @@ def mod_inverse_exponent(e: int, m: int) -> int:
 
 def validate_gps_params(m: int, k: int, e: int) -> GpsParams:
     """Check the spread-construction conditions and fill in ell, eta."""
-    if not all(_is_integer(p) and p >= 1 for p in (m, k, e)):
-        raise ParameterError(f"m, k, e must be positive integers, got m={m}, k={k}, e={e}")
-    if m % k:
-        raise ParameterError(f"k must divide m, got k={k}, m={m}")
+    if not (_is_natural(m, 1) and _is_natural(e, 1)):
+        raise ParameterError(f"m and e must be positive integers, got m={m}, e={e}")
+    _check_subfield_degree(m, k)
     eta = mod_inverse_exponent(e, m)  # raises on gcd != 1
     if k == 1:
         ell = 0

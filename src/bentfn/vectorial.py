@@ -15,7 +15,7 @@ import numpy as np
 
 from .boolfn import BoolFn, Space, dual, is_bent
 from .errors import DomainError
-from .gf2 import _entries_within, _is_vector
+from .gf2 import _entries_within, _is_natural, _is_vector
 
 
 class VecFn:
@@ -28,10 +28,10 @@ class VecFn:
         tbl = np.asarray(table)
         if tbl.ndim != 1 or tbl.size < 2 or tbl.size & (tbl.size - 1):
             raise DomainError(f"table length must be a power of two, got {tbl.size}")
-        if k < 1:
-            raise DomainError("output dimension must be positive")
+        if not _is_natural(k, 1):
+            raise DomainError(f"output dimension must be a positive integer, got {k}")
         # the int64 table holds at most 63 bits, whatever k says
-        if not _entries_within(tbl, min((1 << k) - 1, (1 << 63) - 1)):
+        if not _entries_within(tbl, (1 << min(k, 63)) - 1):
             raise DomainError(f"table entries must be {k}-bit values")
         tbl = np.asarray(tbl, dtype=np.int64)
         self.n = int(tbl.size).bit_length() - 1

@@ -309,8 +309,10 @@ def test_chains_are_reversed_echelon_bases():
 
 def test_search_row_counts(monkeypatch):
     # compatibility rows computed, roots screened, screen chunks, and
-    # whole spectra of the roots that pass a quarter screen, for the
-    # bounded search: work counters that do not depend on the machine
+    # whole spectra of roots that no full screen took (those that pass a
+    # quarter screen, and an index search's first root, which no screen
+    # sees), for the bounded search: work counters that do not depend on
+    # the machine
     computed, fresh, chunks, spectra, transforms = [], [], [], [], []
     dmod = importlib.import_module("bentfn.derivative")
     bmod = importlib.import_module("bentfn.boolfn")
@@ -351,7 +353,7 @@ def test_search_row_counts(monkeypatch):
             log.clear()
         assert run() == want
         # a full screen takes one batched spectrum; a root that passes a
-        # quarter screen and each DFS row take one spectrum each
+        # quarter screen or meets none, and each DFS row, take one each
         survivors = spectra.count(0) - sum(fresh)
         counts.append((len(computed), sum(chunks), len(chunks), survivors))
         # one transform of at most _CHUNK_ENTRIES entries per chunk, one
@@ -362,17 +364,20 @@ def test_search_row_counts(monkeypatch):
         assert len(transforms) - len(blocks) == spectra.count(0) + len(computed)
     # a root whose Walsh support shows too small a row costs no row; at
     # 2 * goal >= n (the first and third searches) its quarter shows it
-    # for all but one root of cor-ex2
+    # for all but one root of cor-ex2.  No root fails goal 1, so an index
+    # search takes its first root's spectrum alone and screens from the
+    # second, and a cap of 1 or 2 is reached from that first root
     assert [c[0] for c in counts] == [0, 32, 0, 1, 3, 3]
-    assert [c[1] for c in counts] == [63, 255, 255, 16, 16, 16]
-    assert [c[2] for c in counts] == [1, 16, 64, 1, 1, 1]
-    assert [c[3] for c in counts] == [0, 0, 1, 0, 0, 0]
+    assert [c[1] for c in counts] == [63, 254, 255, 0, 0, 0]
+    assert [c[2] for c in counts] == [1, 16, 64, 0, 0, 0]
+    assert [c[3] for c in counts] == [0, 1, 1, 1, 1, 1]
 
 
 def test_screened_spectra_are_not_taken_again(monkeypatch):
-    # on the m = 4 two-block inverse function (n = 8) the DFS asks for the
-    # rows of roots that the screen passed before the root loop reaches
-    # them; each such row finishes the spectrum the screen kept
+    # the DFS asks for the rows of roots that the screen passed before the
+    # root loop reaches them; each such row finishes the spectrum the
+    # screen kept.  The index of cor-ex1 (n = 10) and the planes of the
+    # m = 4 two-block inverse function (n = 8) screen from goal 2
     dmod = importlib.import_module("bentfn.derivative")
     kept, taken, computed = set(), [], []
     screen = _CompatRows._screen
@@ -399,14 +404,15 @@ def test_screened_spectra_are_not_taken_again(monkeypatch):
     monkeypatch.setattr(_CompatRows, "_compute", counted_compute)
     monkeypatch.setattr(dmod, "_derivative_spectrum", counted_spectrum)
     ctx = make_field(4)
-    f = mm(ctx, PermTable.inverse_map(ctx))
-    for run, want, rows in ((lambda: linearity_index(f), 4, 15),
-                            (lambda: len(enumerate_M_subspaces(f, 2)), 35, 127)):
+    f8 = mm(ctx, PermTable.inverse_map(ctx))
+    f10 = build_cor_ex(ctx, 4, 1, "inverse")
+    for run, want, rows, spectra in ((lambda: linearity_index(f10), 2, 32, 29),
+                                     (lambda: len(enumerate_M_subspaces(f8, 2)), 35, 127, 127)):
         for log in (kept, taken, computed):
             log.clear()
         assert run() == want
         assert len(computed) == rows
-        assert kept and not kept & set(taken)
+        assert len(kept) == spectra and not kept & set(taken)
 
 
 def test_rows_taken_first_start_no_chunk(monkeypatch):

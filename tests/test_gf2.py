@@ -6,10 +6,13 @@ import pytest
 
 from bentfn import (
     DomainError,
+    FieldCtx,
     ParameterError,
     PermTable,
     Space,
     SubfieldFn,
+    Subspace,
+    VecFn,
     XorShift64Star,
     classify_decomposition,
     component,
@@ -272,8 +275,8 @@ BIG = 1 << 64
 
 # Every entry point that takes an integer from its caller: the call on the
 # objects of `spread`, the error it raises, and the ints it refuses.  An
-# exponent or a dimension has no upper bound, so its huge int is negative;
-# a dimension below 1 makes has_M_subspace trivially true.
+# exponent, a dimension or a worker count has no upper bound, so its huge
+# int is negative; a dimension below 1 makes has_M_subspace trivially true.
 ENTRY_POINTS = [
     pytest.param(lambda o, x: o.ctx.mul(x, 1), DomainError, (BIG, 16), id="mul"),
     pytest.param(lambda o, x: o.ctx.mul(1, x), DomainError, (BIG, 16), id="mul-b"),
@@ -306,6 +309,27 @@ ENTRY_POINTS = [
     pytest.param(lambda o, x: make_field(x), ParameterError, (BIG, 17), id="make_field-m"),
     pytest.param(lambda o, x: make_field(3, x), ParameterError, (BIG, 12),
                  id="make_field-modulus"),
+    pytest.param(lambda o, x: FieldCtx(x, 0b11), ParameterError, (BIG, 0, 17), id="FieldCtx-m"),
+    pytest.param(lambda o, x: PermTable(x, [0, 1]), ParameterError, (BIG, 0), id="PermTable-m"),
+    pytest.param(lambda o, x: PermTable.gold(o.ctx, x), ParameterError, (-BIG, -1),
+                 id="PermTable.gold-k"),
+    pytest.param(lambda o, x: PermTable.from_exponent(o.ctx, x), DomainError, (-BIG, -1),
+                 id="PermTable.from_exponent-e"),
+    pytest.param(lambda o, x: o.ctx.pow_table(x), DomainError, (-BIG, -1), id="pow_table-e"),
+    pytest.param(lambda o, x: SubfieldFn(o.ctx, x, [0, 1]), ParameterError, (BIG, 0, 3),
+                 id="SubfieldFn-k"),
+    pytest.param(lambda o, x: o.ctx.trace_rel_arr(x), ParameterError, (BIG, 0, 3),
+                 id="trace_rel_arr-k"),
+    pytest.param(lambda o, x: o.ctx.subfield_index_arr(x), ParameterError, (BIG, 0, 3),
+                 id="subfield_index_arr-k"),
+    pytest.param(lambda o, x: VecFn([0, 1], x), DomainError, (BIG, 0), id="VecFn-k"),
+    pytest.param(lambda o, x: Subspace(x, ()), DomainError, (-BIG, -1), id="Subspace-n"),
+    pytest.param(lambda o, x: linearity_index(o.f, threads=x), ParameterError, (-BIG, 0),
+                 id="linearity_index-threads"),
+    pytest.param(lambda o, x: has_M_subspace(o.f, 2, threads=x), ParameterError, (-BIG, 0),
+                 id="has_M_subspace-threads"),
+    pytest.param(lambda o, x: enumerate_M_subspaces(o.f, 2, threads=x), ParameterError,
+                 (-BIG, 0), id="enumerate_M_subspaces-threads"),
 ]
 
 
