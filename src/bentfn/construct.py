@@ -51,6 +51,7 @@ class PermTable:
 
     @classmethod
     def identity(cls, m: int) -> "PermTable":
+        _check_degree(m)   # before range(1 << m)
         return cls(m, range(1 << m))
 
     @classmethod

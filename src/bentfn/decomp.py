@@ -25,8 +25,8 @@ import numpy as np
 from .boolfn import (_CHUNK_ENTRIES, BoolFn, Space, _abs_spectrum, _derivative_autocorrelation,
                      _points, _second_derivative, _signs, dual, is_bent)
 from .errors import DomainError, ParameterError, ResourceError
-from .gf2 import (FieldCtx, GpsParams, _check_field, _entries_within, _frozen, _is_vector,
-                  validate_gps_params)
+from .gf2 import (FieldCtx, GpsParams, _check_field, _entries_within, _frozen, _is_integer,
+                  _is_vector, validate_gps_params)
 from .construct import PermTable, SubfieldFn, gpsap_vectorial, spread_labels
 from .vectorial import component
 
@@ -246,6 +246,8 @@ def psffff(ctx: FieldCtx, m: int, k: int, P: SubfieldFn,
     _check_field(ctx, m, "m is")
     params = validate_gps_params(m, k, (1 << k) + 1)
     for name, val in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not _is_integer(val):   # an int outside V_m is not in S_k either
+            raise ParameterError(f"{name} must be a vector of V_{m}, got {val}")
         if val not in ctx.subfield(k):
             raise ParameterError(f"{name} = {val:#x} is not in S_{k}")
         if val == 0:

@@ -13,8 +13,10 @@ compat(a, b) <=> D_a D_b f == 0.  Five structural facts keep it fast:
   element of v + S is compatible with every element of S.
 * Each subspace has exactly one generating chain whose vectors are
   added in ascending order with each new vector minimal in its coset
-  (equivalently: the greedy ascending basis).  Enumerating only such
-  chains visits every M-subspace exactly once, no dedup needed.
+  (the greedy ascending basis), so enumerating only such chains visits
+  every M-subspace once.  A chain's top bits rise, so they lead its
+  span's echelon form: v is above the span and least in its coset iff
+  v >= 2^(bit length of the last vector) and v is 0 at every top bit.
 * The i-th vector of the greedy ascending basis of a t-dimensional
   subspace S is below 2^(n-t+i): the integers below 2^(n-t+i) form a
   subspace of dimension n-t+i, which meets S in dimension at least i.
@@ -40,8 +42,8 @@ compat(a, b) <=> D_a D_b f == 0.  Five structural facts keep it fast:
   its root's row, whether the root loop or the DFS asks for that row
   first, and a root whose row the DFS took first starts no chunk.
 
-Rows are computed lazily and cached bit-packed, so a capped search on
-14 variables stays within tens of megabytes.
+Rows are computed lazily, cached bit-packed and intersected packed, so
+a capped search on 14 variables stays within tens of megabytes.
 """
 
 from __future__ import annotations
@@ -100,13 +102,13 @@ class _CompatRows:
         self._kept: dict[int, np.ndarray] = {}   # root -> whole spectrum within the limit
 
     def row(self, a: int) -> np.ndarray:
-        """Unpacked 0/1 mask over b of compat(a, b), for a != 0."""
+        """The cached mask over b of compat(a, b), for a != 0, packed little-endian."""
         packed = self._cache.get(a)
         if packed is None:
             # a spectrum kept by the screen or by root() is finished here
             kept = [self._kept.pop(a)] if a in self._kept else []
             packed = self._cache[a] = self._compute(a, *kept)
-        return np.unpackbits(packed, bitorder="little")[: self.size]
+        return packed
 
     def root(self, a: int, count: int, goal: int) -> np.ndarray | None:
         """row(a) for a search root whose Walsh support `_screen` counted,
@@ -215,25 +217,23 @@ def _dfs(rows: _CompatRows, span: list[int], basis: list[int], pmask: np.ndarray
         # target, which is its cap): its answer is the cap, so stop
         res.done = True
         return
-    if int(pmask.sum()) < 1 << _goal(target, res):
+    if int(np.bitwise_count(pmask).sum()) < 1 << _goal(target, res):
         return
-    span_max = span[-1] if len(span) > 1 else 0
-    for v in map(int, np.flatnonzero(pmask)):
+    low, lead = 1 << basis[-1].bit_length(), sum(1 << (b.bit_length() - 1) for b in basis)
+    mask = np.unpackbits(pmask, count=rows.size, bitorder="little")   # v >= low is above the span
+    for v in map(int, np.flatnonzero(mask[low:]) + low):
         if res.done:
             return
         if v >> (rows.f.n - _goal(target, res) + d + 1):
             break  # beyond the minimum-element bound of depth d
-        if v <= span_max:
-            continue
-        if any(v > (v ^ s) for s in span if s):
+        if v & lead:
             continue  # not the coset minimum; another chain owns this subspace
         # pmask is an intersection of rows, each a subspace holding span, so v + span lies in it
         shifted = [v ^ s for s in span]
         new_pm = pmask
         for w in shifted:
             new_pm = new_pm & rows.row(w)
-        new_span = sorted(span + shifted)
-        _dfs(rows, new_span, basis + [v], new_pm, target, cap, find_all, res)
+        _dfs(rows, span + shifted, basis + [v], new_pm, target, cap, find_all, res)
 
 
 def _run_search(f: BoolFn, roots, target: int | None, cap: int,

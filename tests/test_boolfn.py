@@ -216,6 +216,12 @@ def test_boolfn_validation():
     f = BoolFn([0, 1, 1, 0])
     with pytest.raises(ValueError):
         f.table[0] = 1  # table is read-only
+    with pytest.raises(DomainError, match="at least one factor"):
+        Space([])
+    with pytest.raises(DomainError, match="does not match table size"):
+        BoolFn([0, 1, 1, 0], Space.bits(3))
+    with pytest.raises(DomainError, match="different dimensions"):
+        f ^ BoolFn([0, 1])
 
 
 @pytest.mark.parametrize("v", [2, -1, 1.5, 1.0, 1 << 64, "1"])

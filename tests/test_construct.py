@@ -24,6 +24,7 @@ from bentfn import (
     gpsap,
     gpsap_dual_formula,
     gpsap_trace_form,
+    gpsap_vectorial,
     is_balanced,
     is_bent,
     load_perm,
@@ -186,8 +187,10 @@ def test_gmm_preconditions():
     fam = seeded_family(1, 4, 9)
     with pytest.raises(ParameterError):
         gmm(ck, 1, [fam[0]])  # family size must be 2^k
-    with pytest.raises(ParameterError):
-        gmm(ck, 1, [fam[0], BoolFn([0, 1, 1, 1])])  # member not bent
+    with pytest.raises(ParameterError, match="z=1 lives on a different space"):
+        gmm(ck, 1, [fam[0], BoolFn([0, 1, 1, 1])])
+    with pytest.raises(ParameterError, match="z=1 is not bent"):
+        gmm(ck, 1, [fam[0], fam[0] ^ BoolFn([0] * 15 + [1])])
 
 
 def test_psap_bent_balanced_P_required():
@@ -215,6 +218,9 @@ def test_gpsap_variants():
     # c0 toggles the function exactly on the line y arbitrary, x = 0
     diff = np.flatnonzero(a.table != b.table)
     assert sorted(diff) == [y << 4 for y in range(16)]
+    for build in (gpsap, gpsap_vectorial):
+        with pytest.raises(ParameterError, match="P is on S_4, params use k=2"):
+            build(ctx, pr, SubfieldFn.identity_perm(ctx, 4))
 
 
 def test_gpsap_literal_definitions():

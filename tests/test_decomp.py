@@ -312,6 +312,11 @@ def test_concat4_block_order():
         assert g.table[x + 48] == fs[3].table[x]       # (1, 1)
     back = restrict_to_cosets(g, 16, 32)
     assert [b.table.tolist() for b in back] == [f.table.tolist() for f in fs]
+    # one block on another space of the same dimension: the glued space is plain bits
+    ctx = make_field(2)
+    mixed = concat4(fs[0].with_space(Space([ctx, ctx])), *fs[1:])
+    assert mixed.space.signature == Space.bits(6).signature
+    assert mixed.table.tolist() == g.table.tolist()
 
 
 def test_concat_bent_check_agrees_with_transform():
@@ -369,11 +374,8 @@ def test_psffff_guards_and_output():
         psffff(ctx, 3, 1, P, 0, 1, 1)  # alpha = 0
     with pytest.raises(ParameterError):
         psffff(ctx, 3, 1, P, 1, 1, 1 | 2)  # gamma outside the subfield
-    ctx6 = make_field(6)
-    P3 = SubfieldFn.identity_perm(ctx6, 3)
-    s3 = ctx6.subfield(3)
-    with pytest.raises(ParameterError):
-        psffff(ctx6, 6, 3, P3, s3[1], s3[2], s3[1] ^ s3[2])  # sum = 0
+    with pytest.raises(ParameterError, match="alpha \\+ beta \\+ gamma must be nonzero"):
+        psffff(ctx, 3, 3, SubfieldFn.identity_perm(ctx, 3), 1, 2, 3)  # sum = 0
     with pytest.raises(ParameterError):
         psffff(ctx, 3, 1, SubfieldFn(ctx, 1, [0, 0]), 1, 1, 1)  # P not a perm
 

@@ -1,4 +1,6 @@
+import functools
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -92,10 +94,11 @@ def test_compat_rows_match_second_derivatives(n):
                    for i in range(1 << n)])
     x = np.arange(1 << n)
     sign = 1 - 2 * (np.bitwise_count(x[:, None] & x) & 1).astype(np.int64)   # (-1)^(b.x)
+    unpack = functools.partial(np.unpackbits, count=1 << n, bitorder="little")
     for f in [rand_fn(rng, n) for _ in range(3)] + [quad]:
         rows = _CompatRows(f)
         for a in range(1, 1 << n):
-            row = rows.row(a)
+            row = unpack(rows.row(a))
             d = f.table ^ f.table[x ^ a]   # D_a f
             assert np.array_equal(row, ~(d ^ d[x[:, None] ^ x]).any(axis=1))
             # the row is the orthogonal complement of the span of the
@@ -114,7 +117,7 @@ def test_compat_rows_match_second_derivatives(n):
                 if len(supp) << goal > 1 << n:
                     assert root is None and len(perp) < 1 << goal
                 else:
-                    assert root.tolist() == row.tolist()
+                    assert unpack(root).tolist() == row.tolist()
 
 
 def _walk(f, roots, goal):
@@ -258,6 +261,17 @@ def test_enumerate_known_count():
     assert len({U.basis for U in found}) == 15
     for U in found:
         assert is_M_subspace(f, U)
+
+
+@pytest.mark.parametrize("m, count", [(1, 3), (2, 15), (3, 135), (4, 2295)])
+def test_identity_mm_M_subspaces_are_lagrangians(m, count):
+    # D_(a,b) D_(c,d) of Tr(x y) is the nondegenerate alternating form
+    # Tr(a d + b c), so the m-dimensional M-subspaces are its Lagrangian
+    # subspaces, of which there are prod_{i=1..m} (2^i + 1)
+    assert math.prod((1 << i) + 1 for i in range(1, m + 1)) == count
+    f = mm(make_field(m), PermTable.identity(m))
+    assert len(enumerate_M_subspaces(f, m)) == count
+    assert linearity_index(f) == m
 
 
 def _oracle_functions():
@@ -436,6 +450,7 @@ def test_rows_taken_first_start_no_chunk(monkeypatch):
 
 def test_enumerate_dim_too_large():
     assert enumerate_M_subspaces(QUAD, 3) == []
+    assert enumerate_M_subspaces(QUAD, 5) == []   # beyond n = 4
 
 
 def test_threaded_search_agrees(monkeypatch):

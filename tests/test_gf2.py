@@ -24,6 +24,7 @@ from bentfn import (
     has_M_subspace,
     linearity_index,
     make_field,
+    psffff,
     restrict_to_cosets,
     validate_gps_params,
 )
@@ -295,7 +296,7 @@ ENTRY_POINTS = [
     pytest.param(lambda o, x: gpsap(o.ctx, o.params, o.balanced, c0=x), ParameterError,
                  (BIG, 2), id="gpsap-c0"),
     pytest.param(lambda o, x: gpsap_vectorial(o.ctx, o.params, o.perm, c0=x), DomainError,
-                 (BIG, 16), id="gpsap_vectorial-c0"),
+                 (BIG, 16, 2), id="gpsap_vectorial-c0"),   # 2 is in V_4 but not in S_2
     pytest.param(lambda o, x: linearity_index(o.f, dim_cap=x), DomainError, (-BIG, -1),
                  id="linearity_index"),
     pytest.param(lambda o, x: has_M_subspace(o.f, x), DomainError, (), id="has_M_subspace"),
@@ -311,6 +312,8 @@ ENTRY_POINTS = [
                  id="make_field-modulus"),
     pytest.param(lambda o, x: FieldCtx(x, 0b11), ParameterError, (BIG, 0, 17), id="FieldCtx-m"),
     pytest.param(lambda o, x: PermTable(x, [0, 1]), ParameterError, (BIG, 0), id="PermTable-m"),
+    pytest.param(lambda o, x: PermTable.identity(x), ParameterError, (BIG, 0, -1, 17),
+                 id="PermTable.identity-m"),
     pytest.param(lambda o, x: PermTable.gold(o.ctx, x), ParameterError, (-BIG, -1),
                  id="PermTable.gold-k"),
     pytest.param(lambda o, x: PermTable.from_exponent(o.ctx, x), DomainError, (-BIG, -1),
@@ -330,7 +333,16 @@ ENTRY_POINTS = [
                  id="has_M_subspace-threads"),
     pytest.param(lambda o, x: enumerate_M_subspaces(o.f, 2, threads=x), ParameterError,
                  (-BIG, 0), id="enumerate_M_subspaces-threads"),
+    pytest.param(lambda o, x: _psffff3(x, 1, 1), ParameterError, (BIG, 2, 8), id="psffff-alpha"),
+    pytest.param(lambda o, x: _psffff3(1, x, 1), ParameterError, (BIG, 2, 8), id="psffff-beta"),
+    pytest.param(lambda o, x: _psffff3(1, 1, x), ParameterError, (BIG, 2, 8), id="psffff-gamma"),
 ]
+
+
+def _psffff3(alpha, beta, gamma):
+    """psffff at (m, k) = (3, 1), where S_1 = {0, 1}."""
+    ctx = make_field(3)
+    return psffff(ctx, 3, 1, SubfieldFn.identity_perm(ctx, 1), alpha, beta, gamma)
 
 
 @pytest.fixture(scope="module")

@@ -46,6 +46,8 @@ def test_vecfn_validation():
         VecFn([0, 1, 2, 3], 0)
     with pytest.raises(DomainError):
         VecFn([0, 1, 2, 3], 2, pairing=Space.bits(3))
+    with pytest.raises(DomainError, match="space dimension does not match"):
+        VecFn([0, 1, 2, 3], 2, space=Space.bits(3))
 
 
 def test_spread_vectorial_is_bent():
